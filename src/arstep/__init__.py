@@ -9,9 +9,9 @@ Monte Carlo harness (simulation).  ``arstep`` on the command line
 exposes the same functionality.
 """
 
-from .errors import (ArstepError, InsufficientHistory, NotUnitRoot,
-                     SeriesTooShort, SingularDesign, SingularGamma,
-                     UnstableStationaryPart, WindowTooShort)
+from .errors import (ArstepError, InsufficientHistory, NonFiniteSeries,
+                     NotUnitRoot, SeriesTooShort, SingularDesign,
+                     SingularGamma, UnstableStationaryPart, WindowTooShort)
 from .estimation import (FittedCoefficients, GramAccumulator, fit_direct,
                          fit_one_step, fitted_ma_weights, lag_matrix,
                          plug_in_multi, residual_mse)
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArstepError", "NotUnitRoot", "UnstableStationaryPart", "SingularGamma",
     "SingularDesign", "WindowTooShort", "SeriesTooShort",
-    "InsufficientHistory",
+    "InsufficientHistory", "NonFiniteSeries",
     "PLUG_IN", "DIRECT", "UnitRootArModel", "StationaryArModel",
     "DirectCoefficients", "MaWeights", "unit_root_model", "stationary_model",
     "deflate_unit_root", "companion_matrix", "companion_apply",

@@ -70,9 +70,8 @@ def _emit(args, meta, records, text_fn):
         close = True
     try:
         if args.format == "text":
-            stream.write(text_fn())
-            if not text_fn().endswith("\n"):
-                stream.write("\n")
+            text = text_fn()
+            stream.write(text if text.endswith("\n") else text + "\n")
         elif args.format == "csv":
             for key in meta:
                 stream.write("# %s=%s\n" % (key, json.dumps(_plain(meta[key]))))

@@ -38,9 +38,13 @@ class InsufficientHistory(ArstepError):
     """Not enough trailing observations to form a regressor vector."""
 
 
+class NonFiniteSeries(ArstepError):
+    """The series holds a NaN or infinite value."""
+
+
 #: Errors that indicate the *input* was unusable (CLI exit code 2).
 INPUT_ERRORS = (NotUnitRoot, UnstableStationaryPart, WindowTooShort,
-                SeriesTooShort, InsufficientHistory)
+                SeriesTooShort, InsufficientHistory, NonFiniteSeries)
 
 #: Errors that indicate a numerical failure during computation (exit code 3).
 NUMERICAL_ERRORS = (SingularDesign, SingularGamma)

@@ -60,9 +60,36 @@ def gram_is_invertible(gram):
     return high > 0.0 and low > high * RCOND_MIN
 
 
+def _singular_grams(grams):
+    """Mask of the Gram matrices in a stack that fail the condition gate.
+
+    Written so that a NaN eigenvalue fails; for finite Grams it is the
+    test of gram_is_invertible, negated.
+    """
+    evals = np.linalg.eigvalsh(grams)
+    low, high = evals[:, 0], evals[:, -1]
+    return ~(low > high * RCOND_MIN) | ~(high > 0.0)
+
+
+def _gated_solve(grams, crosses, where, bad=None):
+    """Solve the stacked normal equations grams @ b = crosses, b per row.
+
+    bad is the gate mask of grams; a caller that gated a larger stack
+    passes its slice, otherwise it is computed here.  When any Gram
+    fails, SingularDesign is raised with message where(j), j the
+    position of the first failing Gram.
+    """
+    if bad is None:
+        bad = _singular_grams(grams)
+    if bad.any():
+        raise SingularDesign(where(int(np.argmax(bad))))
+    return np.linalg.solve(grams, crosses[:, :, None])[:, :, 0]
+
+
 def solve_gram(gram, cross, context=""):
     """Solve gram @ coeffs = cross with a condition estimate.
 
+    cross is a vector, or a matrix with one right-hand side per column.
     Raises SingularDesign when the reciprocal condition number falls
     below RCOND_MIN (context, if given, names the offending window).
     """
@@ -70,7 +97,8 @@ def solve_gram(gram, cross, context=""):
     if evals[-1] <= 0.0 or evals[0] <= evals[-1] * RCOND_MIN:
         raise SingularDesign("Gram matrix is numerically singular%s"
                              % (" (%s)" % context if context else ""))
-    return evecs @ ((evecs.T @ cross) / evals)
+    scale = evals if np.ndim(cross) == 1 else evals[:, None]
+    return evecs @ ((evecs.T @ cross) / scale)
 
 
 @dataclass(frozen=True)
@@ -171,6 +199,20 @@ def plug_in_multi(one_step, h):
                               sample_end=one_step.sample_end)
 
 
+def _plug_in_powers(coeffs, h):
+    """h-step plug-in coefficients of a stack of one-step fits, one per row.
+
+    Row by row this is plug_in_multi: each fit a becomes A^(h-1) applied
+    to a, with A the companion matrix of a.
+    """
+    v = coeffs
+    for _ in range(h - 1):
+        w = coeffs * v[:, :1]
+        w[:, :-1] += v[:, 1:]
+        v = w
+    return v
+
+
 def fit_direct(series, k, h, i=None):
     """Direct h-step least squares of x_{j+h} on x_j(k).
 
@@ -222,7 +264,7 @@ def residual_mse(series, coeffs, h, K):
                              "divisor" % (K, n - h))
     X = lag_matrix(series, coeffs.k, K, n - h)
     resid = series[K + h - 1:n] - X @ np.asarray(coeffs.coeffs)
-    return math.fsum(float(r) * float(r) for r in resid) / (n - h - K)
+    return math.fsum((resid * resid).tolist()) / (n - h - K)
 
 
 def fitted_ma_weights(one_step, J):

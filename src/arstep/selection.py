@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeriesTooShort, SingularDesign, WindowTooShort
-from .estimation import (RCOND_MIN, fit_direct, fit_one_step,
-                         fitted_ma_weights, gram_is_invertible, lag_matrix,
-                         plug_in_multi, residual_mse)
+from .errors import (NonFiniteSeries, SeriesTooShort, SingularDesign,
+                     WindowTooShort)
+from .estimation import (_gated_solve, _plug_in_powers, _singular_grams,
+                         fit_direct, fit_one_step, fitted_ma_weights,
+                         gram_is_invertible, lag_matrix, plug_in_multi,
+                         residual_mse, solve_gram)
 from .model_core import DIRECT, PLUG_IN, companion_matrix
 
 
@@ -112,21 +114,56 @@ def min_start_index(series, K, h):
         % (n - h, K))
 
 
-def _batched_coefficients(grams, crosses, origins):
-    """Solve a stack of normal equations, naming the first bad origin."""
-    evals = np.linalg.eigvalsh(grams)
-    bad = (evals[:, -1] <= 0.0) | (evals[:, 0] <= evals[:, -1] * RCOND_MIN)
-    if bad.any():
-        raise SingularDesign("singular design at sample end i=%d"
-                             % int(origins[int(np.argmax(bad))]))
-    return np.linalg.solve(grams, crosses[:, :, None])[:, :, 0]
+def _require_finite(series):
+    """Reject NaN and infinite values before any Gram is formed."""
+    if not np.isfinite(series).all():
+        raise NonFiniteSeries("the series holds NaN or infinite values")
+
+
+def _ape_sums(series, k, stages):
+    """Accumulated prediction errors of one order k for several stages.
+
+    Each stage (method, h, m) asks for the h-step sum of that method over
+    the sample ends i = m..n-h.  Every Gram those refits need is an entry
+    of one prefix over the rows x_j(k), j = k..n-1: the one-step fit
+    behind plug-in at sample end i reads entry i-1-k, the direct h-step
+    fit entry i-h-k (so direct at h = 1 is the one-step fit).  The prefix
+    is built and gated by one eigvalsh sweep.  Each fit lag is solved
+    once, over the sample ends of its first stage; a later stage with the
+    same lag must lie inside them and takes a slice.
+    """
+    n = series.size
+    rows = lag_matrix(series, k, k, n - 1)
+    grams = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    stages = [(method, h, m, 1 if method == PLUG_IN else h)
+              for method, h, m in stages]
+    base = min(m - lag for _, _, m, lag in stages) - k
+    bad = _singular_grams(grams[base:])
+    solved, sums = {}, []
+    for method, h, m, lag in stages:
+        if lag not in solved:
+            g = slice(m - lag - k, n - h - lag - k + 1)
+            cross = np.cumsum(rows[:n - lag - k + 1]
+                              * series[k + lag - 1:n, None], axis=0)
+            solved[lag] = m, _gated_solve(
+                grams[g], cross[g],
+                lambda j: "singular design at sample end i=%d" % (m + j),
+                bad[g.start - base:g.stop - base])
+        first, coeffs = solved[lag]
+        coeffs = coeffs[m - first:n - h - first + 1]
+        if method == PLUG_IN:
+            coeffs = _plug_in_powers(coeffs, h)
+        tails = rows[np.arange(m, n - h + 1) - k]
+        errors = series[m + h - 1:n] - np.einsum("bk,bk->b", coeffs, tails)
+        sums.append(math.fsum((errors * errors).tolist()))
+    return sums
 
 
 def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     """Accumulated squared out-of-sample h-step prediction errors.
 
     For each sample end i from the start index through n - h, the
-    candidate (k, method) is refitted on x_1..x_i (a rank-1 Gram update
+    candidate (k, method) is refitted on x_1..x_i (a Gram prefix entry
     plus a fresh solve per step), x_{i+h} is forecast, and the squared
     errors are summed with compensated summation.  The window only ever
     expands.
@@ -150,6 +187,7 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     float
     """
     series = np.asarray(series, dtype=float)
+    _require_finite(series)
     n = series.size
     if not 1 <= k <= K:
         raise ValueError("candidate order must satisfy 1 <= k <= K")
@@ -159,29 +197,9 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     if n - h < m:
         raise SeriesTooShort("no forecast origins between i=%d and n-h=%d"
                              % (m, n - h))
-    origins = np.arange(m, n - h + 1)
-    rows = lag_matrix(series, k, k, n - 1)
-    gram_prefix = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
-    if method == PLUG_IN:
-        cross_prefix = np.cumsum(rows * series[k:n, None], axis=0)
-        idx = origins - 1 - k
-    else:
-        rows_h = rows[:n - h - k + 1]
-        cross_prefix = np.cumsum(rows_h * series[k + h - 1:n, None], axis=0)
-        idx = origins - h - k
-    coeffs = _batched_coefficients(gram_prefix[idx], cross_prefix[idx],
-                                   origins)
-    if method == PLUG_IN and h > 1:
-        v = coeffs.copy()
-        for _ in range(h - 1):
-            w = coeffs * v[:, :1]
-            w[:, :-1] += v[:, 1:]
-            v = w
-        coeffs = v
-    tails = rows[origins - k]
-    preds = np.einsum("bk,bk->b", coeffs, tails)
-    errors = series[m + h - 1:n] - preds
-    return math.fsum(float(e) * float(e) for e in errors)
+    if m - (1 if method == PLUG_IN else h) < k:
+        raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
+    return _ape_sums(series, k, ((method, h, m),))[0]
 
 
 def select_by_ape(series, h, K):
@@ -196,22 +214,20 @@ def select_by_ape(series, h, K):
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
+    _require_finite(series)
     m1 = min_start_index(series, K, 1)
     mh = m1 if h == 1 else min_start_index(series, K, h)
-    first_stage = {
-        k: accumulated_prediction_error(series, k, 1, DIRECT, K,
-                                        start_index=m1)
-        for k in range(1, K + 1)}
+    # One pass per order serves all three stages.  Plug-in sums are
+    # taken for every order because the step-1 pick is not known yet;
+    # their one-step fits are a slice of the first stage's (mh >= m1).
+    stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
+    first_stage, direct_vals, plug_all = {}, {}, {}
+    for k in range(1, K + 1):
+        first_stage[k], direct_vals[k], plug_all[k] = _ape_sums(
+            series, k, stages)
     k_first = _argmin_smallest(first_stage)
-    direct_vals = {
-        k: accumulated_prediction_error(series, k, h, DIRECT, K,
-                                        start_index=mh)
-        for k in range(1, K + 1)}
     k_direct = _argmin_smallest(direct_vals)
-    plug_vals = {
-        k: accumulated_prediction_error(series, k, h, PLUG_IN, K,
-                                        start_index=mh)
-        for k in range(k_first, K + 1)}
+    plug_vals = {k: v for k, v in plug_all.items() if k >= k_first}
     k_plug = _argmin_smallest(plug_vals)
     if direct_vals[k_direct] > plug_vals[k_plug]:
         chosen, method = k_plug, PLUG_IN
@@ -224,15 +240,6 @@ def select_by_ape(series, h, K):
                             orders={"first_stage": k_first,
                                     "direct": k_direct,
                                     "plug_in": k_plug})
-
-
-def _solve_matrix(gram, rhs, context):
-    """Multi-column Gram solve with the same condition gate as fits."""
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[-1] <= 0.0 or evals[0] <= evals[-1] * RCOND_MIN:
-        raise SingularDesign("Gram matrix is numerically singular (%s)"
-                             % context)
-    return evecs @ ((evecs.T @ rhs) / evals[:, None])
 
 
 def _criterion_shared(series, h, K):
@@ -254,7 +261,7 @@ def _plugin_criterion_value(series, k, h, K, penalty, sigma_tilde, bhat):
     L = bhat[0] * np.eye(k)
     for j in range(1, h):
         L = L @ A + bhat[j] * np.eye(k)
-    right = _solve_matrix(W, L.T, "plug-in criterion, k=%d" % k)
+    right = solve_gram(W, L.T, "plug-in criterion, k=%d" % k)
     trace = float(np.sum((W @ L) * right.T))
     return sig + trace * sigma_tilde * penalty.value(n)
 
@@ -274,8 +281,8 @@ def _direct_criterion_value(series, k, h, K, penalty, sigma_tilde, bhat):
     for i in range(h):
         z += bhat[i] * np.asarray(series, dtype=float)[i:n - h + 1 + i]
     Z = lag_matrix(z, k, k, n - 2 * h + 1)
-    trace = float(np.trace(_solve_matrix(W, Z.T @ Z,
-                                         "direct criterion, k=%d" % k)))
+    trace = float(np.trace(solve_gram(W, Z.T @ Z,
+                                      "direct criterion, k=%d" % k)))
     return sig + trace * sigma_tilde * penalty.value(n)
 
 
@@ -318,6 +325,7 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
+    _require_finite(series)
     n, sigma_tilde, bhat = _criterion_shared(series, h, K)
     one_step_weights = np.ones(1)
     first_stage = {

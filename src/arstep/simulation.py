@@ -19,8 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
-from .errors import ArstepError, SeriesTooShort, SingularDesign
-from .estimation import RCOND_MIN
+from .errors import ArstepError, SeriesTooShort
+from .estimation import _gated_solve, _plug_in_powers
 from .model_core import (DIRECT, PLUG_IN, impulse_response, stationary_model,
                          unit_root_model)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, select_by_ape,
@@ -365,6 +365,7 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     scale = math.sqrt(dgp.sigma2)
     rng = np.random.default_rng(int(seed))
     filt = np.concatenate(([1.0], -levels))
+    lag = 1 if method == PLUG_IN else h  # the fit regresses x_{j+lag}
     err_sum, err_sq_sum, u_sum, u_sq_sum = [], [], [], []
     done = 0
     while done < R:
@@ -372,27 +373,14 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         eps = rng.standard_normal((b, n + h)) * scale
         x = lfilter([1.0], filt, eps, axis=1)
         windows = sliding_window_view(x[:, :n], k, axis=1)[:, :, ::-1]
-        if method == PLUG_IN:
-            design = windows[:, :n - k, :]
-            target = x[:, k:n]
-        else:
-            design = windows[:, :n - h - k + 1, :]
-            target = x[:, k + h - 1:n]
+        design = windows[:, :n - lag - k + 1, :]
+        target = x[:, k + lag - 1:n]
         gram = np.einsum("bjk,bjl->bkl", design, design)
         cross = np.einsum("bjk,bj->bk", design, target)
-        evals = np.linalg.eigvalsh(gram)
-        bad = (evals[:, -1] <= 0.0) | (evals[:, 0] <= evals[:, -1] * RCOND_MIN)
-        if bad.any():
-            raise SingularDesign(
-                "singular design in replication %d" % (done + int(np.argmax(bad))))
-        coeffs = np.linalg.solve(gram, cross[:, :, None])[:, :, 0]
-        if method == PLUG_IN and h > 1:
-            v = coeffs.copy()
-            for _ in range(h - 1):
-                nxt = coeffs * v[:, :1]
-                nxt[:, :-1] += v[:, 1:]
-                v = nxt
-            coeffs = v
+        coeffs = _gated_solve(gram, cross, lambda j: (
+            "singular design in replication %d" % (done + j)))
+        if method == PLUG_IN:
+            coeffs = _plug_in_powers(coeffs, h)
         tails = windows[:, n - k, :]
         err = np.einsum("bk,bk->b", coeffs, tails) - x[:, n + h - 1]
         eta = eps[:, n + h - 1 - np.arange(h)] @ w

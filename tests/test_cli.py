@@ -196,6 +196,17 @@ def test_non_numeric_data_exits_two(capsys, tmp_path):
     assert "non-numeric" in message and ":4:" in message
 
 
+def test_non_finite_series_exits_two(capsys, tmp_path):
+    values = _sample_series("III", 200)
+    values[120] = np.nan
+    path = _write_series(tmp_path, values)
+    for procedure in (["--cn", "B"], ["--procedure", "I"]):
+        assert main(["select", "--input", path, "--h", "2", "--K", "4"]
+                    + procedure) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "NonFiniteSeries"
+
+
 def test_degenerate_series_exits_three(capsys, tmp_path):
     path = _write_series(tmp_path, np.zeros(30))
     assert main(["forecast", "--input", path, "--k", "2", "--h", "1"]) == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import arstep as a
+from arstep.estimation import _singular_grams
 from oracles import least_squares_by_elimination, substitution_coefficients
 
 CUBIC = (0.9, -0.81, 0.91)
@@ -108,6 +109,21 @@ def test_fit_raises_on_rank_deficient_design():
     series = _noiseless_series((1.5, -0.5), 120)
     with pytest.raises(a.SingularDesign):
         a.fit_one_step(series, 3)
+
+
+def test_batched_gate_agrees_with_scalar_gate_and_rejects_non_finite():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, 3))
+    finite = [x.T @ x, np.zeros((3, 3)), -np.eye(3),
+              np.diag([1.0, 1.0, 1e-14]), np.diag([1.0, 1.0, 1e-12])]
+    bad = _singular_grams(np.array(finite))
+    assert list(bad) == [not a.estimation.gram_is_invertible(g)
+                         for g in finite]
+    for value in (np.nan, np.inf):
+        gram = np.eye(3)
+        gram[0, 1] = gram[1, 0] = value
+        assert _singular_grams(np.array([np.eye(3), gram])).tolist() == \
+            [False, True]
 
 
 def test_gram_accumulator_matches_batch_fit():

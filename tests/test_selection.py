@@ -108,6 +108,14 @@ def test_ape_validates_candidate_order():
         a.accumulated_prediction_error(series, 1, 1, "other", 4)
 
 
+def test_ape_start_index_without_rows_is_singular():
+    # Sample end 3 leaves the direct 3-step fit no regressor rows.
+    series = _series("III", 100)
+    with pytest.raises(a.SingularDesign, match="i=3 leaves no regressor"):
+        a.accumulated_prediction_error(series, 1, 3, a.DIRECT, 2,
+                                       start_index=3)
+
+
 def test_select_by_ape_outcome_structure():
     series = _series("III", 400)
     out = a.select_by_ape(series, 2, 5)
@@ -127,6 +135,45 @@ def test_select_by_ape_h1_tie_goes_to_direct():
     for label in ("I", "III"):
         out = a.select_by_ape(_series(label, 300), 1, 5)
         assert out.method == a.DIRECT
+
+
+def test_select_by_ape_equals_per_stage_sums_exactly():
+    # The one-pass kernel must reproduce the three stages computed one at
+    # a time, bit for bit.
+    firsts = []
+    for label, h, K in (("III", 2, 6), ("VII", 3, 6), ("X", 10, 8),
+                        ("III", 1, 5)):
+        series = _series(label, 300, r=1)
+        out = a.select_by_ape(series, h, K)
+        m1 = a.min_start_index(series, K, 1)
+        assert out.m_h == a.min_start_index(series, K, h)
+        assert out.first_stage == {
+            k: a.accumulated_prediction_error(series, k, 1, a.DIRECT, K,
+                                              start_index=m1)
+            for k in range(1, K + 1)}
+        k_first = out.orders["first_stage"]
+        want = {(k, a.DIRECT): a.accumulated_prediction_error(
+            series, k, h, a.DIRECT, K, start_index=out.m_h)
+            for k in range(1, K + 1)}
+        want.update({(k, a.PLUG_IN): a.accumulated_prediction_error(
+            series, k, h, a.PLUG_IN, K, start_index=out.m_h)
+            for k in range(k_first, K + 1)})
+        assert out.criteria == want, (label, h)
+        firsts.append(k_first)
+    assert max(firsts) > 1
+
+
+def test_procedures_reject_non_finite_series():
+    series = _series("III", 200)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = series.copy()
+        broken[150] = bad
+        with pytest.raises(a.NonFiniteSeries):
+            a.select_by_ape(broken, 2, 4)
+        with pytest.raises(a.NonFiniteSeries):
+            a.select_by_criterion(broken, 2, 4)
+        with pytest.raises(a.NonFiniteSeries):
+            a.accumulated_prediction_error(broken, 2, 2, a.DIRECT, 4)
 
 
 def test_criterion_traces_are_exactly_k_at_h1():
