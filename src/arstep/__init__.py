@@ -12,9 +12,9 @@ exposes the same functionality.
 from .errors import (ArstepError, InsufficientHistory, NonFiniteSeries,
                      NotUnitRoot, SeriesTooShort, SingularDesign,
                      SingularGamma, UnstableStationaryPart, WindowTooShort)
-from .estimation import (FittedCoefficients, GramAccumulator, fit_direct,
-                         fit_one_step, fitted_ma_weights, lag_matrix,
-                         plug_in_multi, residual_mse)
+from .estimation import (FittedCoefficients, fit_direct, fit_one_step,
+                         fitted_ma_weights, lag_matrix, plug_in_multi,
+                         residual_mse)
 from .model_core import (DIRECT, PLUG_IN, DirectCoefficients, MaWeights,
                          StationaryArModel, UnitRootArModel, companion_apply,
                          companion_matrix, deflate_unit_root, difference,
@@ -52,7 +52,7 @@ __all__ = [
     "plugin_cost", "direct_cost", "closed_form_h2", "loss",
     "loss_stationary", "loss_table", "best_combinations", "quartic_family",
     "minimal_order_cost_gap",
-    "FittedCoefficients", "GramAccumulator", "lag_matrix", "fit_one_step",
+    "FittedCoefficients", "lag_matrix", "fit_one_step",
     "plug_in_multi", "fit_direct", "residual_mse", "fitted_ma_weights",
     "PredictorSpec", "Forecast", "predict",
     "PenaltyWeight", "PENALTY_PRESETS", "DEFAULT_PENALTY",

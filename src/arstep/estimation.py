@@ -14,12 +14,12 @@ sequential-prediction sum built on top of it).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SingularDesign, WindowTooShort
+from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
 from .model_core import DIRECT, PLUG_IN, companion_apply, impulse_response
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
@@ -45,30 +45,41 @@ def lag_matrix(series, k, first, last):
                          % (last, n))
     if last < first:
         return np.empty((0, k))
-    return sliding_window_view(series, k)[first - k:last - k + 1, ::-1]
+    return _lag_view(series, k)[first - 1:last]
 
 
-def _rcond_split(gram):
-    """(smallest, largest) eigenvalue of a symmetric matrix."""
-    evals = np.linalg.eigvalsh(gram)
-    return float(evals[0]), float(evals[-1])
+def _lag_view(series, K):
+    """Zero-padded order-K lag view: row j - 1 is x_j(K), zeros before
+    the sample; [first - 1:last, :k] is lag_matrix(series, k, first, last)
+    for first >= k, values and strides alike."""
+    padded = np.concatenate((np.zeros(K - 1), series))
+    return sliding_window_view(padded, K)[:, ::-1]
+
+
+def _require_finite(series):
+    """Reject NaN and infinite values before any Gram is formed."""
+    if not np.isfinite(series).all():
+        raise NonFiniteSeries("the series holds NaN or infinite values")
+
+
+def _clears_gate(evals):
+    """The condition gate on ascending eigenvalues (the last axis), for
+    one Gram or a stack; NaN fails it."""
+    low, high = evals[..., 0], evals[..., -1]
+    return (low > high * RCOND_MIN) & (high > 0.0)
 
 
 def gram_is_invertible(gram):
     """True when the Gram matrix clears the reciprocal-condition gate."""
-    low, high = _rcond_split(gram)
-    return high > 0.0 and low > high * RCOND_MIN
+    try:
+        return bool(_clears_gate(np.linalg.eigvalsh(gram)))
+    except np.linalg.LinAlgError:  # no convergence on an infinite entry
+        return False
 
 
 def _singular_grams(grams):
-    """Mask of the Gram matrices in a stack that fail the condition gate.
-
-    Written so that a NaN eigenvalue fails; for finite Grams it is the
-    test of gram_is_invertible, negated.
-    """
-    evals = np.linalg.eigvalsh(grams)
-    low, high = evals[:, 0], evals[:, -1]
-    return ~(low > high * RCOND_MIN) | ~(high > 0.0)
+    """Mask of the Gram matrices in a stack that fail the condition gate."""
+    return ~_clears_gate(np.linalg.eigvalsh(grams))
 
 
 def _gated_solve(grams, crosses, where, bad=None):
@@ -86,6 +97,25 @@ def _gated_solve(grams, crosses, where, bad=None):
     return np.linalg.solve(grams, crosses[:, :, None])[:, :, 0]
 
 
+def _gated_eigh(gram, context=""):
+    """Eigendecomposition of a Gram matrix that clears the gate."""
+    try:
+        eig = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:  # no convergence on an infinite entry
+        eig = (np.full(1, np.nan), None)
+    if not _clears_gate(eig[0]):
+        raise SingularDesign("Gram matrix is numerically singular%s"
+                             % (" (%s)" % context if context else ""))
+    return eig
+
+
+def _eig_solve(eig, cross):
+    """Solve gram @ coeffs = cross from the Gram's eigendecomposition."""
+    evals, evecs = eig
+    scale = evals if np.ndim(cross) == 1 else evals[:, None]
+    return evecs @ ((evecs.T @ cross) / scale)
+
+
 def solve_gram(gram, cross, context=""):
     """Solve gram @ coeffs = cross with a condition estimate.
 
@@ -93,12 +123,15 @@ def solve_gram(gram, cross, context=""):
     Raises SingularDesign when the reciprocal condition number falls
     below RCOND_MIN (context, if given, names the offending window).
     """
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[-1] <= 0.0 or evals[0] <= evals[-1] * RCOND_MIN:
-        raise SingularDesign("Gram matrix is numerically singular%s"
-                             % (" (%s)" % context if context else ""))
-    scale = evals if np.ndim(cross) == 1 else evals[:, None]
-    return evecs @ ((evecs.T @ cross) / scale)
+    return _eig_solve(_gated_eigh(gram, context), cross)
+
+
+def _normal_fit(X, y, context):
+    """Least squares of y on X: the Gram X'X, its gated
+    eigendecomposition (for reuse by other solves) and the coefficients."""
+    gram = X.T @ X
+    eig = _gated_eigh(gram, context)
+    return gram, eig, _eig_solve(eig, X.T @ y)
 
 
 @dataclass(frozen=True)
@@ -117,64 +150,15 @@ class FittedCoefficients:
     sample_end: int
 
 
-class GramAccumulator:
-    """Incremental normal-equation sums sum x_j(k) x_j(k)' and
-    sum x_j(k) * target_j.
-
-    Rank-1 updates only; every coefficient read performs a fresh solve,
-    so accumulating across an expanding window reproduces the
-    from-scratch fit at each step.  Single-writer: do not share while
-    updating.
-    """
-
-    def __init__(self, k):
-        self.k = int(k)
-        self.gram = np.zeros((k, k))
-        self.cross = np.zeros(k)
-        self.count = 0
-
-    def add(self, row, target):
-        row = np.asarray(row, dtype=float)
-        self.gram += np.outer(row, row)
-        self.cross += row * float(target)
-        self.count += 1
-
-    def coefficients(self, context=""):
-        return solve_gram(self.gram, self.cross, context)
-
-
 def fit_one_step(series, k, i=None):
     """One-step-ahead least squares of x_{j+1} on x_j(k).
 
-    Solves the normal equations over rows j = k..i-1, i.e. using
-    observations x_1..x_i only.  i defaults to the series length.
-
-    Parameters
-    ----------
-    series : array of float
-    k : int
-        Working order.
-    i : int, optional
-        Sample end (at least 2k so the Gram can have full rank).
-
-    Returns
-    -------
-    FittedCoefficients
+    This is fit_direct at h = 1 under the plug-in label: rows
+    j = k..i-1, i.e. observations x_1..x_i only, with the sample end i
+    (default: the series length) at least 2k so the Gram can have full
+    rank.
     """
-    series = np.asarray(series, dtype=float)
-    n = series.size
-    if i is None:
-        i = n
-    if i > n:
-        raise ValueError("sample end %d exceeds series length %d" % (i, n))
-    if i < 2 * k:
-        raise SingularDesign(
-            "sample end %d leaves fewer than %d regressor rows" % (i, k))
-    X = lag_matrix(series, k, k, i - 1)
-    y = series[k:i]
-    coeffs = solve_gram(X.T @ X, X.T @ y, "one-step rows j=%d..%d" % (k, i - 1))
-    return FittedCoefficients(coeffs=tuple(float(c) for c in coeffs),
-                              k=int(k), h=1, method=PLUG_IN, sample_end=int(i))
+    return replace(fit_direct(series, k, 1, i), method=PLUG_IN)
 
 
 def plug_in_multi(one_step, h):
@@ -216,10 +200,11 @@ def _plug_in_powers(coeffs, h):
 def fit_direct(series, k, h, i=None):
     """Direct h-step least squares of x_{j+h} on x_j(k).
 
-    Rows run over j = k..i-h; for h = 1 this coincides with fit_one_step
-    up to the method label.
+    Rows run over j = k..i-h; for h = 1 this is fit_one_step up to the
+    method label.
     """
     series = np.asarray(series, dtype=float)
+    _require_finite(series)
     n = series.size
     if h < 1:
         raise ValueError("horizon must be at least 1")
@@ -231,10 +216,9 @@ def fit_direct(series, k, h, i=None):
         raise SingularDesign(
             "sample end %d leaves fewer than %d direct rows at h=%d"
             % (i, k, h))
-    X = lag_matrix(series, k, k, i - h)
-    y = series[k + h - 1:i]
-    coeffs = solve_gram(X.T @ X, X.T @ y,
-                        "direct rows j=%d..%d, h=%d" % (k, i - h, h))
+    _, _, coeffs = _normal_fit(lag_matrix(series, k, k, i - h),
+                               series[k + h - 1:i],
+                               "direct rows j=%d..%d, h=%d" % (k, i - h, h))
     return FittedCoefficients(coeffs=tuple(float(c) for c in coeffs),
                               k=int(k), h=int(h), method=DIRECT,
                               sample_end=int(i))
@@ -259,11 +243,17 @@ def residual_mse(series, coeffs, h, K):
     if n > series.size:
         raise ValueError("sample end %d exceeds series length %d"
                          % (n, series.size))
+    return _residual_ms(_lag_view(series, coeffs.k), series,
+                        np.asarray(coeffs.coeffs), h, K, n)
+
+
+def _residual_ms(lags, series, coeffs, h, K, n):
+    """residual_mse of a coefficient vector; lags is _lag_view(series, m)
+    for some m >= coeffs.size."""
     if n - h - K < 1:
         raise WindowTooShort("residual window j=%d..%d has no usable "
                              "divisor" % (K, n - h))
-    X = lag_matrix(series, coeffs.k, K, n - h)
-    resid = series[K + h - 1:n] - X @ np.asarray(coeffs.coeffs)
+    resid = series[K + h - 1:n] - lags[K - 1:n - h, :coeffs.size] @ coeffs
     return math.fsum((resid * resid).tolist()) / (n - h - K)
 
 

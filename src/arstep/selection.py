@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NonFiniteSeries, SeriesTooShort, SingularDesign,
-                     WindowTooShort)
-from .estimation import (_gated_solve, _plug_in_powers, _singular_grams,
-                         fit_direct, fit_one_step, fitted_ma_weights,
-                         gram_is_invertible, lag_matrix, plug_in_multi,
-                         residual_mse, solve_gram)
-from .model_core import DIRECT, PLUG_IN, companion_matrix
+from .errors import SeriesTooShort, SingularDesign, WindowTooShort
+from .estimation import (_eig_solve, _gated_solve, _lag_view, _normal_fit,
+                         _plug_in_powers, _require_finite, _residual_ms,
+                         _singular_grams, gram_is_invertible, lag_matrix)
+from .model_core import DIRECT, PLUG_IN, companion_matrix, impulse_response
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,27 @@ def _argmin_smallest(values):
     return best_k
 
 
+def _outcome(first_stage, direct_vals, plug_vals, m_h):
+    """Steps 2 and 3 of both procedures and their outcome.  plug_vals
+    holds the plug-in candidates to record; the search takes those no
+    smaller than the first-stage pick."""
+    k_first = _argmin_smallest(first_stage)
+    k_direct = _argmin_smallest(direct_vals)
+    k_plug = _argmin_smallest({k: v for k, v in plug_vals.items()
+                               if k >= k_first})
+    if direct_vals[k_direct] > plug_vals[k_plug]:
+        chosen, method = k_plug, PLUG_IN
+    else:
+        chosen, method = k_direct, DIRECT
+    criteria = {(k, DIRECT): v for k, v in direct_vals.items()}
+    criteria.update({(k, PLUG_IN): v for k, v in plug_vals.items()})
+    return SelectionOutcome(k=chosen, method=method, criteria=criteria,
+                            m_h=m_h, first_stage=first_stage,
+                            orders={"first_stage": k_first,
+                                    "direct": k_direct,
+                                    "plug_in": k_plug})
+
+
 def min_start_index(series, K, h):
     """Smallest usable start index for the sequential prediction sums.
 
@@ -95,16 +114,26 @@ def min_start_index(series, K, h):
     is too short (or too degenerate) to select on.
     """
     series = np.asarray(series, dtype=float)
-    n = series.size
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
+    return _start_index(series, K, h, _gram_prefix(series, K)[1])
+
+
+def _gram_prefix(series, k):
+    """Rows x_j(k), j = k..n-1, and their Gram prefix: entry i - 1 - k
+    is the Gram over rows j = k..i-1."""
+    rows = lag_matrix(series, k, k, series.size - 1)
+    return rows, np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+
+
+def _start_index(series, K, h, grams):
+    """min_start_index, read from the order-K Gram prefix grams."""
+    n = series.size
     first = 2 * K + h - 1
     if n - h < first:
         raise SeriesTooShort(
             "need at least %d observations for K=%d, h=%d (have %d)"
             % (first + h, K, h, n))
-    rows = lag_matrix(series, K, K, n - 1)
-    grams = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
     for i in range(first, n - h + 1):
         if gram_is_invertible(grams[i - 1 - K]) \
                 and gram_is_invertible(grams[i - h - K]):
@@ -112,12 +141,6 @@ def min_start_index(series, K, h):
     raise SeriesTooShort(
         "no sample end up to %d yields invertible order-%d designs"
         % (n - h, K))
-
-
-def _require_finite(series):
-    """Reject NaN and infinite values before any Gram is formed."""
-    if not np.isfinite(series).all():
-        raise NonFiniteSeries("the series holds NaN or infinite values")
 
 
 def _ape_sums(series, k, stages):
@@ -133,8 +156,7 @@ def _ape_sums(series, k, stages):
     same lag must lie inside them and takes a slice.
     """
     n = series.size
-    rows = lag_matrix(series, k, k, n - 1)
-    grams = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    rows, grams = _gram_prefix(series, k)
     stages = [(method, h, m, 1 if method == PLUG_IN else h)
               for method, h, m in stages]
     base = min(m - lag for _, _, m, lag in stages) - k
@@ -215,8 +237,12 @@ def select_by_ape(series, h, K):
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
     _require_finite(series)
-    m1 = min_start_index(series, K, 1)
-    mh = m1 if h == 1 else min_start_index(series, K, h)
+    # Both start indices read one order-K prefix, dropped before the
+    # passes below so that it does not add to their peak memory.
+    grams = _gram_prefix(series, K)[1]
+    m1 = _start_index(series, K, 1, grams)
+    mh = m1 if h == 1 else _start_index(series, K, h, grams)
+    del grams
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet;
     # their one-step fits are a slice of the first stage's (mh >= m1).
@@ -226,64 +252,85 @@ def select_by_ape(series, h, K):
         first_stage[k], direct_vals[k], plug_all[k] = _ape_sums(
             series, k, stages)
     k_first = _argmin_smallest(first_stage)
-    k_direct = _argmin_smallest(direct_vals)
-    plug_vals = {k: v for k, v in plug_all.items() if k >= k_first}
-    k_plug = _argmin_smallest(plug_vals)
-    if direct_vals[k_direct] > plug_vals[k_plug]:
-        chosen, method = k_plug, PLUG_IN
-    else:
-        chosen, method = k_direct, DIRECT
-    criteria = {(k, DIRECT): v for k, v in direct_vals.items()}
-    criteria.update({(k, PLUG_IN): v for k, v in plug_vals.items()})
-    return SelectionOutcome(k=chosen, method=method, criteria=criteria,
-                            m_h=mh, first_stage=first_stage,
-                            orders={"first_stage": k_first,
-                                    "direct": k_direct,
-                                    "plug_in": k_plug})
+    return _outcome(first_stage, direct_vals,
+                    {k: v for k, v in plug_all.items() if k >= k_first}, mh)
 
 
-def _criterion_shared(series, h, K):
-    """Order-K pieces shared by every candidate: scale and MA weights."""
-    n = int(np.asarray(series).size)
-    fit_full = fit_one_step(series, K)
-    sigma_tilde = residual_mse(series, fit_full, 1, K)
-    bhat = fitted_ma_weights(fit_full, h - 1)
-    return n, sigma_tilde, bhat
+def _criteria(series, h, K, penalty, orders, methods):
+    """Criteria (first_stage, direct, plug_in), each {k: value}, of orders.
 
-
-def _plugin_criterion_value(series, k, h, K, penalty, sigma_tilde, bhat):
-    n = np.asarray(series).size
-    one = fit_one_step(series, k)
-    sig = residual_mse(series, plug_in_multi(one, h), h, K)
-    X = lag_matrix(series, k, k, n - h)
-    W = X.T @ X
-    A = companion_matrix(np.asarray(one.coeffs))
-    L = bhat[0] * np.eye(k)
-    for j in range(1, h):
-        L = L @ A + bhat[j] * np.eye(k)
-    right = solve_gram(W, L.T, "plug-in criterion, k=%d" % k)
-    trace = float(np.sum((W @ L) * right.T))
-    return sig + trace * sigma_tilde * penalty.value(n)
-
-
-def _direct_criterion_value(series, k, h, K, penalty, sigma_tilde, bhat):
-    n = np.asarray(series).size
-    fitted = fit_direct(series, k, h)
-    sig = residual_mse(series, fitted, h, K)
-    if n - 2 * h + 1 < k:
-        raise WindowTooShort(
-            "weighted-average rows j=%d..%d are empty" % (k, n - 2 * h + 1))
-    X = lag_matrix(series, k, k, n - h)
-    W = X.T @ X
-    # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving combination whose
-    # lag vectors drive the direct penalty.
-    z = np.zeros(n - h + 1)
-    for i in range(h):
-        z += bhat[i] * np.asarray(series, dtype=float)[i:n - h + 1 + i]
-    Z = lag_matrix(z, k, k, n - 2 * h + 1)
-    trace = float(np.trace(solve_gram(W, Z.T @ Z,
-                                      "direct criterion, k=%d" % k)))
-    return sig + trace * sigma_tilde * penalty.value(n)
+    methods names the h-step criteria wanted, DIRECT and/or PLUG_IN; the
+    first stage is the direct criterion at h = 1.  Per order the one-step Gram (rows j = k..n-1)
+    and W (rows j = k..n-h; the same matrix at h = 1) are sliced from
+    one zero-padded order-K lag view and gated once, and every solve on
+    them reuses that eigendecomposition.  Order K's one-step fit fixes
+    sigma~^2 and b^.  Errors come in candidate-by-candidate order: the
+    one-step fits, then per order direct before plug-in.
+    """
+    series = np.asarray(series, dtype=float)
+    if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
+        raise ValueError("need h, K >= 1 and candidate orders 1 <= k <= K")
+    _require_finite(series)
+    n = series.size
+    if n < 2 * K:
+        raise SingularDesign(
+            "sample end %d leaves fewer than %d regressor rows" % (n, K))
+    cn = penalty.value(n)
+    lags = _lag_view(series, K)
+    fitted = orders if h == 1 or PLUG_IN in methods else ()
+    one_step = {}
+    for k in dict.fromkeys((K,) + tuple(fitted)):
+        gram, eig, coeffs = _normal_fit(lags[k - 1:n - 1, :k], series[k:n],
+                                        "one-step rows j=%d..%d" % (k, n - 1))
+        one_step[k] = (gram, eig, coeffs,
+                       _residual_ms(lags, series, coeffs, 1, K, n))
+    sigma_tilde = one_step[K][3]
+    bhat = impulse_response(one_step[K][2], h - 1)
+    first_stage, direct, plug_in = {}, {}, {}
+    z_lags = None
+    for k in orders:
+        window = one_step[k][:2] if h == 1 else None  # W, its eigh
+        if k in one_step:
+            # At h = 1 the weighted lag vectors are the regressor rows,
+            # so the penalty matrix is the one-step Gram itself.
+            gram, eig, _, sig = one_step[k]
+            trace = float(np.trace(_eig_solve(eig, gram)))
+            first_stage[k] = sig + trace * sigma_tilde * cn
+        if h > 1 and DIRECT in methods:
+            if n - h < 2 * k - 1:
+                raise SingularDesign(
+                    "sample end %d leaves fewer than %d direct rows at h=%d"
+                    % (n, k, h))
+            gram, eig, coeffs = _normal_fit(
+                lags[k - 1:n - h, :k], series[k + h - 1:n],
+                "direct rows j=%d..%d, h=%d" % (k, n - h, h))
+            window = gram, eig
+            sig = _residual_ms(lags, series, coeffs, h, K, n)
+            if n - 2 * h + 1 < k:
+                raise WindowTooShort("weighted-average rows j=%d..%d are "
+                                     "empty" % (k, n - 2 * h + 1))
+            if z_lags is None:
+                # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving
+                # combination whose lag vectors drive the direct penalty.
+                z_lags = _lag_view(sum(bhat[i] * series[i:n - h + 1 + i]
+                                       for i in range(h)), K)
+            Z = z_lags[k - 1:n - 2 * h + 1, :k]
+            trace = float(np.trace(_eig_solve(eig, Z.T @ Z)))
+            direct[k] = sig + trace * sigma_tilde * cn
+        if PLUG_IN in methods:
+            coeffs = one_step[k][2]
+            sig = _residual_ms(lags, series,
+                               _plug_in_powers(coeffs[None], h)[0], h, K, n)
+            gram, eig = window or _normal_fit(
+                lags[k - 1:n - h, :k], series[k + h - 1:n],
+                "plug-in rows j=%d..%d" % (k, n - h))[:2]
+            A = companion_matrix(coeffs)
+            L = bhat[0] * np.eye(k)
+            for j in range(1, h):
+                L = L @ A + bhat[j] * np.eye(k)
+            trace = float(np.sum((gram @ L) * _eig_solve(eig, L.T).T))
+            plug_in[k] = sig + trace * sigma_tilde * cn
+    return first_stage, direct if h > 1 else dict(first_stage), plug_in
 
 
 def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
@@ -295,9 +342,7 @@ def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     order-K MA weights, and sigma~^2 the order-K one-step residual mean
     square.
     """
-    _, sigma_tilde, bhat = _criterion_shared(series, h, K)
-    return _plugin_criterion_value(series, k, h, K, penalty, sigma_tilde,
-                                   bhat)
+    return _criteria(series, h, K, penalty, (k,), (PLUG_IN,))[2][k]
 
 
 def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
@@ -308,9 +353,7 @@ def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     MA-weighted h-step combination of the series (note its shorter
     window, j = k..n-2h+1).
     """
-    _, sigma_tilde, bhat = _criterion_shared(series, h, K)
-    return _direct_criterion_value(series, k, h, K, penalty, sigma_tilde,
-                                   bhat)
+    return _criteria(series, h, K, penalty, (k,), (DIRECT,))[1][k]
 
 
 def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
@@ -322,39 +365,5 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
     kept only when strictly better (equality selects direct).  Criterion
     values for every candidate are recorded in the outcome.
     """
-    series = np.asarray(series, dtype=float)
-    if h < 1 or K < 1:
-        raise ValueError("h and K must be at least 1")
-    _require_finite(series)
-    n, sigma_tilde, bhat = _criterion_shared(series, h, K)
-    one_step_weights = np.ones(1)
-    first_stage = {
-        k: _direct_criterion_value(series, k, 1, K, penalty, sigma_tilde,
-                                   one_step_weights)
-        for k in range(1, K + 1)}
-    k_first = _argmin_smallest(first_stage)
-    if h == 1:
-        direct_vals = dict(first_stage)
-    else:
-        direct_vals = {
-            k: _direct_criterion_value(series, k, h, K, penalty,
-                                       sigma_tilde, bhat)
-            for k in range(1, K + 1)}
-    k_direct = _argmin_smallest(direct_vals)
-    plug_vals = {
-        k: _plugin_criterion_value(series, k, h, K, penalty, sigma_tilde,
-                                   bhat)
-        for k in range(1, K + 1)}
-    k_plug = _argmin_smallest({k: v for k, v in plug_vals.items()
-                               if k >= k_first})
-    if direct_vals[k_direct] > plug_vals[k_plug]:
-        chosen, method = k_plug, PLUG_IN
-    else:
-        chosen, method = k_direct, DIRECT
-    criteria = {(k, DIRECT): v for k, v in direct_vals.items()}
-    criteria.update({(k, PLUG_IN): v for k, v in plug_vals.items()})
-    return SelectionOutcome(k=chosen, method=method, criteria=criteria,
-                            m_h=None, first_stage=first_stage,
-                            orders={"first_stage": k_first,
-                                    "direct": k_direct,
-                                    "plug_in": k_plug})
+    return _outcome(*_criteria(series, h, K, penalty, range(1, K + 1),
+                               (DIRECT, PLUG_IN)), None)

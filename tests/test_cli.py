@@ -207,6 +207,16 @@ def test_non_finite_series_exits_two(capsys, tmp_path):
             "NonFiniteSeries"
 
 
+def test_forecast_non_finite_series_exits_two(capsys, tmp_path):
+    values = _sample_series("III", 200)
+    values[120] = np.nan
+    path = _write_series(tmp_path, values)
+    assert main(["forecast", "--input", path, "--k", "1", "--h", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert json.loads(captured.err)["error"] == "NonFiniteSeries"
+
+
 def test_degenerate_series_exits_three(capsys, tmp_path):
     path = _write_series(tmp_path, np.zeros(30))
     assert main(["forecast", "--input", path, "--k", "2", "--h", "1"]) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import arstep as a
-from arstep.estimation import _singular_grams
+from arstep.estimation import _singular_grams, solve_gram
 from oracles import least_squares_by_elimination, substitution_coefficients
 
 CUBIC = (0.9, -0.81, 0.91)
@@ -126,19 +126,36 @@ def test_batched_gate_agrees_with_scalar_gate_and_rejects_non_finite():
             [False, True]
 
 
-def test_gram_accumulator_matches_batch_fit():
-    rng = np.random.default_rng(55)
-    series = rng.normal(size=80).cumsum()
-    k = 3
-    acc = a.GramAccumulator(k)
-    rows = a.lag_matrix(series, k, k, 79)
-    targets = series[k:]
-    for row, target in zip(rows, targets):
-        acc.add(row, target)
-    assert acc.count == len(targets)
-    incremental = acc.coefficients()
-    batch = a.fit_one_step(series, k)
-    np.testing.assert_allclose(incremental, batch.coeffs, rtol=1e-9)
+def test_scalar_gate_rejects_non_finite_grams():
+    for value in (np.nan, np.inf, -np.inf):
+        for gram in (np.full((3, 3), value), np.eye(3)):
+            gram[0, 1] = gram[1, 0] = value
+            assert not a.estimation.gram_is_invertible(gram)
+            with pytest.raises(a.SingularDesign):
+                solve_gram(gram, np.ones(3))
+    np.testing.assert_allclose(solve_gram(np.diag([2.0, 4.0]), [1.0, 1.0]),
+                               [0.5, 0.25], rtol=1e-15)
+
+
+def test_one_step_fit_is_the_relabelled_h1_direct_fit():
+    series = np.random.default_rng(9).normal(size=80).cumsum()
+    for k, i in ((1, 80), (3, 80), (4, 40)):
+        one = a.fit_one_step(series, k, i=i)
+        direct = a.fit_direct(series, k, 1, i=i)
+        assert one.coeffs == direct.coeffs
+        assert (one.k, one.h, one.sample_end) == (k, 1, i)
+        assert (one.method, direct.method) == (a.PLUG_IN, a.DIRECT)
+
+
+def test_fits_reject_non_finite_series():
+    series = np.random.default_rng(4).normal(size=50).cumsum()
+    for value in (np.nan, np.inf):
+        broken = series.copy()
+        broken[30] = value
+        with pytest.raises(a.NonFiniteSeries):
+            a.fit_one_step(broken, 2)
+        with pytest.raises(a.NonFiniteSeries):
+            a.fit_direct(broken, 2, 3)
 
 
 def test_h1_direct_fit_is_the_one_step_fit():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import arstep as a
-from arstep.selection import (_argmin_smallest, _criterion_shared,
-                              _direct_criterion_value,
-                              _plugin_criterion_value)
+from arstep.estimation import solve_gram
+from arstep.selection import _argmin_smallest
 
 
 def _series(label, n, r=0, seed=0):
@@ -176,6 +175,19 @@ def test_procedures_reject_non_finite_series():
             a.accumulated_prediction_error(broken, 2, 2, a.DIRECT, 4)
 
 
+def test_overflowing_grams_fail_with_typed_errors():
+    # Finite values whose squares overflow give infinite Grams, on which
+    # eigh and eigvalsh do not converge; the gate must still answer.
+    series = _series("III", 300) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(a.SingularDesign):
+            a.select_by_criterion(series, 2, 4)
+        with pytest.raises(a.SingularDesign):
+            a.fit_direct(series, 2, 2)
+        with pytest.raises(a.SeriesTooShort):
+            a.select_by_ape(series, 2, 4)
+
+
 def test_criterion_traces_are_exactly_k_at_h1():
     series = _series("I", 400)
     K = 6
@@ -206,18 +218,109 @@ def test_criterion_traces_track_theory_at_h3():
     target_direct = unit_part + a.direct_cost(model, 3, 2)
     for r in range(3):
         series = a.generate(dgp, 2000, a.replication_seed(2024, dgp, 2000, r))
-        n, sigma_tilde, bhat = _criterion_shared(series, 3, 10)
-        cn = a.DEFAULT_PENALTY.value(n)
-        plug = _plugin_criterion_value(series, 2, 3, 10, a.DEFAULT_PENALTY,
-                                       sigma_tilde, bhat)
-        direct = _direct_criterion_value(series, 2, 3, 10, a.DEFAULT_PENALTY,
-                                         sigma_tilde, bhat)
+        cn = a.DEFAULT_PENALTY.value(len(series))
+        plug = a.plugin_criterion(series, 2, 3, 10)
+        direct = a.direct_criterion(series, 2, 3, 10)
         sig_plug = a.residual_mse(
             series, a.plug_in_multi(a.fit_one_step(series, 2), 3), 3, 10)
         sig_direct = a.residual_mse(series, a.fit_direct(series, 2, 3), 3, 10)
         assert (plug - sig_plug) / cn == pytest.approx(target_plug, rel=0.35)
         assert (direct - sig_direct) / cn == pytest.approx(target_direct,
                                                            rel=0.35)
+
+
+def _criteria_one_at_a_time(series, h, K, penalty=a.DEFAULT_PENALTY):
+    """Every criterion value of select_by_criterion, candidate by candidate.
+
+    Each candidate refits from scratch; the plug-in cost matrix is summed
+    as L = sum_j bhat_j A^(h-1-j) rather than by the Horner recursion.
+    """
+    n = len(series)
+    cn = penalty.value(n)
+    full = a.fit_one_step(series, K)
+    sigma = a.residual_mse(series, full, 1, K)
+
+    def direct(k, g, weights):
+        fit = a.fit_direct(series, k, g)
+        X = a.lag_matrix(series, k, k, n - g)
+        z = sum(weights[i] * series[i:n - g + 1 + i] for i in range(g))
+        Z = a.lag_matrix(z, k, k, n - 2 * g + 1)
+        trace = np.trace(solve_gram(X.T @ X, Z.T @ Z))
+        return a.residual_mse(series, fit, g, K) + trace * sigma * cn
+
+    def plug_in(k, bhat):
+        one = a.fit_one_step(series, k)
+        X = a.lag_matrix(series, k, k, n - h)
+        W = X.T @ X
+        A = a.companion_matrix(one.coeffs)
+        L = sum(bhat[j] * np.linalg.matrix_power(A, h - 1 - j)
+                for j in range(h))
+        trace = np.trace(W @ L @ solve_gram(W, L.T))
+        sig = a.residual_mse(series, a.plug_in_multi(one, h), h, K)
+        return sig + trace * sigma * cn
+
+    bhat = a.fitted_ma_weights(full, h - 1)
+    first_stage = {k: direct(k, 1, [1.0]) for k in range(1, K + 1)}
+    criteria = {(k, a.DIRECT): direct(k, h, bhat) for k in range(1, K + 1)}
+    criteria.update({(k, a.PLUG_IN): plug_in(k, bhat)
+                     for k in range(1, K + 1)})
+    return first_stage, criteria
+
+
+def test_select_by_criterion_matches_candidate_by_candidate_values():
+    for label in ("I", "III", "VII", "IX", "X"):
+        dgp = a.DGPS[label]
+        series = _series(label, 400, r=2)
+        for h in (1, dgp.horizon):
+            out = a.select_by_criterion(series, h, dgp.max_order)
+            first_stage, criteria = _criteria_one_at_a_time(
+                series, h, dgp.max_order)
+            assert out.first_stage.keys() == first_stage.keys()
+            assert out.criteria.keys() == criteria.keys()
+            for k, want in first_stage.items():
+                assert out.first_stage[k] == pytest.approx(want, rel=1e-12)
+            for key, want in criteria.items():
+                assert out.criteria[key] == pytest.approx(want, rel=1e-12), \
+                    (label, h, key)
+
+
+#: Exception types of select_by_criterion, plugin_criterion(k) and
+#: direct_criterion(k), in that order, on the first n values of a VII
+#: series, keyed (K, h, k) then n, for n at or just below the short-series
+#: limits 2K, K + h + 1, 2h + k - 1 and 2K + h - 1: S is SingularDesign,
+#: W WindowTooShort and - no error.  Recorded from the candidate-by-
+#: candidate implementation.
+SHORT_SERIES_ERRORS = {
+    (1, 4, 1): {1: "SSS", 2: "WWW", 4: "SWS", 5: "WWW", 6: "W-W",
+                7: "W-W", 8: "---"},
+    (2, 6, 1): {3: "SSS", 4: "SWS", 8: "WWW", 9: "W-W", 11: "W-W",
+                12: "W--"},
+    (2, 6, 2): {3: "SSS", 4: "SWS", 8: "WWS", 9: "W-W", 12: "W-W",
+                13: "---"},
+    (2, 1, 2): {2: "SSS", 3: "SSS", 4: "---"},
+    (3, 2, 1): {3: "SSS", 4: "SSS", 5: "SSS", 6: "S--", 7: "---"},
+    (4, 3, 4): {7: "SSS", 8: "SSS", 9: "SSS", 10: "---"},
+    (5, 2, 1): {9: "SSS", 10: "S--", 11: "---"},
+}
+
+
+def test_short_series_raise_the_recorded_types():
+    dgp = a.DGPS["VII"]
+    series = a.generate(dgp, 100, a.replication_seed(0, dgp, 100, 0))
+    codes = {"S": a.SingularDesign, "W": a.WindowTooShort}
+    for (K, h, k), by_n in SHORT_SERIES_ERRORS.items():
+        for n, types in by_n.items():
+            x = series[:n]
+            calls = (lambda: a.select_by_criterion(x, h, K),
+                     lambda: a.plugin_criterion(x, k, h, K),
+                     lambda: a.direct_criterion(x, k, h, K))
+            for call, code in zip(calls, types):
+                if code == "-":
+                    call()
+                    continue
+                with pytest.raises(codes[code]) as caught:
+                    call()
+                assert type(caught.value) is codes[code], (K, h, k, n)
 
 
 def test_underfitting_inflates_the_direct_criterion():
