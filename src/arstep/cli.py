@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .errors import INPUT_ERRORS, NUMERICAL_ERRORS
+from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, NotUnitRoot
 from .estimation import fit_direct, fit_one_step, plug_in_multi
 from .model_core import (DIRECT, PLUG_IN, UnitRootArModel,
                          direct_coefficients, level_ma_weights,
@@ -145,14 +145,13 @@ def _read_model_file(path):
 def _build_model(levels, sigma2):
     """Classify the levels polynomial and build the matching model.
 
-    The polynomial counts as having a unit root when A(1) vanishes
-    within 1e-9 * (1 + sum |a_i|); otherwise it must be stable outright.
+    The polynomial counts as having a unit root when deflate_unit_root
+    accepts A(1) as zero; otherwise it must be stable outright.
     """
-    total = math.fsum(levels)
-    tol = 1e-9 * (1.0 + math.fsum(abs(a) for a in levels))
-    if abs(1.0 - total) <= tol:
+    try:
         return unit_root_model(levels, sigma2), "unit-root"
-    return stationary_model(levels, sigma2), "stationary"
+    except NotUnitRoot:
+        return stationary_model(levels, sigma2), "stationary"
 
 
 def _cmd_theory(args):

@@ -77,9 +77,62 @@ def gram_is_invertible(gram):
         return False
 
 
+def _finite_eigvalsh(grams):
+    """Ascending eigenvalues of a stack of Grams, NaN for a Gram holding
+    NaN or inf (eigvalsh may raise on one instead of converging)."""
+    finite = np.isfinite(grams).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(grams)
+    evals = np.full(grams.shape[:-1], np.nan)
+    evals[finite] = np.linalg.eigvalsh(grams[finite])
+    return evals
+
+
 def _singular_grams(grams):
-    """Mask of the Gram matrices in a stack that fail the condition gate."""
-    return ~_clears_gate(np.linalg.eigvalsh(grams))
+    """Mask of the Gram matrices in a stack that fail the condition gate;
+    a Gram holding NaN or inf fails it."""
+    return ~_clears_gate(_finite_eigvalsh(grams))
+
+
+def _singular_prefix(grams):
+    """_singular_grams of a Gram prefix, with eigvalsh on few entries.
+
+    Entry i + 1 of the stack must be the rounded sum of entry i and an
+    outer product x x' (a cumsum of outer products).  Only the anchors,
+    a fixed geometric grid of about 4 log2(T) entries, are gated by
+    eigvalsh; the entries their smallest eigenvalues do not certify go
+    through _singular_grams.  The mask is the one _singular_grams gives.
+    """
+    # The certificate.  In exact arithmetic G_i = G_a + sum_j x_j x_j'
+    # for a < i, so lambda_min(G_i) >= lambda_min(G_a) (Weyl) and
+    # lambda_max(G_i) <= tr(G_i).  Entry i therefore clears the gate
+    # when an anchor a <= i has eigvalsh minimum lo_a > c tr(G_i), with
+    #     c = RCOND_MIN + 8 (T + k) k eps.
+    # The allowance covers, in units of eps tr(G_i): the cumsum rounding
+    # between a and i, at most (i - a + 1) k / 2 in 2-norm (each rounded
+    # partial-sum entry is at most tr(G_i) in size: Cauchy-Schwarz, and
+    # the diagonal only grows); eigvalsh's backward error p(k) at a and
+    # again at i, for any p(k) <= 4 k^2; and the rounding of the trace,
+    # which scales RCOND_MIN by 1 + O(k eps).  That is a safety factor of
+    # 16 on the cumsum term.  NaN or inf never certifies: a non-finite
+    # anchor's minimum is NaN and drops out of the running maximum (fmax),
+    # and an entry holding NaN or inf has a NaN or inf trace (in a prefix
+    # an off-diagonal entry is at most half the sum of two diagonal
+    # ones), so its comparison is False.
+    T, k = grams.shape[0], grams.shape[-1]
+    c = RCOND_MIN + 8 * (T + k) * k * np.finfo(float).eps
+    grid = np.floor(2.0 ** (np.arange(4 * T.bit_length() + 1) / 4)) - 1
+    anchors = np.union1d(np.arange(8), grid.astype(int))
+    anchors = anchors[anchors < T]
+    evals = _finite_eigvalsh(grams[anchors])
+    low = np.fmax.accumulate(evals[:, 0])
+    last = np.searchsorted(anchors, np.arange(T), side="right") - 1
+    unsure = ~(low[last] > c * np.einsum("bii->b", grams))
+    unsure[anchors] = False
+    bad = np.zeros(T, dtype=bool)
+    bad[anchors] = ~_clears_gate(evals)
+    bad[unsure] = _singular_grams(grams[unsure])
+    return bad
 
 
 def _gated_solve(grams, crosses, where, bad=None):

@@ -111,6 +111,9 @@ def _check_stable(coeffs, label):
     """
     if len(coeffs) == 0:
         return
+    if not np.isfinite(coeffs).all():
+        raise UnstableStationaryPart(
+            "%s polynomial has a NaN or infinite coefficient" % label)
     if _poly_on_circle(coeffs) <= STABILITY_EPS:
         raise UnstableStationaryPart(
             "%s polynomial nearly vanishes on the unit circle" % label)
@@ -150,7 +153,7 @@ def deflate_unit_root(levels, tol=None):
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.sum(np.abs(levels))))
     at_one = 1.0 - float(np.sum(levels))
-    if abs(at_one) > tol:
+    if not abs(at_one) <= tol:  # NaN fails too
         raise NotUnitRoot(
             "levels polynomial at z = 1 is %.3e, beyond tolerance %.3e"
             % (at_one, tol))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SeriesTooShort, SingularDesign, WindowTooShort
 from .estimation import (_eig_solve, _gated_solve, _lag_view, _normal_fit,
                          _plug_in_powers, _require_finite, _residual_ms,
-                         _singular_grams, gram_is_invertible, lag_matrix)
+                         _singular_prefix, gram_is_invertible, lag_matrix)
 from .model_core import DIRECT, PLUG_IN, companion_matrix, impulse_response
 
 
@@ -151,7 +151,9 @@ def _ape_sums(series, k, stages):
     of one prefix over the rows x_j(k), j = k..n-1: the one-step fit
     behind plug-in at sample end i reads entry i-1-k, the direct h-step
     fit entry i-h-k (so direct at h = 1 is the one-step fit).  The prefix
-    is built and gated by one eigvalsh sweep.  Each fit lag is solved
+    is built once and gated once, from the smallest entry any stage
+    reads, by _singular_prefix (eigvalsh on a few anchors and on the
+    entries they do not certify).  Each fit lag is solved
     once, over the sample ends of its first stage; a later stage with the
     same lag must lie inside them and takes a slice.
     """
@@ -160,7 +162,7 @@ def _ape_sums(series, k, stages):
     stages = [(method, h, m, 1 if method == PLUG_IN else h)
               for method, h, m in stages]
     base = min(m - lag for _, _, m, lag in stages) - k
-    bad = _singular_grams(grams[base:])
+    bad = _singular_prefix(grams[base:])
     solved, sums = {}, []
     for method, h, m, lag in stages:
         if lag not in solved:

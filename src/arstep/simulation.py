@@ -14,6 +14,7 @@ import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,8 +22,8 @@ from scipy.signal import lfilter
 
 from .errors import ArstepError, SeriesTooShort
 from .estimation import _gated_solve, _plug_in_powers
-from .model_core import (DIRECT, PLUG_IN, impulse_response, stationary_model,
-                         unit_root_model)
+from .model_core import (DIRECT, PLUG_IN, _check_stable, deflate_unit_root,
+                         impulse_response, stationary_model, unit_root_model)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, select_by_ape,
                         select_by_criterion)
 
@@ -72,6 +73,21 @@ def model_for(dgp):
     return stationary_model(dgp.levels, dgp.sigma2)
 
 
+def _check_levels(dgp):
+    """Raise NotUnitRoot or UnstableStationaryPart when a spec's levels
+    do not match its unit_root flag (sigma2 is not checked: 0 is legal).
+    Cached per distinct levels and flag, so a replication pays a lookup."""
+    _levels_error(tuple(dgp.levels), bool(dgp.unit_root))
+
+
+@lru_cache(maxsize=None)
+def _levels_error(levels, unit_root):
+    if unit_root:
+        deflate_unit_root(levels)
+    else:
+        _check_stable(levels, "levels")
+
+
 def _dgp_key(dgp_id):
     """Stable integer identifying a generator in seed spawn keys."""
     ids = list(DGPS)
@@ -117,6 +133,7 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
     """
     if n < 1 or burn_in < 0:
         raise ValueError("need n >= 1 and burn_in >= 0")
+    _check_levels(dgp)
     levels = np.asarray(dgp.levels, dtype=float)
     rng = np.random.default_rng(seed)
     total = n + burn_in
@@ -172,8 +189,9 @@ def _run_replication(task):
     """One replication of every procedure on one simulated series.
 
     Module-level so process pools can pickle it.  Returns a dict mapping
-    procedure label to (order, method), or to None when that procedure
-    failed on this series (singular designs and the like).
+    procedure label to (order, method), or to the exception class name
+    when that procedure failed on this series (singular designs and the
+    like).
     """
     dgp, n, r, master, K, procedures = task
     series = generate(dgp, n, replication_seed(master, dgp, n, r))
@@ -187,8 +205,8 @@ def _run_replication(task):
                 outcome = select_by_criterion(series, dgp.horizon, cap,
                                               PenaltyWeight(multiplier))
             results[label] = (outcome.k, outcome.method)
-        except ArstepError:
-            results[label] = None
+        except ArstepError as exc:
+            results[label] = type(exc).__name__
     return results
 
 
@@ -198,13 +216,15 @@ class FrequencyTable:
 
     rows maps (dgp_id, n, label) to a dict {(order, method): count};
     failures maps the same keys to the number of replications that raised
-    instead of selecting.  For every key, counts plus failures add up to
-    the number of replications.
+    instead of selecting, and failure_reasons to a dict {exception class
+    name: count} of those replications.  For every key, counts plus
+    failures add up to the number of replications.
     """
 
     rows: dict
     replications: int
     failures: dict = field(default_factory=dict)
+    failure_reasons: dict = field(default_factory=dict)
 
     def counts(self, dgp_id, n, label):
         return dict(self.rows[(dgp_id, int(n), label)])
@@ -237,8 +257,10 @@ class FrequencyTable:
         for key, cell in self.rows.items():
             dgp_id, n, label = key
             failed = self.failures.get(key, 0)
-            lines.append("DGP %s  n=%d  procedure=%s  failures=%d"
-                         % (dgp_id, n, label, failed))
+            reasons = sorted(self.failure_reasons.get(key, {}).items())
+            lines.append("DGP %s  n=%d  procedure=%s  failures=%d%s"
+                         % (dgp_id, n, label, failed,
+                            "".join("  %s=%d" % kv for kv in reasons)))
             ordered = sorted(cell.items(), key=lambda kv: (-kv[1], kv[0]))
             for (k, method), count in ordered:
                 lines.append("    k=%-3d %-8s %6d  %.3f"
@@ -282,6 +304,8 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
         Process count; None or 1 runs serially.
     """
     dgps = [DGPS[d] if isinstance(d, str) else d for d in dgps]
+    for dgp in dgps:
+        _check_levels(dgp)
     ns = [int(n) for n in ns]
     procedures = _normalize_procedures(procedures)
     if R < 1:
@@ -295,23 +319,26 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
                                     chunksize=chunk))
     else:
         results = [_run_replication(t) for t in tasks]
-    rows, failures = {}, {}
+    rows, failures, reasons = {}, {}, {}
     for dgp in dgps:
         for n in ns:
             for label, _, _ in procedures:
                 rows[(dgp.id, n, label)] = {}
                 failures[(dgp.id, n, label)] = 0
+                reasons[(dgp.id, n, label)] = {}
     for task, outcome in zip(tasks, results):
         dgp, n = task[0], task[1]
         for label, _, _ in procedures:
             key = (dgp.id, n, label)
             picked = outcome[label]
-            if picked is None:
+            if isinstance(picked, str):  # the failure's exception name
                 failures[key] += 1
+                cell = reasons[key]
             else:
                 cell = rows[key]
-                cell[picked] = cell.get(picked, 0) + 1
-    return FrequencyTable(rows=rows, replications=R, failures=failures)
+            cell[picked] = cell.get(picked, 0) + 1
+    return FrequencyTable(rows=rows, replications=R, failures=failures,
+                          failure_reasons=reasons)
 
 
 @dataclass(frozen=True)
@@ -359,6 +386,7 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         raise SeriesTooShort("direct fit needs n - h >= 2k - 1")
     if R < 2:
         raise ValueError("R must be at least 2")
+    _check_levels(dgp)
     levels = np.asarray(dgp.levels, dtype=float)
     w = impulse_response(levels, h - 1)
     sigma_h2 = float(dgp.sigma2 * np.dot(w, w))

@@ -46,6 +46,22 @@ def test_theory_model_file_detects_unit_root(capsys, tmp_path):
     assert "model: stationary" in capsys.readouterr().out
 
 
+def test_theory_model_file_unit_root_tolerance(capsys, tmp_path):
+    # deflate_unit_root's tolerance on |A(1)| is 1e-9 * (1 + sum |a_i|),
+    # about 3e-9 here: A(1) = -1e-9 is a unit root, -1e-8 is not, and
+    # its root just inside the unit circle is not stable either.
+    model = tmp_path / "model.txt"
+    model.write_text("levels = 1.5, -0.499999999\n")
+    assert main(["theory", "--model", str(model), "--h", "2",
+                 "--K", "3"]) == 0
+    assert "model: unit-root" in capsys.readouterr().out
+    model.write_text("levels = 1.5, -0.49999999\n")
+    assert main(["theory", "--model", str(model), "--h", "2",
+                 "--K", "3"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UnstableStationaryPart"
+
+
 def test_theory_model_file_requires_h_and_K(capsys, tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("levels = 1.5, -0.5\n")

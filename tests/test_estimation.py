@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import arstep as a
-from arstep.estimation import _singular_grams, solve_gram
+from arstep.estimation import _singular_grams, _singular_prefix, solve_gram
 from oracles import least_squares_by_elimination, substitution_coefficients
 
 CUBIC = (0.9, -0.81, 0.91)
 
 
 def _noiseless_series(levels, n, impulse=5.0):
-    dgp = a.DgpSpec("noiseless", tuple(levels), False, 1, 1, sigma2=0.0)
+    # Every levels tuple passed here has a unit root.
+    dgp = a.DgpSpec("noiseless", tuple(levels), True, 1, 1, sigma2=0.0)
     return a.generate(dgp, n, seed=0, impulse=impulse)
 
 
@@ -124,6 +125,36 @@ def test_batched_gate_agrees_with_scalar_gate_and_rejects_non_finite():
         gram[0, 1] = gram[1, 0] = value
         assert _singular_grams(np.array([np.eye(3), gram])).tolist() == \
             [False, True]
+
+
+def test_batched_gates_fail_non_finite_grams_without_raising():
+    # eigvalsh raises on an all-infinite matrix; both batched gates must
+    # mark such Grams bad instead.  The stack is a Gram prefix with some
+    # entries (anchors 0 and 7 among them) overwritten by non-finite
+    # matrices, and a prefix whose series turns non-finite part-way.
+    rows = np.cumsum(np.random.default_rng(4).normal(size=(60, 3)), axis=0)
+    prefix = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    fills = {0: np.nan, 7: np.inf, 10: -np.inf, 33: np.nan, 59: np.inf}
+    for index, value in fills.items():
+        prefix[index] = value
+    expected = [index in fills
+                or not a.estimation.gram_is_invertible(prefix[index])
+                for index in range(60)]
+    assert _singular_grams(prefix).tolist() == expected
+    assert _singular_prefix(prefix).tolist() == expected
+    assert sum(expected) == len(fills) + 1  # entry 1 has rank two
+    mixed = np.array([np.eye(3), np.full((3, 3), -np.inf), np.eye(3)])
+    assert _singular_grams(mixed).tolist() == [False, True, False]
+    for value in (np.nan, np.inf):
+        series = rows[:, 0].copy()
+        series[40] = value
+        with np.errstate(invalid="ignore"):
+            grams = a.selection._gram_prefix(series, 3)[1]
+        assert _singular_prefix(grams).tolist() == \
+            _singular_grams(grams).tolist()
+        # x_41 enters at row j = 41, prefix entry 41 - k.
+        assert _singular_prefix(grams)[41 - 3:].all()
+        assert not _singular_prefix(grams)[2:41 - 3].any()
 
 
 def test_scalar_gate_rejects_non_finite_grams():

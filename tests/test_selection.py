@@ -186,6 +186,9 @@ def test_overflowing_grams_fail_with_typed_errors():
             a.fit_direct(series, 2, 2)
         with pytest.raises(a.SeriesTooShort):
             a.select_by_ape(series, 2, 4)
+        # Past the start-index search, the batched gate answers too.
+        with pytest.raises(a.SingularDesign):
+            a.accumulated_prediction_error(series, 3, 2, a.DIRECT, 3, 7)
 
 
 def test_criterion_traces_are_exactly_k_at_h1():

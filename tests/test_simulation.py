@@ -113,6 +113,8 @@ def test_frequency_counts_and_failures_partition_replications():
     for label in ("I", "B"):
         cell = table.counts("I", 150, label)
         assert sum(cell.values()) + table.failures[("I", 150, label)] == 6
+        assert sum(table.failure_reasons[("I", 150, label)].values()) == \
+            table.failures[("I", 150, label)]
         for (k, method), count in cell.items():
             assert 1 <= k <= a.DGPS["I"].max_order
             assert method in (a.PLUG_IN, a.DIRECT)
@@ -126,6 +128,15 @@ def test_frequency_experiment_parallel_equals_serial():
                                           seed=21, workers=2)
     assert serial.rows == parallel.rows
     assert serial.failures == parallel.failures
+    assert serial.failure_reasons == parallel.failure_reasons
+    # Failed replications carry the same reasons from the pool.
+    flat = a.DgpSpec("flat", (1.0,), True, 2, 3, sigma2=0.0)
+    serial, parallel = (a.run_frequency_experiment([flat], [60], ("I", "B"),
+                                                   R=4, workers=workers)
+                        for workers in (None, 2))
+    assert serial.failure_reasons == parallel.failure_reasons == {
+        ("flat", 60, "I"): {"SeriesTooShort": 4},
+        ("flat", 60, "B"): {"SingularDesign": 4}}
 
 
 def test_frequency_experiment_records_failures():
@@ -135,11 +146,38 @@ def test_frequency_experiment_records_failures():
     table = a.run_frequency_experiment([flat], [60], ("B",), R=4, seed=0)
     key = ("flat", 60, "B")
     assert table.failures[key] == 4
+    assert table.failure_reasons[key] == {"SingularDesign": 4}
+    assert "failures=4  SingularDesign=4" in table.format_text()
     assert table.rows[key] == {}
     records = table.to_records()
     assert records == [{"dgp": "flat", "n": 60, "procedure": "B",
                         "order": "", "method": "failed", "count": 4,
                         "frequency": 1.0}]
+
+
+def test_dgp_levels_are_validated_before_simulating(monkeypatch):
+    explosive = a.DgpSpec("Z", (1.2,), False, 2, 5)
+    with pytest.raises(a.UnstableStationaryPart):
+        a.generate(explosive, 5000, 0)
+    with pytest.raises(a.UnstableStationaryPart):
+        a.estimate_mspe(explosive, a.PredictorSpec(1, a.DIRECT, 2), 100, 10)
+    with pytest.raises(a.NotUnitRoot):
+        a.generate(a.DgpSpec("Z", (0.5,), True, 2, 5), 100, 0)
+    for levels in ((np.nan,), (1.0, np.nan), (np.inf, 0.5)):
+        with pytest.raises(a.UnstableStationaryPart):
+            a.generate(a.DgpSpec("Z", levels, False, 2, 5), 100, 0)
+        with pytest.raises((a.NotUnitRoot, a.UnstableStationaryPart)):
+            a.generate(a.DgpSpec("Z", levels, True, 2, 5), 100, 0)
+
+    def no_replication(task):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(a.simulation, "_run_replication", no_replication)
+    with pytest.raises(a.UnstableStationaryPart):
+        a.run_frequency_experiment(["I", explosive], [100], R=3)
+    # Only the levels are checked: sigma2 = 0 stays legal.
+    flat = a.DgpSpec("flat", (1.0,), True, 2, 3, sigma2=0.0)
+    assert not a.generate(flat, 10, 0).any()
 
 
 def test_frequency_experiment_validates_arguments():
