@@ -9,9 +9,10 @@ Monte Carlo harness (simulation).  ``arstep`` on the command line
 exposes the same functionality.
 """
 
-from .errors import (ArstepError, InsufficientHistory, NonFiniteSeries,
-                     NotUnitRoot, SeriesTooShort, SingularDesign,
-                     SingularGamma, UnstableStationaryPart, WindowTooShort)
+from .errors import (ArstepError, InsufficientHistory, NonFiniteCriterion,
+                     NonFiniteSeries, NotUnitRoot, SeriesTooShort,
+                     SingularDesign, SingularGamma, UnstableStationaryPart,
+                     WindowTooShort)
 from .estimation import (FittedCoefficients, fit_direct, fit_one_step,
                          fitted_ma_weights, lag_matrix, plug_in_multi,
                          residual_mse)
@@ -41,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArstepError", "NotUnitRoot", "UnstableStationaryPart", "SingularGamma",
     "SingularDesign", "WindowTooShort", "SeriesTooShort",
-    "InsufficientHistory", "NonFiniteSeries",
+    "InsufficientHistory", "NonFiniteSeries", "NonFiniteCriterion",
     "PLUG_IN", "DIRECT", "UnitRootArModel", "StationaryArModel",
     "DirectCoefficients", "MaWeights", "unit_root_model", "stationary_model",
     "deflate_unit_root", "companion_matrix", "companion_apply",

@@ -42,9 +42,14 @@ class NonFiniteSeries(ArstepError):
     """The series holds a NaN or infinite value."""
 
 
+class NonFiniteCriterion(ArstepError):
+    """Every candidate of a selection stage has a NaN or infinite
+    criterion, so none can be picked."""
+
+
 #: Errors that indicate the *input* was unusable (CLI exit code 2).
 INPUT_ERRORS = (NotUnitRoot, UnstableStationaryPart, WindowTooShort,
                 SeriesTooShort, InsufficientHistory, NonFiniteSeries)
 
 #: Errors that indicate a numerical failure during computation (exit code 3).
-NUMERICAL_ERRORS = (SingularDesign, SingularGamma)
+NUMERICAL_ERRORS = (SingularDesign, SingularGamma, NonFiniteCriterion)

@@ -15,6 +15,7 @@ sequential-prediction sum built on top of it).
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,9 +52,11 @@ def lag_matrix(series, k, first, last):
 def _lag_view(series, K):
     """Zero-padded order-K lag view: row j - 1 is x_j(K), zeros before
     the sample; [first - 1:last, :k] is lag_matrix(series, k, first, last)
-    for first >= k, values and strides alike."""
-    padded = np.concatenate((np.zeros(K - 1), series))
-    return sliding_window_view(padded, K)[:, ::-1]
+    for first >= k, values and strides alike.  A stack of series (one per
+    row) gives one such view per series."""
+    padded = np.concatenate((np.zeros(series.shape[:-1] + (K - 1,)), series),
+                            axis=-1)
+    return sliding_window_view(padded, K, axis=-1)[..., ::-1]
 
 
 def _require_finite(series):
@@ -150,23 +153,31 @@ def _gated_solve(grams, crosses, where, bad=None):
     return np.linalg.solve(grams, crosses[:, :, None])[:, :, 0]
 
 
-def _gated_eigh(gram, context=""):
-    """Eigendecomposition of a Gram matrix that clears the gate."""
+def _gated_eigh(grams, context=""):
+    """Eigendecompositions of a Gram matrix, or of a stack of them, that
+    all clear the gate."""
     try:
-        eig = np.linalg.eigh(gram)
+        eig = np.linalg.eigh(grams)
     except np.linalg.LinAlgError:  # no convergence on an infinite entry
         eig = (np.full(1, np.nan), None)
-    if not _clears_gate(eig[0]):
+    if not _clears_gate(eig[0]).all():
         raise SingularDesign("Gram matrix is numerically singular%s"
                              % (" (%s)" % context if context else ""))
     return eig
 
 
 def _eig_solve(eig, cross):
-    """Solve gram @ coeffs = cross from the Gram's eigendecomposition."""
+    """Solve gram @ coeffs = cross from the Gram's eigendecomposition.
+
+    cross is a vector or a matrix (one right-hand side per column), or a
+    stack of them matching a stack of decompositions."""
     evals, evecs = eig
-    scale = evals if np.ndim(cross) == 1 else evals[:, None]
-    return evecs @ ((evecs.T @ cross) / scale)
+    cross = np.asarray(cross)
+    vectors = cross.ndim == evals.ndim  # solved as one-column matrices
+    if vectors:
+        cross = cross[..., None]
+    out = evecs @ ((evecs.swapaxes(-1, -2) @ cross) / evals[..., None])
+    return out[..., 0] if vectors else out
 
 
 def solve_gram(gram, cross, context=""):
@@ -180,11 +191,13 @@ def solve_gram(gram, cross, context=""):
 
 
 def _normal_fit(X, y, context):
-    """Least squares of y on X: the Gram X'X, its gated
-    eigendecomposition (for reuse by other solves) and the coefficients."""
-    gram = X.T @ X
+    """Least squares of y on X, or of each y on its X in a stack: the Gram
+    X'X, its gated eigendecomposition (for reuse by other solves) and the
+    coefficients."""
+    Xt = X.swapaxes(-1, -2)
+    gram = Xt @ X
     eig = _gated_eigh(gram, context)
-    return gram, eig, _eig_solve(eig, X.T @ y)
+    return gram, eig, _eig_solve(eig, Xt @ y[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -296,18 +309,137 @@ def residual_mse(series, coeffs, h, K):
     if n > series.size:
         raise ValueError("sample end %d exceeds series length %d"
                          % (n, series.size))
-    return _residual_ms(_lag_view(series, coeffs.k), series,
-                        np.asarray(coeffs.coeffs), h, K, n)
+    resid = _residuals(_lag_view(series, coeffs.k), series,
+                       np.asarray(coeffs.coeffs), h, K, n)
+    return float(row_sums([resid * resid])[0]) / (n - h - K)
 
 
-def _residual_ms(lags, series, coeffs, h, K, n):
-    """residual_mse of a coefficient vector; lags is _lag_view(series, m)
-    for some m >= coeffs.size."""
+def _residuals(lags, series, coeffs, h, K, n):
+    """Residuals x_{j+h} - coeffs' x_j(k), j = K..n-h, of a coefficient
+    vector; lags is _lag_view(series, m) for some m >= k.  Stacks of
+    series, lag views and coefficient vectors give one row per series."""
     if n - h - K < 1:
         raise WindowTooShort("residual window j=%d..%d has no usable "
                              "divisor" % (K, n - h))
-    resid = series[K + h - 1:n] - lags[K - 1:n - h, :coeffs.size] @ coeffs
-    return math.fsum((resid * resid).tolist()) / (n - h - K)
+    fitted = lags[..., K - 1:n - h, :coeffs.shape[-1]] @ coeffs[..., None]
+    return series[..., K + h - 1:n] - fitted[..., 0]
+
+
+#: Working memory of a _SquareSums buffer, in bytes.
+SUM_BUFFER_BYTES = 1 << 18
+
+
+def row_sums(rows):
+    """Correctly rounded sum of each row of a 2-D array.
+
+    Where math.fsum(row) returns, the sum equals it.  Where fsum raises
+    OverflowError (a partial sum overflows), the sum is the exact sum
+    rounded, or +-inf when that exceeds the float range.  A row holding
+    inf or NaN sums as in np.sum.  Finite rows never give NaN.
+    """
+    return _sum_rows(np.array(rows, dtype=float))
+
+
+def _sum_rows(rows):
+    """row_sums by error-free extraction, overwriting rows.
+
+    Each level adds sigma = 2^(e + shift) to every entry and takes it off
+    again (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    Part I", SIAM J. Sci. Comput. 31(1), 2008), with 2^e > max|rows| and
+    2^shift > 2 (columns + 1).  That splits each entry exactly into a
+    part q on the grid eps * sigma, whose row sums are exact in any order
+    because no partial sum reaches sigma, and a remainder below
+    eps * sigma, which the next level splits again until it is zero.  A
+    row's level sums then add up exactly to its sum: when only the first
+    two are nonzero one addition rounds it correctly, otherwise
+    math.fsum does.  One sigma serves all rows, so each level is a few
+    passes with a scalar.  A row with an entry of 2^1023 / 2^shift or
+    more would overflow sigma, and a non-finite row has no grid: both
+    are summed one by one, exactly (Fraction) or by np.sum.
+    """
+    count, width = rows.shape
+    out = np.zeros(count)
+    if not rows.size:
+        return out
+    shift = (width + 1).bit_length() + 1
+    work = np.abs(rows)
+    special = ~(work.max(axis=1) < 2.0 ** (1023 - shift))
+    if special.any():
+        for i in np.flatnonzero(special):
+            out[i] = _sum_special_row(rows[i])
+        rows[special] = 0.0
+        work[special] = 0.0
+    top = float(work.max())
+    levels = []
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+        np.add(rows, sigma, out=work)
+        np.subtract(work, sigma, out=work)
+        np.subtract(rows, work, out=rows)
+        levels.append(work.sum(axis=1))
+        top = max(float(rows.max()), -float(rows.min()))
+    levels = np.array(levels).reshape(-1, count)
+    regular = ~special
+    out[regular] = levels[:2].sum(axis=0)[regular]
+    for i in np.flatnonzero(levels[2:].any(axis=0)):
+        out[i] = math.fsum(levels[:, i].tolist())
+    return out
+
+
+def _sum_special_row(row):
+    """Sum of a row row_sums cannot split: np.sum when it holds inf or
+    NaN, else the exact sum correctly rounded, +-inf when it overflows."""
+    if not np.isfinite(row).all():
+        return row.sum()
+    exact = sum(map(Fraction, row.tolist()))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+class _SquareSums:
+    """Exact sums of squares of many vectors through one fixed buffer.
+
+    add(vectors) queues the squares of each row of a 2-D array of at
+    most width columns and returns the index of the first one's sum;
+    totals() returns every sum, in the order queued, each equal to
+    math.fsum of its squares.  The buffer (at most SUM_BUFFER_BYTES, and
+    no more rows than will be queued) is summed by _sum_rows whenever
+    it fills, so memory does not grow with the number of vectors.
+    """
+
+    def __init__(self, width, rows):
+        fits = SUM_BUFFER_BYTES // (8 * max(width, 1))
+        self._buffer = np.empty((max(1, min(rows, fits)), width))
+        self._fill = 0
+        self._queued = 0
+        self._done = []
+
+    def add(self, vectors):
+        first = self._queued
+        width = vectors.shape[1]
+        start = 0
+        while start < len(vectors):
+            if self._fill == len(self._buffer):
+                self._flush()
+            stop = min(len(vectors), start + len(self._buffer) - self._fill)
+            rows = self._buffer[self._fill:self._fill + stop - start]
+            np.multiply(vectors[start:stop], vectors[start:stop],
+                        out=rows[:, :width])
+            rows[:, width:] = 0.0
+            self._fill += stop - start
+            start = stop
+        self._queued += len(vectors)
+        return first
+
+    def _flush(self):
+        self._done.append(_sum_rows(self._buffer[:self._fill]))
+        self._fill = 0
+
+    def totals(self):
+        self._flush()
+        return np.concatenate(self._done)
 
 
 def fitted_ma_weights(one_step, J):

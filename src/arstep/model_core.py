@@ -225,16 +225,31 @@ def companion_matrix(coeffs):
          [a_k,     0, 0, ..., 0]]
 
     Multiplying a lagged state vector (x_t, ..., x_{t-k+1})' by the
-    transpose advances it one step.
+    transpose advances it one step.  A stack of coefficient vectors (one
+    per row) gives a stack of companion matrices.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("coeffs must be a nonempty 1-D sequence")
-    k = coeffs.size
-    out = np.zeros((k, k))
-    out[:, 0] = coeffs
-    if k > 1:
-        out[np.arange(k - 1), np.arange(1, k)] = 1.0
+    if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
+        raise ValueError("coeffs must be a nonempty sequence or a stack "
+                         "of them")
+    k = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape + (k,))
+    out[..., 0] = coeffs
+    out[..., np.arange(k - 1), np.arange(1, k)] = 1.0
+    return out
+
+
+def _power_sum(S, w):
+    """sum_{j<h} w_j S^(h-1-j) for h = w.shape[-1], by Horner's rule.
+
+    S is a k x k matrix and w a weight vector, or stacks of them with
+    one weight row per matrix.
+    """
+    w = np.asarray(w)
+    eye = np.eye(S.shape[-1])
+    out = w[..., 0, None, None] * eye
+    for j in range(1, w.shape[-1]):
+        out = out @ S + w[..., j, None, None] * eye
     return out
 
 

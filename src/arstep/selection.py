@@ -21,11 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeriesTooShort, SingularDesign, WindowTooShort
-from .estimation import (_eig_solve, _gated_solve, _lag_view, _normal_fit,
-                         _plug_in_powers, _require_finite, _residual_ms,
-                         _singular_prefix, gram_is_invertible, lag_matrix)
-from .model_core import DIRECT, PLUG_IN, companion_matrix, impulse_response
+from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
+                     WindowTooShort)
+from .estimation import (_SquareSums, _eig_solve, _gated_solve, _lag_view,
+                         _normal_fit, _plug_in_powers, _require_finite,
+                         _residuals, _singular_prefix, gram_is_invertible,
+                         lag_matrix)
+from .model_core import (DIRECT, PLUG_IN, _power_sum, companion_matrix,
+                         impulse_response)
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,16 @@ class SelectionOutcome:
     orders: dict = field(default_factory=dict)
 
 
-def _argmin_smallest(values):
-    """Key of the smallest value; ties go to the smallest key."""
+def _argmin_smallest(values, stage="candidate"):
+    """Key of the smallest value; ties go to the smallest key.  NaN never
+    wins, and NonFiniteCriterion is raised when no value is finite."""
     best_k, best_v = None, math.inf
     for k in sorted(values):
         if values[k] < best_v:
             best_k, best_v = k, values[k]
+    if best_k is None:
+        raise NonFiniteCriterion("every %s criterion is NaN or infinite"
+                                 % stage)
     return best_k
 
 
@@ -87,10 +94,10 @@ def _outcome(first_stage, direct_vals, plug_vals, m_h):
     """Steps 2 and 3 of both procedures and their outcome.  plug_vals
     holds the plug-in candidates to record; the search takes those no
     smaller than the first-stage pick."""
-    k_first = _argmin_smallest(first_stage)
-    k_direct = _argmin_smallest(direct_vals)
+    k_first = _argmin_smallest(first_stage, "first-stage")
+    k_direct = _argmin_smallest(direct_vals, DIRECT)
     k_plug = _argmin_smallest({k: v for k, v in plug_vals.items()
-                               if k >= k_first})
+                               if k >= k_first}, PLUG_IN)
     if direct_vals[k_direct] > plug_vals[k_plug]:
         chosen, method = k_plug, PLUG_IN
     else:
@@ -143,14 +150,16 @@ def _start_index(series, K, h, grams):
         % (n - h, K))
 
 
-def _ape_sums(series, k, stages):
+def _ape_sums(series, k, stages, sums):
     """Accumulated prediction errors of one order k for several stages.
 
     Each stage (method, h, m) asks for the h-step sum of that method over
-    the sample ends i = m..n-h.  Every Gram those refits need is an entry
-    of one prefix over the rows x_j(k), j = k..n-1: the one-step fit
-    behind plug-in at sample end i reads entry i-1-k, the direct h-step
-    fit entry i-h-k (so direct at h = 1 is the one-step fit).  The prefix
+    the sample ends i = m..n-h; its prediction errors are queued on the
+    _SquareSums sums, one row per stage, in stage order.  Every Gram
+    those refits need is an entry of one prefix over the rows x_j(k),
+    j = k..n-1: the one-step fit behind plug-in at sample end i reads
+    entry i-1-k, the direct h-step fit entry i-h-k (so direct at h = 1
+    is the one-step fit).  The prefix
     is built once and gated once, from the smallest entry any stage
     reads, by _singular_prefix (eigvalsh on a few anchors and on the
     entries they do not certify).  Each fit lag is solved
@@ -163,7 +172,7 @@ def _ape_sums(series, k, stages):
               for method, h, m in stages]
     base = min(m - lag for _, _, m, lag in stages) - k
     bad = _singular_prefix(grams[base:])
-    solved, sums = {}, []
+    solved = {}
     for method, h, m, lag in stages:
         if lag not in solved:
             g = slice(m - lag - k, n - h - lag - k + 1)
@@ -178,9 +187,8 @@ def _ape_sums(series, k, stages):
         if method == PLUG_IN:
             coeffs = _plug_in_powers(coeffs, h)
         tails = rows[np.arange(m, n - h + 1) - k]
-        errors = series[m + h - 1:n] - np.einsum("bk,bk->b", coeffs, tails)
-        sums.append(math.fsum((errors * errors).tolist()))
-    return sums
+        sums.add(series[None, m + h - 1:n]
+                 - np.einsum("bk,bk->b", coeffs, tails))
 
 
 def accumulated_prediction_error(series, k, h, method, K, start_index=None):
@@ -189,8 +197,8 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     For each sample end i from the start index through n - h, the
     candidate (k, method) is refitted on x_1..x_i (a Gram prefix entry
     plus a fresh solve per step), x_{i+h} is forecast, and the squared
-    errors are summed with compensated summation.  The window only ever
-    expands.
+    errors are summed exactly and rounded once (estimation.row_sums).
+    The window only ever expands.
 
     Parameters
     ----------
@@ -223,7 +231,9 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
                              % (m, n - h))
     if m - (1 if method == PLUG_IN else h) < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
-    return _ape_sums(series, k, ((method, h, m),))[0]
+    sums = _SquareSums(n - h - m + 1, 1)
+    _ape_sums(series, k, ((method, h, m),), sums)
+    return float(sums.totals()[0])
 
 
 def select_by_ape(series, h, K):
@@ -247,92 +257,127 @@ def select_by_ape(series, h, K):
     del grams
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet;
-    # their one-step fits are a slice of the first stage's (mh >= m1).
+    # their one-step fits are a slice of the first stage's (mh >= m1),
+    # whose error rows are the longest and fix the sum buffer's width.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
-    first_stage, direct_vals, plug_all = {}, {}, {}
+    sums = _SquareSums(series.size - m1, 3 * K)
     for k in range(1, K + 1):
-        first_stage[k], direct_vals[k], plug_all[k] = _ape_sums(
-            series, k, stages)
-    k_first = _argmin_smallest(first_stage)
+        _ape_sums(series, k, stages, sums)
+    first_stage, direct_vals, plug_all = (
+        dict(enumerate(values, start=1))
+        for values in sums.totals().reshape(K, 3).T.tolist())
+    k_first = _argmin_smallest(first_stage, "first-stage")
     return _outcome(first_stage, direct_vals,
                     {k: v for k, v in plug_all.items() if k >= k_first}, mh)
 
 
-def _criteria(series, h, K, penalty, orders, methods):
-    """Criteria (first_stage, direct, plug_in), each {k: value}, of orders.
+def _criteria(series, h, K, penalties, orders, methods):
+    """Criteria of orders for a stack of series, one series per row.
 
-    methods names the h-step criteria wanted, DIRECT and/or PLUG_IN; the
-    first stage is the direct criterion at h = 1.  Per order the one-step Gram (rows j = k..n-1)
-    and W (rows j = k..n-h; the same matrix at h = 1) are sliced from
-    one zero-padded order-K lag view and gated once, and every solve on
-    them reuses that eigendecomposition.  Order K's one-step fit fixes
-    sigma~^2 and b^.  Errors come in candidate-by-candidate order: the
-    one-step fits, then per order direct before plug-in.
+    Returns, per penalty and then per series, the triple (first_stage,
+    direct, plug_in), each {k: value}.  methods names the h-step
+    criteria wanted, DIRECT and/or PLUG_IN; the first stage is the direct
+    criterion at h = 1.  Every order is taken once for the whole stack:
+    its one-step Grams (rows j = k..n-1) and W (rows j = k..n-h; the same
+    matrices at h = 1) are sliced from one zero-padded order-K lag view
+    per series and gated by one batched eigh, and every solve on them
+    reuses that eigendecomposition.  The squared residuals of all fits go
+    through one _SquareSums buffer, so each residual sum is math.fsum's.
+    Order K's one-step fit fixes sigma~^2 and b^ of each series.  Errors
+    come in candidate-by-candidate order (the one-step fits, then per
+    order direct before plug-in), and a Gram of any series that fails
+    the gate fails the whole stack.
     """
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
         raise ValueError("need h, K >= 1 and candidate orders 1 <= k <= K")
     _require_finite(series)
-    n = series.size
+    R, n = series.shape
     if n < 2 * K:
         raise SingularDesign(
             "sample end %d leaves fewer than %d regressor rows" % (n, K))
-    cn = penalty.value(n)
     lags = _lag_view(series, K)
     fitted = orders if h == 1 or PLUG_IN in methods else ()
+    fitted = tuple(dict.fromkeys((K,) + tuple(fitted)))
+    sums = _SquareSums(n - K, R * (len(fitted) + len(orders) * len(methods)))
     one_step = {}
-    for k in dict.fromkeys((K,) + tuple(fitted)):
-        gram, eig, coeffs = _normal_fit(lags[k - 1:n - 1, :k], series[k:n],
+    for k in fitted:
+        gram, eig, coeffs = _normal_fit(lags[:, k - 1:n - 1, :k],
+                                        series[:, k:n],
                                         "one-step rows j=%d..%d" % (k, n - 1))
         one_step[k] = (gram, eig, coeffs,
-                       _residual_ms(lags, series, coeffs, 1, K, n))
-    sigma_tilde = one_step[K][3]
-    bhat = impulse_response(one_step[K][2], h - 1)
-    first_stage, direct, plug_in = {}, {}, {}
+                       sums.add(_residuals(lags, series, coeffs, 1, K, n)))
+    bhat = np.array([impulse_response(c, h - 1) for c in one_step[K][2]])
+    # One entry per criterion: (stage, k, index of its first residual
+    # sum, the horizon of those residuals, trace penalty per series).
+    entries = []
     z_lags = None
     for k in orders:
         window = one_step[k][:2] if h == 1 else None  # W, its eigh
         if k in one_step:
             # At h = 1 the weighted lag vectors are the regressor rows,
             # so the penalty matrix is the one-step Gram itself.
-            gram, eig, _, sig = one_step[k]
-            trace = float(np.trace(_eig_solve(eig, gram)))
-            first_stage[k] = sig + trace * sigma_tilde * cn
+            gram, eig, _, at = one_step[k]
+            entries.append((0, k, at, 1, _trace(_eig_solve(eig, gram))))
         if h > 1 and DIRECT in methods:
             if n - h < 2 * k - 1:
                 raise SingularDesign(
                     "sample end %d leaves fewer than %d direct rows at h=%d"
                     % (n, k, h))
             gram, eig, coeffs = _normal_fit(
-                lags[k - 1:n - h, :k], series[k + h - 1:n],
+                lags[:, k - 1:n - h, :k], series[:, k + h - 1:n],
                 "direct rows j=%d..%d, h=%d" % (k, n - h, h))
             window = gram, eig
-            sig = _residual_ms(lags, series, coeffs, h, K, n)
+            at = sums.add(_residuals(lags, series, coeffs, h, K, n))
             if n - 2 * h + 1 < k:
                 raise WindowTooShort("weighted-average rows j=%d..%d are "
                                      "empty" % (k, n - 2 * h + 1))
             if z_lags is None:
                 # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving
                 # combination whose lag vectors drive the direct penalty.
-                z_lags = _lag_view(sum(bhat[i] * series[i:n - h + 1 + i]
+                z_lags = _lag_view(sum(bhat[:, i, None]
+                                       * series[:, i:n - h + 1 + i]
                                        for i in range(h)), K)
-            Z = z_lags[k - 1:n - 2 * h + 1, :k]
-            trace = float(np.trace(_eig_solve(eig, Z.T @ Z)))
-            direct[k] = sig + trace * sigma_tilde * cn
+            Z = z_lags[:, k - 1:n - 2 * h + 1, :k]
+            entries.append((1, k, at, h, _trace(_eig_solve(
+                eig, Z.swapaxes(1, 2) @ Z))))
         if PLUG_IN in methods:
             coeffs = one_step[k][2]
-            sig = _residual_ms(lags, series,
-                               _plug_in_powers(coeffs[None], h)[0], h, K, n)
+            at = sums.add(_residuals(lags, series,
+                                     _plug_in_powers(coeffs, h), h, K, n))
             gram, eig = window or _normal_fit(
-                lags[k - 1:n - h, :k], series[k + h - 1:n],
+                lags[:, k - 1:n - h, :k], series[:, k + h - 1:n],
                 "plug-in rows j=%d..%d" % (k, n - h))[:2]
-            A = companion_matrix(coeffs)
-            L = bhat[0] * np.eye(k)
-            for j in range(1, h):
-                L = L @ A + bhat[j] * np.eye(k)
-            trace = float(np.sum((gram @ L) * _eig_solve(eig, L.T).T))
-            plug_in[k] = sig + trace * sigma_tilde * cn
-    return first_stage, direct if h > 1 else dict(first_stage), plug_in
+            L = _power_sum(companion_matrix(coeffs), bhat)
+            entries.append((2, k, at, h, np.sum(
+                (gram @ L) * _eig_solve(eig, L.swapaxes(1, 2)).swapaxes(1, 2),
+                axis=(1, 2))))
+    stage, ks, at, lag, trace = zip(*entries)
+    totals = sums.totals()
+    resid_ms = totals[np.add.outer(at, np.arange(R))] \
+        / (n - K - np.array(lag))[:, None]
+    sigma_tilde = totals[one_step[K][3]:one_step[K][3] + R] / (n - 1 - K)
+    trace = np.array(trace)
+    out = []
+    for penalty in penalties:
+        values = (resid_ms + trace * sigma_tilde * penalty.value(n)).T
+        per_series = []
+        for row in values.tolist():
+            stages = {}, {}, {}
+            for s, k, v in zip(stage, ks, row):
+                stages[s][k] = v
+            if h == 1:
+                stages = stages[0], dict(stages[0]), stages[2]
+            per_series.append(stages)
+        out.append(per_series)
+    return out
+
+
+def _trace(a):
+    """Trace of each matrix of a stack.  np.trace, not an einsum: the two
+    can round the diagonal sum differently, and criteria are meant to
+    stay bit-identical from release to release."""
+    return np.trace(a, axis1=-2, axis2=-1)
 
 
 def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
@@ -344,7 +389,8 @@ def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     order-K MA weights, and sigma~^2 the order-K one-step residual mean
     square.
     """
-    return _criteria(series, h, K, penalty, (k,), (PLUG_IN,))[2][k]
+    return _criteria(_stack(series), h, K, (penalty,), (k,),
+                     (PLUG_IN,))[0][0][2][k]
 
 
 def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
@@ -355,7 +401,8 @@ def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     MA-weighted h-step combination of the series (note its shorter
     window, j = k..n-2h+1).
     """
-    return _criteria(series, h, K, penalty, (k,), (DIRECT,))[1][k]
+    return _criteria(_stack(series), h, K, (penalty,), (k,),
+                     (DIRECT,))[0][0][1][k]
 
 
 def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
@@ -367,5 +414,11 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
     kept only when strictly better (equality selects direct).  Criterion
     values for every candidate are recorded in the outcome.
     """
-    return _outcome(*_criteria(series, h, K, penalty, range(1, K + 1),
-                               (DIRECT, PLUG_IN)), None)
+    return _outcome(*_criteria(_stack(series), h, K, (penalty,),
+                               range(1, K + 1), (DIRECT, PLUG_IN))[0][0],
+                    None)
+
+
+def _stack(series):
+    """One series as a stack of one."""
+    return np.asarray(series, dtype=float)[None]

@@ -7,7 +7,9 @@ them use innovation variance 25 by default.
 Reproducibility contract: every replication draws its innovations from a
 child of numpy's SeedSequence spawned with a key that identifies the
 generator, sample size, and replication index.  Results are therefore
-independent of execution order and of the number of worker processes.
+independent of execution order, of the number of worker processes, and
+of how a cell's replications are split into the blocks evaluated
+together.
 """
 
 import math
@@ -21,16 +23,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .errors import ArstepError, SeriesTooShort
-from .estimation import _gated_solve, _plug_in_powers
+from .estimation import _gated_solve, _plug_in_powers, row_sums
 from .model_core import (DIRECT, PLUG_IN, _check_stable, deflate_unit_root,
                          impulse_response, stationary_model, unit_root_model)
-from .selection import (PENALTY_PRESETS, PenaltyWeight, select_by_ape,
-                        select_by_criterion)
+from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
+                        select_by_ape)
 
 #: Replications per internal vectorized block of estimate_mspe.  Part of
 #: the determinism contract: the innovation stream is consumed in blocks
 #: of this size, so changing it would change individual draws.
 _MSPE_BATCH = 4096
+
+#: Replications per block of run_frequency_experiment (fewer when a
+#: pool needs more blocks).  Tables do not depend on it: each
+#: replication's criteria from a block equal those of its series alone.
+_BLOCK_REPS = 32
 
 
 @dataclass(frozen=True)
@@ -185,29 +192,63 @@ def _normalize_procedures(procedures):
     return tuple(out)
 
 
-def _run_replication(task):
-    """One replication of every procedure on one simulated series.
+def _run_block(task):
+    """Every procedure on a block of replications of one (dgp, n) cell.
 
-    Module-level so process pools can pickle it.  Returns a dict mapping
-    procedure label to (order, method), or to the exception class name
-    when that procedure failed on this series (singular designs and the
-    like).
+    Module-level so process pools can pickle it.  Returns, per
+    replication, a dict mapping procedure label to (order, method), or to
+    the exception class name when that procedure failed on that series
+    (singular designs and the like).  The penalized procedures are
+    evaluated on the whole block by one stacked _criteria call; when it
+    raises, they are evaluated again one replication at a time, so each
+    failure is charged to its own replication.
     """
-    dgp, n, r, master, K, procedures = task
-    series = generate(dgp, n, replication_seed(master, dgp, n, r))
-    cap = dgp.max_order if K is None else K
-    results = {}
-    for label, kind, multiplier in procedures:
-        try:
-            if kind == "ape":
-                outcome = select_by_ape(series, dgp.horizon, cap)
-            else:
-                outcome = select_by_criterion(series, dgp.horizon, cap,
-                                              PenaltyWeight(multiplier))
-            results[label] = (outcome.k, outcome.method)
-        except ArstepError as exc:
-            results[label] = type(exc).__name__
+    dgp, n, reps, master, K, procedures = task
+    stack = np.array([generate(dgp, n, replication_seed(master, dgp, n, r))
+                      for r in reps])
+    h, cap = dgp.horizon, dgp.max_order if K is None else K
+    results = [{} for _ in reps]
+    for label, kind, _ in procedures:
+        if kind == "ape":
+            for res, series in zip(results, stack):
+                res[label] = _attempt(select_by_ape, series, h, cap)
+    penalized = [(label, PenaltyWeight(multiplier))
+                 for label, kind, multiplier in procedures
+                 if kind == "criterion"]
+    if not penalized:
+        return results
+    labels, penalties = zip(*penalized)
+
+    def criteria(series):
+        return _criteria(series, h, cap, penalties, range(1, cap + 1),
+                         (DIRECT, PLUG_IN))
+
+    try:
+        block = criteria(stack)
+    except ArstepError:
+        block = None
+    for r, res in enumerate(results):
+        if block is not None:
+            picks = [per_series[r] for per_series in block]
+        else:
+            try:
+                picks = [one[0] for one in criteria(stack[r:r + 1])]
+            except ArstepError as exc:
+                res.update(dict.fromkeys(labels, type(exc).__name__))
+                continue
+        for label, stages in zip(labels, picks):
+            res[label] = _attempt(_outcome, *stages, None)
     return results
+
+
+def _attempt(select, *args):
+    """(order, method) of a selection, or the class name of the
+    ArstepError it raised."""
+    try:
+        outcome = select(*args)
+    except ArstepError as exc:
+        return type(exc).__name__
+    return outcome.k, outcome.method
 
 
 @dataclass
@@ -285,9 +326,12 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
 
     Every replication simulates one series (shared by all procedures, so
     the comparison uses common random numbers) and records what each
-    procedure selected.  With workers > 1 the replications run in a
-    process pool; the merge order is fixed by the task list, so results
-    are identical for any worker count.
+    procedure selected.  A cell's replications are evaluated in blocks
+    of up to _BLOCK_REPS (see _run_block); with workers > 1 the blocks,
+    made small enough to give every worker one, run in a process pool.
+    The merge order is fixed by the task list and a block's results equal
+    those of its replications one by one, so tables are identical for any
+    worker count and block split.
 
     Parameters
     ----------
@@ -310,15 +354,17 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     procedures = _normalize_procedures(procedures)
     if R < 1:
         raise ValueError("R must be at least 1")
-    tasks = [(dgp, n, r, int(seed), K, procedures)
-             for dgp in dgps for n in ns for r in range(R)]
-    if workers is not None and workers > 1:
+    parallel = workers is not None and workers > 1
+    size = min(_BLOCK_REPS, -(-R // workers)) if parallel else _BLOCK_REPS
+    tasks = [(dgp, n, range(start, min(start + size, R)), int(seed), K,
+              procedures)
+             for dgp in dgps for n in ns for start in range(0, R, size)]
+    if parallel:
         chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replication, tasks,
-                                    chunksize=chunk))
+            results = list(pool.map(_run_block, tasks, chunksize=chunk))
     else:
-        results = [_run_replication(t) for t in tasks]
+        results = [_run_block(t) for t in tasks]
     rows, failures, reasons = {}, {}, {}
     for dgp in dgps:
         for n in ns:
@@ -326,17 +372,17 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
                 rows[(dgp.id, n, label)] = {}
                 failures[(dgp.id, n, label)] = 0
                 reasons[(dgp.id, n, label)] = {}
-    for task, outcome in zip(tasks, results):
-        dgp, n = task[0], task[1]
-        for label, _, _ in procedures:
-            key = (dgp.id, n, label)
-            picked = outcome[label]
-            if isinstance(picked, str):  # the failure's exception name
-                failures[key] += 1
-                cell = reasons[key]
-            else:
-                cell = rows[key]
-            cell[picked] = cell.get(picked, 0) + 1
+    for (dgp, n, *_), outcomes in zip(tasks, results):
+        for outcome in outcomes:
+            for label, _, _ in procedures:
+                key = (dgp.id, n, label)
+                picked = outcome[label]
+                if isinstance(picked, str):  # the failure's exception name
+                    failures[key] += 1
+                    cell = reasons[key]
+                else:
+                    cell = rows[key]
+                cell[picked] = cell.get(picked, 0) + 1
     return FrequencyTable(rows=rows, replications=R, failures=failures,
                           failure_reasons=reasons)
 
@@ -394,7 +440,7 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     rng = np.random.default_rng(int(seed))
     filt = np.concatenate(([1.0], -levels))
     lag = 1 if method == PLUG_IN else h  # the fit regresses x_{j+lag}
-    err_sum, err_sq_sum, u_sum, u_sq_sum = [], [], [], []
+    block_sums = []
     done = 0
     while done < R:
         b = min(_MSPE_BATCH, R - done)
@@ -414,15 +460,12 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         eta = eps[:, n + h - 1 - np.arange(h)] @ w
         u = err + eta
         err2, u2 = err * err, u * u
-        err_sum.append(math.fsum(err2))
-        err_sq_sum.append(math.fsum(err2 * err2))
-        u_sum.append(math.fsum(u2))
-        u_sq_sum.append(math.fsum(u2 * u2))
+        block_sums.append(row_sums([err2, err2 * err2, u2, u2 * u2]).tolist())
         done += b
-    mean_err2 = math.fsum(err_sum) / R
-    mean_u2 = math.fsum(u_sum) / R
-    var_err2 = max(math.fsum(err_sq_sum) / R - mean_err2 ** 2, 0.0)
-    var_u2 = max(math.fsum(u_sq_sum) / R - mean_u2 ** 2, 0.0)
+    mean_err2, mean_err4, mean_u2, mean_u4 = (math.fsum(sums) / R
+                                              for sums in zip(*block_sums))
+    var_err2 = max(mean_err4 - mean_err2 ** 2, 0.0)
+    var_u2 = max(mean_u4 - mean_u2 ** 2, 0.0)
     return MspeEstimate(
         mspe=mean_err2,
         se=math.sqrt(var_err2 / R),

@@ -27,7 +27,7 @@ from .errors import SingularGamma
 from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
                          companion_matrix, direct_coefficients,
                          impulse_response, level_ma_weights, unit_root_model,
-                         _auto_truncation)
+                         _auto_truncation, _power_sum)
 
 #: Relative slack within which two losses count as tied.
 TIE_REL_TOL = 1e-10
@@ -121,12 +121,7 @@ def companion_power_sum(model, h, dim):
     padded = np.zeros(dim)
     padded[:min(dim, ar.size)] = ar[:dim]
     S = companion_matrix(padded)
-    w = level_ma_weights(model, h - 1)
-    # Horner evaluation: out = w_0 S^{h-1} + w_1 S^{h-2} + ... + w_{h-1} I.
-    out = np.eye(dim) * w[0]
-    for j in range(1, h):
-        out = out @ S + w[j] * np.eye(dim)
-    return out
+    return _power_sum(S, level_ma_weights(model, h - 1))
 
 
 def _trace_plugin(model, h, dim):

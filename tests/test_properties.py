@@ -1,5 +1,9 @@
-"""Property tests: the prefix gate, lag matrices and plug-in powering
-against naive constructions, on inputs drawn by hypothesis."""
+"""Property tests: the prefix gate, lag matrices, plug-in powering and
+exact row sums against naive constructions, on inputs drawn by
+hypothesis."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 import arstep as a
 from arstep.estimation import (_plug_in_powers, _singular_grams,
-                               _singular_prefix)
+                               _singular_prefix, row_sums)
 from arstep.selection import _gram_prefix
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
@@ -89,3 +93,61 @@ def test_plug_in_powers_match_iterated_one_step_forecasts(k, h, rows, seed):
         size = max(1.0, np.abs(a_row).sum()) ** h * np.abs(tail).max()
         assert float(p_row @ tail) == pytest.approx(
             _iterated_forecast(a_row, tail, h), rel=0, abs=1e-13 * size)
+
+
+def _rounded_exact_sum(row):
+    """The exact sum of a row rounded to a float, +-inf past the range."""
+    exact = sum(map(Fraction, row))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+# Entries of every sign and size: normal magnitudes over +-300 decades,
+# subnormals, signed zeros, and anything finite (up to the largest float).
+ENTRIES = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from((0.0, -0.0)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@BOUNDED
+@given(rows=st.lists(st.lists(ENTRIES, max_size=40), min_size=1, max_size=6))
+def test_row_sums_equal_fsum_row_by_row(rows):
+    # Rows of different lengths are padded with zeros into one stack.
+    stack = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        stack[i, :len(row)] = row
+    for row, got in zip(rows, row_sums(stack)):
+        assert not math.isnan(got)
+        try:
+            want = math.fsum(row)
+        except OverflowError:  # a partial sum overflowed
+            want = _rounded_exact_sum(row)
+        assert got == want, row
+
+
+def test_row_sums_at_the_edges():
+    big = np.finfo(float).max
+    rows = [[], [0.0, -0.0], [5e-324, -5e-324, 5e-324],
+            [1e308, 1e308], [-1e308, -1e308], [1e308, 1e308, -1e308],
+            [big, -big, 1e-300], [big, 2.0 ** 970]]
+    stack = np.zeros((len(rows), 3))
+    for i, row in enumerate(rows):
+        stack[i, :len(row)] = row
+    # fsum raises OverflowError on rows 3-5 and 7; row_sums rounds the
+    # exact sum instead, to +-inf when it lies past the float range.
+    assert row_sums(stack).tolist() == [0.0, 0.0, 5e-324, math.inf,
+                                        -math.inf, 1e308, 1e-300, math.inf]
+    assert row_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    # Long rows of one sign and full mantissas: partial sums reach their
+    # largest size against the grid of the split.
+    long_rows = np.random.default_rng(0).uniform(1.0, 2.0, (4, 4000))
+    assert row_sums(long_rows).tolist() == [math.fsum(row)
+                                            for row in long_rows.tolist()]
+    # Non-finite entries sum as in np.sum.
+    assert row_sums([[np.inf, 1.0], [np.inf, -np.inf]])[0] == math.inf
+    assert math.isnan(row_sums([[np.inf, -np.inf]])[0])

@@ -5,7 +5,7 @@ import pytest
 
 import arstep as a
 from arstep.estimation import solve_gram
-from arstep.selection import _argmin_smallest
+from arstep.selection import _argmin_smallest, _criteria
 
 
 def _series(label, n, r=0, seed=0):
@@ -334,6 +334,24 @@ def test_underfitting_inflates_the_direct_criterion():
         wins += (a.direct_criterion(series, 1, 3, 10)
                  > a.direct_criterion(series, 2, 3, 10))
     assert wins >= 190
+
+
+def test_stacked_criteria_equal_one_series_at_a_time():
+    # The stack goes through batched Grams, eigh, solves and one residual
+    # sum buffer; every value must still be the single-series one.
+    penalties = list(a.PENALTY_PRESETS.values())
+    for label, h in (("I", 1), ("III", 2), ("VII", 3), ("IX", 10)):
+        K = a.DGPS[label].max_order
+        stack = np.array([_series(label, 300, r=r, seed=8) for r in range(4)])
+        block = _criteria(stack, h, K, penalties, range(1, K + 1),
+                          (a.DIRECT, a.PLUG_IN))
+        for penalty, per_series in zip(penalties, block):
+            for series, (first, direct, plug) in zip(stack, per_series):
+                alone = a.select_by_criterion(series, h, K, penalty)
+                assert alone.first_stage == first
+                assert alone.criteria == {
+                    **{(k, a.DIRECT): v for k, v in direct.items()},
+                    **{(k, a.PLUG_IN): v for k, v in plug.items()}}
 
 
 def test_select_by_criterion_outcome_structure():

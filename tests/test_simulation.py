@@ -1,6 +1,7 @@
 """Monte Carlo harness: generators, seeding, tables, MSPE estimation."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,6 +156,56 @@ def test_frequency_experiment_records_failures():
                         "frequency": 1.0}]
 
 
+def test_all_nan_criteria_fail_one_replication_not_the_table():
+    # sigma2 = 1e-320 keeps the series near 1e-160, where the Grams
+    # underflow and every criterion of a stage comes out NaN.
+    tiny = a.DgpSpec("tiny", (0.0, 0.2, 0.8), True, 2, 10, sigma2=1e-320)
+    with np.errstate(all="ignore"):
+        table = a.run_frequency_experiment([tiny], [400], ("B",), R=3)
+        with pytest.raises(a.NonFiniteCriterion):
+            a.select_by_criterion(
+                a.generate(tiny, 400, a.replication_seed(0, tiny, 400, 0)),
+                2, 10)
+    key = ("tiny", 400, "B")
+    assert table.failures[key] == 3
+    assert table.failure_reasons[key] == {"NonFiniteCriterion": 3}
+
+
+def test_frequency_tables_do_not_depend_on_blocks_or_workers(monkeypatch):
+    flat = a.DgpSpec("flat", (1.0,), True, 2, 3, sigma2=0.0)
+    args = (["I", "IX", flat], [70], ("A", "B", "I"))
+    runs = [a.run_frequency_experiment(*args, R=5, seed=3),
+            a.run_frequency_experiment(*args, R=5, seed=3, workers=2)]
+    monkeypatch.setattr(a.simulation, "_BLOCK_REPS", 1)
+    runs.append(a.run_frequency_experiment(*args, R=5, seed=3))
+    first, *others = [(t.rows, t.failures, t.failure_reasons) for t in runs]
+    assert all(other == first for other in others)
+    assert first[2][("flat", 70, "B")] == {"SingularDesign": 5}
+
+
+def test_a_failing_replication_does_not_sink_its_block(monkeypatch):
+    real = a.simulation.generate
+
+    def generate(dgp, n, seed):
+        series = real(dgp, n, seed)
+        return 0.0 * series if seed.spawn_key[-1] == 2 else series
+
+    monkeypatch.setattr(a.simulation, "generate", generate)
+    table = a.run_frequency_experiment(["III"], [200], ("A", "B"), R=5,
+                                       seed=4)
+    dgp = a.DGPS["III"]
+    for label in ("A", "B"):
+        key = ("III", 200, label)
+        assert table.failure_reasons[key] == {"SingularDesign": 1}
+        want = Counter()
+        for r in (0, 1, 3, 4):
+            out = a.select_by_criterion(
+                real(dgp, 200, a.replication_seed(4, dgp, 200, r)),
+                dgp.horizon, dgp.max_order, a.PENALTY_PRESETS[label])
+            want[(out.k, out.method)] += 1
+        assert table.rows[key] == want
+
+
 def test_dgp_levels_are_validated_before_simulating(monkeypatch):
     explosive = a.DgpSpec("Z", (1.2,), False, 2, 5)
     with pytest.raises(a.UnstableStationaryPart):
@@ -172,7 +223,7 @@ def test_dgp_levels_are_validated_before_simulating(monkeypatch):
     def no_replication(task):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(a.simulation, "_run_replication", no_replication)
+    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
     with pytest.raises(a.UnstableStationaryPart):
         a.run_frequency_experiment(["I", explosive], [100], R=3)
     # Only the levels are checked: sigma2 = 0 stays legal.
