@@ -307,7 +307,7 @@ def _criteria(series, h, K, penalties, orders, methods):
                                         "one-step rows j=%d..%d" % (k, n - 1))
         one_step[k] = (gram, eig, coeffs,
                        sums.add(_residuals(lags, series, coeffs, 1, K, n)))
-    bhat = np.array([impulse_response(c, h - 1) for c in one_step[K][2]])
+    bhat = impulse_response(one_step[K][2], h - 1)
     # One entry per criterion: (stage, k, index of its first residual
     # sum, the horizon of those residuals, trace penalty per series).
     entries = []

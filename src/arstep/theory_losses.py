@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
+from ._kernels import cho_factor, cho_solve
 from .errors import SingularGamma
 from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
                          companion_matrix, direct_coefficients,
@@ -48,6 +48,12 @@ def _stationary_ar(model):
                     % type(model).__name__)
 
 
+def _toeplitz(first):
+    """Symmetric Toeplitz matrix with the given first column."""
+    n = len(first)
+    return first[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+
+
 @dataclass(frozen=True)
 class AutocovarianceTable:
     """Autocovariances gamma(0)..gamma(L) of the stationary representation."""
@@ -60,16 +66,49 @@ class AutocovarianceTable:
         if dim > self.L + 1:
             raise ValueError("table holds lags up to %d, need %d"
                              % (self.L, dim - 1))
-        return toeplitz(self.gamma[:dim])
+        return _toeplitz(self.gamma[:dim])
+
+
+class _Expansion:
+    """Autocovariances of one model from one MA expansion.
+
+    The truncation length T (one eigvals) and the MA weights
+    c_0..c_{T+L_max} are computed once, and with them
+    gamma(m) = sigma^2 * sum_{i<=T} c_i c_{i+m} for every m <= L_max.
+    Every lag sums the same T + 1 products, so gamma(0)..gamma(L) equal
+    a stand-alone autocovariances(model, L).  Cholesky factors are kept
+    per dimension for the life of the object, which is one call.
+    """
+
+    def __init__(self, model, L_max):
+        ar = _stationary_ar(model)
+        T = _auto_truncation(ar)
+        c = impulse_response(ar, T + L_max)
+        self.gamma = np.array([model.sigma2 * float(np.dot(c[:T + 1],
+                                                           c[m:m + T + 1]))
+                               for m in range(L_max + 1)])
+        self._factors = {}
+
+    def factor(self, dim):
+        """(cho_factor, matrix) of the dim-dimensional autocovariances."""
+        if dim not in self._factors:
+            matrix = _toeplitz(self.gamma[:dim])
+            try:
+                self._factors[dim] = cho_factor(matrix), matrix
+            except np.linalg.LinAlgError as exc:
+                raise SingularGamma(
+                    "autocovariance matrix of dimension %d is not positive "
+                    "definite: %s" % (dim, exc)) from exc
+        return self._factors[dim]
 
 
 def autocovariances(model, L):
     """Autocovariances of the model's stationary representation.
 
-    gamma(m) = sigma^2 * sum_i c_i c_{i+m}, with c the MA weights of the
-    stationary representation (the differenced series for a unit-root
-    model, the series itself for a stable one).  The expansion is
-    truncated where its geometric tail drops below 1e-14.
+    gamma(m) = sigma^2 * sum_{i=0}^{T} c_i c_{i+m}, with c the MA weights
+    of the stationary representation (the differenced series for a
+    unit-root model, the series itself for a stable one) and T the
+    length at which their geometric tail drops below 1e-14.
 
     Parameters
     ----------
@@ -83,25 +122,15 @@ def autocovariances(model, L):
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
+    return AutocovarianceTable(gamma=_Expansion(model, L).gamma, L=int(L))
+
+
+def _companion_power_sum(model, dim, w):
+    """sum_j w_j S^(h-1-j) for the dim x dim companion matrix S."""
     ar = _stationary_ar(model)
-    length = _auto_truncation(ar) + L
-    c = impulse_response(ar, length)
-    gamma = np.empty(L + 1)
-    for m in range(L + 1):
-        gamma[m] = model.sigma2 * float(np.dot(c[:len(c) - m], c[m:]))
-    return AutocovarianceTable(gamma=gamma, L=int(L))
-
-
-def _gamma_factor(model, dim):
-    """Cholesky factor of the dim-dimensional autocovariance matrix."""
-    table = autocovariances(model, dim - 1)
-    matrix = table.matrix(dim)
-    try:
-        return cho_factor(matrix), table
-    except np.linalg.LinAlgError as exc:
-        raise SingularGamma(
-            "autocovariance matrix of dimension %d is not positive "
-            "definite: %s" % (dim, exc)) from exc
+    padded = np.zeros(dim)
+    padded[:min(dim, ar.size)] = ar[:dim]
+    return _power_sum(companion_matrix(padded), w)
 
 
 def companion_power_sum(model, h, dim):
@@ -117,39 +146,42 @@ def companion_power_sum(model, h, dim):
         raise ValueError("dim must be at least 1")
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    ar = _stationary_ar(model)
-    padded = np.zeros(dim)
-    padded[:min(dim, ar.size)] = ar[:dim]
-    S = companion_matrix(padded)
-    return _power_sum(S, level_ma_weights(model, h - 1))
+    return _companion_power_sum(model, dim, level_ma_weights(model, h - 1))
 
 
-def _trace_plugin(model, h, dim):
-    """tr(G M G^{-1} M') * sigma^2 at the given matrix dimension."""
-    factor, table = _gamma_factor(model, dim)
-    M = companion_power_sum(model, h, dim)
-    G = table.matrix(dim)
+def _trace_plugin(model, dim, expansion, w):
+    """tr(G M G^{-1} M') * sigma^2 at the given matrix dimension.
+
+    w holds the level MA weights w_0..w_{h-1} of the horizon.
+    """
+    factor, G = expansion.factor(dim)
+    M = _companion_power_sum(model, dim, w)
     left = G @ M
     right = cho_solve(factor, M.T)
     return float(np.sum(left * right.T) * model.sigma2)
 
 
-def _trace_direct(model, h, dim):
+def _trace_direct(model, dim, expansion, w):
     """tr(G^{-1} V) * sigma^2 with V the limiting direct covariance.
 
     V is Toeplitz with entries g(d) = sum_{j,l < h} w_j w_l gamma(j-l+d),
     evaluated exactly from the finite double sum.
     """
-    factor, _ = _gamma_factor(model, dim)
-    w = level_ma_weights(model, h - 1)
-    table = autocovariances(model, h + dim - 2)
-    outer = np.outer(w, w)
+    h = len(w)
+    factor, _ = expansion.factor(dim)
     offsets = np.subtract.outer(np.arange(h), np.arange(h))
-    g = np.empty(dim)
-    for d in range(dim):
-        g[d] = float(np.sum(outer * table.gamma[np.abs(offsets + d)]))
-    V = toeplitz(g)
-    return float(np.trace(cho_solve(factor, V)) * model.sigma2)
+    lags = np.abs(offsets + np.arange(dim)[:, None, None])
+    g = expansion.gamma[lags].reshape(dim, h * h) @ np.outer(w, w).ravel()
+    return float(np.trace(cho_solve(factor, _toeplitz(g))) * model.sigma2)
+
+
+def _shared(model, h, dim):
+    """(expansion, level weights) for the traces of one call up to dim.
+
+    The direct trace needs lags up to h + dim - 2, the plug-in trace up
+    to dim - 1.
+    """
+    return _Expansion(model, h + dim - 2), level_ma_weights(model, h - 1)
 
 
 def plugin_cost(model, h, k):
@@ -165,7 +197,7 @@ def plugin_cost(model, h, k):
         raise ValueError("order must be at least 1")
     if k == 1:
         return 0.0
-    return _trace_plugin(model, h, k - 1)
+    return _trace_plugin(model, k - 1, *_shared(model, h, k - 1))
 
 
 def direct_cost(model, h, k):
@@ -181,7 +213,7 @@ def direct_cost(model, h, k):
         raise ValueError("order must be at least 1")
     if k == 1:
         return 0.0
-    return _trace_direct(model, h, k - 1)
+    return _trace_direct(model, k - 1, *_shared(model, h, k - 1))
 
 
 def closed_form_h2(model, k, method):
@@ -226,6 +258,42 @@ class TheoreticalLoss:
     h: int
 
 
+def _losses(model, h, K, keys):
+    """TheoreticalLoss of each (k, method) key, all k <= K, in one pass.
+
+    The traces of all keys share one _Expansion and one set of level MA
+    weights; their dimension is k - 1 for a unit-root model (whose
+    differences are stationary) and k for a stable one.
+    """
+    unit_root = isinstance(model, UnitRootArModel)
+    shift = 1 if unit_root else 0
+    minimal = {PLUG_IN: model.p + shift,
+               DIRECT: direct_coefficients(model, h).p_h}
+    w = level_ma_weights(model, h - 1)
+    common = 2.0 * model.sigma2 * float(np.sum(w)) ** 2 if unit_root else 0.0
+    expansion = None
+    out = {}
+    for k, method in keys:
+        if k < minimal[method]:
+            value = math.inf
+        elif k == shift:
+            value = common  # unit root, k = 1: no estimation cost
+        else:
+            if expansion is None:  # as _shared(model, h, K - shift)
+                expansion = _Expansion(model, h + K - shift - 2)
+            trace = _trace_plugin if method == PLUG_IN else _trace_direct
+            value = common + trace(model, k - shift, expansion, w)
+        out[k, method] = TheoreticalLoss(value=value, k=k, method=method, h=h)
+    return out
+
+
+def _check_candidate(k, method):
+    if k < 1:
+        raise ValueError("order must be at least 1")
+    if method not in (PLUG_IN, DIRECT):
+        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
+
+
 def loss(model, h, k, method):
     """Asymptotic loss of (k, method) for a unit-root model at horizon h.
 
@@ -235,19 +303,8 @@ def loss(model, h, k, method):
     """
     if not isinstance(model, UnitRootArModel):
         raise TypeError("loss needs a UnitRootArModel; see loss_stationary")
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if method not in (PLUG_IN, DIRECT):
-        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
-    p1 = model.p + 1
-    minimal = p1 if method == PLUG_IN else direct_coefficients(model, h).p_h
-    if k < minimal:
-        return TheoreticalLoss(value=math.inf, k=k, method=method, h=h)
-    b = level_ma_weights(model, h - 1)
-    common = 2.0 * model.sigma2 * float(np.sum(b)) ** 2
-    cost = plugin_cost(model, h, k) if method == PLUG_IN \
-        else direct_cost(model, h, k)
-    return TheoreticalLoss(value=common + cost, k=k, method=method, h=h)
+    _check_candidate(k, method)
+    return _losses(model, h, k, [(k, method)])[k, method]
 
 
 def loss_stationary(model, h, k, method):
@@ -260,24 +317,21 @@ def loss_stationary(model, h, k, method):
     """
     if not isinstance(model, StationaryArModel):
         raise TypeError("loss_stationary needs a StationaryArModel")
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if method not in (PLUG_IN, DIRECT):
-        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
-    minimal = model.p if method == PLUG_IN \
-        else direct_coefficients(model, h).p_h
-    if k < minimal:
-        return TheoreticalLoss(value=math.inf, k=k, method=method, h=h)
-    value = _trace_plugin(model, h, k) if method == PLUG_IN \
-        else _trace_direct(model, h, k)
-    return TheoreticalLoss(value=value, k=k, method=method, h=h)
+    _check_candidate(k, method)
+    return _losses(model, h, k, [(k, method)])[k, method]
 
 
 def loss_table(model, h, K):
-    """All candidate losses for k = 1..K, keyed by (k, method)."""
-    fn = loss if isinstance(model, UnitRootArModel) else loss_stationary
-    return {(k, method): fn(model, h, k, method)
-            for k in range(1, K + 1) for method in (PLUG_IN, DIRECT)}
+    """All candidate losses for k = 1..K, keyed by (k, method).
+
+    Each entry equals loss (or loss_stationary) of its key; the table
+    computes the model's MA expansion once, not once per entry.
+    """
+    if not isinstance(model, (UnitRootArModel, StationaryArModel)):
+        raise TypeError("loss_table needs a UnitRootArModel or a "
+                        "StationaryArModel")
+    return _losses(model, h, K, [(k, method) for k in range(1, K + 1)
+                                 for method in (PLUG_IN, DIRECT)])
 
 
 def best_combinations(model, h, K):
@@ -327,4 +381,5 @@ def minimal_order_cost_gap(a1):
     estimate it by the difference of their scaled excesses.
     """
     model = quartic_family(a1)
-    return direct_cost(model, 3, 3) - plugin_cost(model, 3, 4)
+    shared = _shared(model, 3, 3)
+    return _trace_direct(model, 2, *shared) - _trace_plugin(model, 3, *shared)
