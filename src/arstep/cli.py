@@ -16,12 +16,14 @@ with status 2, numerical rank failures with status 3.
 
 import argparse
 import csv
+import importlib.metadata
 import json
 import math
 import sys
 
 import numpy as np
 
+from . import __version__
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, NotUnitRoot
 from .estimation import fit_direct, fit_one_step, plug_in_multi
 from .model_core import (DIRECT, PLUG_IN, UnitRootArModel,
@@ -61,8 +63,21 @@ def _fmt(value):
     return str(value)
 
 
+def _versions():
+    """Versions of arstep, numpy and scipy; scipy's is read from its
+    installed metadata, so that scipy is not imported (None if absent)."""
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {"arstep": __version__, "numpy": np.__version__,
+            "scipy": scipy_version}
+
+
 def _emit(args, meta, records, text_fn):
-    """Write the command result in the requested format."""
+    """Write the command result in the requested format, with the
+    versions that produced it added to meta."""
+    meta = dict(meta, versions=_versions())
     stream = sys.stdout
     close = False
     if getattr(args, "out", None):

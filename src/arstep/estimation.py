@@ -180,16 +180,6 @@ def _eig_solve(eig, cross):
     return out[..., 0] if vectors else out
 
 
-def solve_gram(gram, cross, context=""):
-    """Solve gram @ coeffs = cross with a condition estimate.
-
-    cross is a vector, or a matrix with one right-hand side per column.
-    Raises SingularDesign when the reciprocal condition number falls
-    below RCOND_MIN (context, if given, names the offending window).
-    """
-    return _eig_solve(_gated_eigh(gram, context), cross)
-
-
 def _normal_fit(X, y, context):
     """Least squares of y on X, or of each y on its X in a stack: the Gram
     X'X, its gated eigendecomposition (for reuse by other solves) and the

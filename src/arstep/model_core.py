@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy's filter, imported on its first call.  Unused here (the impulse
-# response below is numpy's); bound because perfbench/tracer.py times
-# the filter under this name.
+# scipy's compiled filter, loaded on its first call.  Unused here (the
+# impulse response below is numpy's); bound because the benchmark's
+# tracer looks the filter up under this name.
 from ._kernels import lfilter  # noqa: F401
 from .errors import NotUnitRoot, UnstableStationaryPart
 

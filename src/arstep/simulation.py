@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import lfilter
+from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
 from .estimation import _gated_solve, _plug_in_powers, row_sums
 from .model_core import (DIRECT, PLUG_IN, _check_stable, deflate_unit_root,
@@ -361,8 +361,8 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
              for dgp in dgps for n in ns for start in range(0, R, size)]
     if parallel:
         # Load the filter once here; forked workers inherit it instead of
-        # each importing scipy.signal on its first block.
-        import scipy.signal  # noqa: F401
+        # each loading it on its first block.
+        load_filter()
         chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, tasks, chunksize=chunk))

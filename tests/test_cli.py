@@ -100,6 +100,28 @@ def test_select_jsonl_structure(capsys, tmp_path):
     assert len(selected) == 1
 
 
+def test_every_subcommand_meta_carries_versions(capsys, tmp_path):
+    import scipy
+
+    path = _write_series(tmp_path, _sample_series())
+    versions = {"arstep": a.__version__, "numpy": np.__version__,
+                "scipy": scipy.__version__}
+    for argv in (["theory", "--dgp", "III"],
+                 ["select", "--input", path, "--h", "2", "--K", "3"],
+                 ["forecast", "--input", path, "--h", "2", "--k", "2"],
+                 ["simulate", "--mode", "frequency", "--dgp", "I",
+                  "--n", "100", "--reps", "2", "--seed", "4"],
+                 ["simulate", "--mode", "mspe", "--dgp", "X", "--n", "100",
+                  "--reps", "10", "--k", "1", "--method", a.DIRECT,
+                  "--seed", "4"]):
+        assert main(argv + ["--format", "jsonl"]) == 0
+        out = capsys.readouterr().out
+        meta = json.loads(out.splitlines()[0])["meta"]
+        assert meta["versions"] == versions, argv
+        if argv[0] == "simulate":
+            assert meta["seed"] == 4
+
+
 def test_select_csv_is_deterministic(capsys, tmp_path):
     path = _write_series(tmp_path, _sample_series())
     argv = ["select", "--input", path, "--h", "2", "--K", "4",

@@ -1,6 +1,7 @@
 """scipy stays off the import path: fresh interpreters that import
 arstep or run the theory, select and forecast subcommands load no scipy
-module, and generate's lazily loaded filter gives the same series."""
+module; simulation loads only scipy's compiled filter module, never the
+scipy.signal package, and its series stay the same."""
 
 import json
 import os
@@ -69,7 +70,7 @@ SEEDED_SERIES = {
 
 
 def test_generate_loads_the_filter_lazily_and_keeps_its_series():
-    # The first generate call in the fresh interpreter imports the filter.
+    # The first generate call in the fresh interpreter loads the filter.
     loaded = _scipy_modules_after(
         "import hashlib\n"
         "import arstep as a\n"
@@ -80,4 +81,18 @@ def test_generate_loads_the_filter_lazily_and_keeps_its_series():
         "    assert x.dtype.str == '<f8'\n"
         "    assert hashlib.sha256(x.tobytes()).hexdigest() == digest"
         % (SEEDED_SERIES,))
-    assert "scipy.signal" in loaded
+    assert loaded == ["scipy.signal._sigtools"]
+
+
+def test_mspe_estimates_load_only_the_compiled_filter():
+    loaded = _scipy_modules_after(
+        "import arstep as a\n"
+        "a.estimate_mspe(a.DGPS['X'], a.PredictorSpec(2, a.PLUG_IN, 2),\n"
+        "                200, 50, seed=3)")
+    assert loaded == ["scipy.signal._sigtools"]
+
+
+def test_parallel_frequency_tables_load_only_the_compiled_filter():
+    assert _after_cli(["simulate", "--mode", "frequency", "--dgp", "III",
+                       "--n", "120", "--reps", "4", "--seed", "1",
+                       "--workers", "2"]) == ["scipy.signal._sigtools"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import arstep as a
-from arstep.estimation import solve_gram
 from arstep.selection import _argmin_smallest, _criteria
 
 
@@ -248,7 +247,7 @@ def _criteria_one_at_a_time(series, h, K, penalty=a.DEFAULT_PENALTY):
         X = a.lag_matrix(series, k, k, n - g)
         z = sum(weights[i] * series[i:n - g + 1 + i] for i in range(g))
         Z = a.lag_matrix(z, k, k, n - 2 * g + 1)
-        trace = np.trace(solve_gram(X.T @ X, Z.T @ Z))
+        trace = np.trace(np.linalg.solve(X.T @ X, Z.T @ Z))
         return a.residual_mse(series, fit, g, K) + trace * sigma * cn
 
     def plug_in(k, bhat):
@@ -258,7 +257,7 @@ def _criteria_one_at_a_time(series, h, K, penalty=a.DEFAULT_PENALTY):
         A = a.companion_matrix(one.coeffs)
         L = sum(bhat[j] * np.linalg.matrix_power(A, h - 1 - j)
                 for j in range(h))
-        trace = np.trace(W @ L @ solve_gram(W, L.T))
+        trace = np.trace(W @ L @ np.linalg.solve(W, L.T))
         sig = a.residual_mse(series, a.plug_in_multi(one, h), h, K)
         return sig + trace * sigma * cn
 

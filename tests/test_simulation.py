@@ -1,12 +1,15 @@
 """Monte Carlo harness: generators, seeding, tables, MSPE estimation."""
 
 import io
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter as scipy_lfilter
 
 import arstep as a
+from arstep import _kernels
 from oracles import yule_walker_autocovariances
 
 
@@ -63,6 +66,61 @@ def test_generate_burn_in_is_a_shifted_window():
     quiet = a.DgpSpec("quiet", (1.0,), True, 1, 1, sigma2=0.0)
     kicked = a.generate(quiet, 5, seed=0, burn_in=10, impulse=4.0)
     np.testing.assert_array_equal(kicked, np.full(5, 4.0))
+
+
+def _same_bits(got, want):
+    """Equal as float64 bit patterns, so the sign of zero counts."""
+    return (got.dtype == want.dtype == np.float64
+            and got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def _filters_agree(b, a_coeffs, x, axis=-1):
+    return _same_bits(_kernels.lfilter(b, a_coeffs, x, axis=axis),
+                      scipy_lfilter(b, a_coeffs, x, axis=axis))
+
+
+def test_filter_kernel_is_scipys_lfilter_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for dgp in a.DGPS.values():
+        filt = np.concatenate(([1.0], -np.asarray(dgp.levels)))
+        for n in (1, 300, 2000):
+            assert _filters_agree([1.0], filt, rng.standard_normal(n) * 5.0)
+        # A stack filtered row by row, as estimate_mspe filters its block.
+        assert _filters_agree([1.0], filt, rng.standard_normal((64, 310)),
+                              axis=1)
+    # One coefficient in a is scipy's convolution path, signed zeros kept.
+    x = np.array([-0.0, 0.0, 1.5, -2.0, -0.0])
+    assert _filters_agree([1.0], [1.0], x)
+    assert _filters_agree([1.0], [1.0], np.stack([x, -x]), axis=1)
+    # sigma2 = 0: the burn-in innovations are signed zeros, then a pulse.
+    dgp = a.DgpSpec("quiet", a.DGPS["VII"].levels, True, 3, 10, sigma2=0.0)
+    filt = np.concatenate(([1.0], -np.asarray(dgp.levels)))
+    eps = np.random.default_rng(5).standard_normal(60) * 0.0
+    eps[20] += 1.0
+    assert _filters_agree([1.0], filt, eps)
+    assert _same_bits(a.generate(dgp, 40, seed=5, burn_in=20, impulse=1.0),
+                      scipy_lfilter([1.0], filt, eps)[20:])
+
+
+def test_filter_kernel_is_the_compiled_recursion_and_falls_back(monkeypatch):
+    assert _kernels.load_filter() is \
+        sys.modules["scipy.signal._sigtools"]._linear_filter
+    # Where the compiled module cannot be located, scipy.signal.lfilter
+    # itself is loaded, with the same results.
+    dgp = a.DGPS["IX"]
+    seed = a.replication_seed(7, dgp, 200, 3)
+    monkeypatch.setattr(_kernels, "_sigtools", lambda: None)
+    _kernels.load_filter.cache_clear()
+    try:
+        x = np.random.default_rng(2).standard_normal((3, 200))
+        assert _filters_agree([1.0], [1.0, -0.3, 0.8], x, axis=1)
+        assert _kernels.load_filter() is scipy_lfilter
+        with_fallback = a.generate(dgp, 200, seed)
+    finally:
+        monkeypatch.undo()
+        _kernels.load_filter.cache_clear()
+    assert _same_bits(with_fallback, a.generate(dgp, 200, seed))
 
 
 def test_generate_uniform_noise_bounds_and_variance():
