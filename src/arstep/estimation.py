@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
-from .model_core import DIRECT, PLUG_IN, companion_apply, impulse_response
+from .model_core import DIRECT, PLUG_IN, _companion_image, impulse_response
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
 RCOND_MIN = 1e-13
@@ -230,10 +230,7 @@ def plug_in_multi(one_step, h):
         raise ValueError("horizon must be at least 1")
     if h == 1:
         return one_step
-    a = np.asarray(one_step.coeffs, dtype=float)
-    v = a.copy()
-    for _ in range(h - 1):
-        v = companion_apply(a, v)
+    v = _companion_image(np.asarray(one_step.coeffs, dtype=float), h)
     return FittedCoefficients(coeffs=tuple(float(c) for c in v),
                               k=one_step.k, h=int(h), method=PLUG_IN,
                               sample_end=one_step.sample_end)
@@ -380,7 +377,8 @@ def _sum_special_row(row):
     """Sum of a row row_sums cannot split: np.sum when it holds inf or
     NaN, else the exact sum correctly rounded, +-inf when it overflows."""
     if not np.isfinite(row).all():
-        return row.sum()
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as documented
+            return row.sum()
     exact = sum(map(Fraction, row.tolist()))
     try:
         return float(exact)

@@ -268,6 +268,16 @@ def companion_apply(coeffs, vec):
     return out
 
 
+def _companion_image(coeffs, h):
+    """A^(h-1) coeffs, with A the companion matrix of the float array
+    coeffs, by h - 1 applications of companion_apply (a copy of coeffs
+    at h = 1)."""
+    v = coeffs.copy()
+    for _ in range(h - 1):
+        v = companion_apply(coeffs, v)
+    return v
+
+
 @dataclass(frozen=True)
 class DirectCoefficients:
     """h-step-ahead regression coefficients implied by a levels model.
@@ -302,9 +312,7 @@ def direct_coefficients(model, h):
     if h < 1:
         raise ValueError("horizon must be at least 1")
     a = ar_coefficients(model)
-    v = a.copy()
-    for _ in range(h - 1):
-        v = companion_apply(a, v)
+    v = _companion_image(a, h)
     tol = ZERO_TOL * max(1.0, float(np.max(np.abs(v))))
     above = np.nonzero(np.abs(v) > tol)[0]
     p_h = int(above[-1]) + 1 if above.size else 1

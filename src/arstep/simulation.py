@@ -14,7 +14,7 @@ together.
 
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,10 +29,18 @@ from .model_core import (DIRECT, PLUG_IN, _check_stable, deflate_unit_root,
 from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
                         select_by_ape)
 
-#: Replications per internal vectorized block of estimate_mspe.  Part of
-#: the determinism contract: the innovation stream is consumed in blocks
-#: of this size, so changing it would change individual draws.
+#: Replications per partial sum of estimate_mspe: each block's sums are
+#: correctly rounded, then the blocks' sums are added.  Part of the
+#: determinism contract because it fixes that grouping.  It does not
+#: touch the draws: the stream is drawn row-major in replication order,
+#: however the replications are grouped.
 _MSPE_BATCH = 4096
+
+#: Working memory of one estimate_mspe innovation buffer, in bytes: the
+#: replications are simulated and fitted in chunks of as many rows as
+#: fit in it, two buffers in use (one filled by the draw thread while
+#: the other is fitted).  Results do not depend on it.
+_MSPE_CHUNK_BYTES = 1 << 22
 
 #: Replications per block of run_frequency_experiment (fewer when a
 #: pool needs more blocks).  Tables do not depend on it: each
@@ -422,8 +430,12 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     R : int
         Number of replications.
     seed : int
-        Master seed (a single innovation stream is consumed in fixed
-        blocks, so results depend only on seed and R).
+        Master seed.  One innovation stream is drawn row-major, n + h
+        values per replication in replication order, so results depend
+        only on seed and R.  The replications are simulated and fitted
+        in chunks of _MSPE_CHUNK_BYTES while one helper thread draws the
+        next chunk, in stream order; memory grows neither with R nor
+        with _MSPE_BATCH, whose blocks only group the partial sums.
     """
     k, h, method = int(spec.k), int(spec.h), spec.method
     if method not in (PLUG_IN, DIRECT):
@@ -442,29 +454,35 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     scale = math.sqrt(dgp.sigma2)
     rng = np.random.default_rng(int(seed))
     filt = np.concatenate(([1.0], -levels))
-    lag = 1 if method == PLUG_IN else h  # the fit regresses x_{j+lag}
+    # Chunks of at most `rows` replications, never across a block of
+    # _MSPE_BATCH, in stream order.
+    rows = max(1, min(R, _MSPE_BATCH, _MSPE_CHUNK_BYTES // (8 * (n + h))))
+    chunks = [(start, min(start + rows, block + _MSPE_BATCH, R))
+              for block in range(0, R, _MSPE_BATCH)
+              for start in range(block, min(block + _MSPE_BATCH, R), rows)]
+    buffers = [np.empty((rows, n + h)) for _ in range(2)]
+    ahead = n + h - 1 - np.arange(h)  # eps_{n+h}, ..., eps_{n+1}
+    size = min(R, _MSPE_BATCH)
+    err, future = np.empty(size), np.empty((size, h))  # of one block
     block_sums = []
-    done = 0
-    while done < R:
-        b = min(_MSPE_BATCH, R - done)
-        eps = rng.standard_normal((b, n + h)) * scale
-        x = lfilter([1.0], filt, eps, axis=1)
-        windows = sliding_window_view(x[:, :n], k, axis=1)[:, :, ::-1]
-        design = windows[:, :n - lag - k + 1, :]
-        target = x[:, k + lag - 1:n]
-        gram = np.einsum("bjk,bjl->bkl", design, design)
-        cross = np.einsum("bjk,bj->bk", design, target)
-        coeffs = _gated_solve(gram, cross, lambda j: (
-            "singular design in replication %d" % (done + j)))
-        if method == PLUG_IN:
-            coeffs = _plug_in_powers(coeffs, h)
-        tails = windows[:, n - k, :]
-        err = np.einsum("bk,bk->b", coeffs, tails) - x[:, n + h - 1]
-        eta = eps[:, n + h - 1 - np.arange(h)] @ w
-        u = err + eta
-        err2, u2 = err * err, u * u
-        block_sums.append(row_sums([err2, err2 * err2, u2, u2 * u2]).tolist())
-        done += b
+    with ThreadPoolExecutor(1) as pool:
+
+        def draw(chunk):
+            start, stop = chunks[chunk]
+            return pool.submit(_draw_innovations, rng, scale,
+                               buffers[chunk % 2][:stop - start])
+
+        pending = draw(0)
+        for chunk, (start, stop) in enumerate(chunks):
+            eps = pending.result()
+            if chunk + 1 < len(chunks):
+                pending = draw(chunk + 1)
+            at = start % _MSPE_BATCH
+            end = at + stop - start
+            err[at:end] = _prediction_errors(eps, start, k, h, method, filt)
+            future[at:end] = eps[:, ahead]
+            if end == _MSPE_BATCH or stop == R:
+                block_sums.append(_block_sums(err[:end], future[:end], w))
     mean_err2, mean_err4, mean_u2, mean_u4 = (math.fsum(sums) / R
                                               for sums in zip(*block_sums))
     var_err2 = max(mean_err4 - mean_err2 ** 2, 0.0)
@@ -476,3 +494,48 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         scaled_excess_se=n * math.sqrt(var_u2 / R),
         replications=int(R),
         sigma_h2=sigma_h2)
+
+
+def _block_sums(err, future, w):
+    """Correctly rounded sums of err^2, err^4, u^2 and u^4 over a block of
+    replications, u = err + eta with eta = future @ w, the part of
+    x_{n+h} no predictor at n can see.
+
+    eta is one product per block on a column-major copy: BLAS rounds a
+    row of it differently depending on the layout and the row count.
+    """
+    u = err + np.asfortranarray(future) @ w
+    err2, u2 = err * err, u * u
+    return row_sums([err2, err2 * err2, u2, u2 * u2]).tolist()
+
+
+def _draw_innovations(rng, scale, out):
+    """Fill out with the stream's next normals, row-major, times scale."""
+    rng.standard_normal(out=out)
+    out *= scale
+    return out
+
+
+def _prediction_errors(eps, first, k, h, method, filt):
+    """h-step prediction errors of a chunk of replications, one row of
+    n + h innovations each.
+
+    Each row is filtered into x_1..x_{n+h}, the predictor is fitted on
+    x_1..x_n, and its forecast of x_{n+h} less x_{n+h} is the row's
+    error.  first is the index of the chunk's first replication, for
+    error messages.
+    """
+    n = eps.shape[1] - h
+    lag = 1 if method == PLUG_IN else h  # the fit regresses x_{j+lag}
+    x = lfilter([1.0], filt, eps, axis=1)
+    windows = sliding_window_view(x[:, :n], k, axis=1)[:, :, ::-1]
+    design = windows[:, :n - lag - k + 1, :]
+    target = x[:, k + lag - 1:n]
+    gram = np.einsum("bjk,bjl->bkl", design, design)
+    cross = np.einsum("bjk,bj->bk", design, target)
+    coeffs = _gated_solve(gram, cross, lambda j: (
+        "singular design in replication %d" % (first + j)))
+    if method == PLUG_IN:
+        coeffs = _plug_in_powers(coeffs, h)
+    tails = windows[:, n - k, :]
+    return np.einsum("bk,bk->b", coeffs, tails) - x[:, n + h - 1]

@@ -1,7 +1,10 @@
 """Monte Carlo harness: generators, seeding, tables, MSPE estimation."""
 
 import io
+import math
 import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from scipy.signal import lfilter as scipy_lfilter
 
 import arstep as a
-from arstep import _kernels
+from arstep import _kernels, simulation
 from oracles import yule_walker_autocovariances
 
 
@@ -86,7 +89,7 @@ def test_filter_kernel_is_scipys_lfilter_bit_for_bit():
         filt = np.concatenate(([1.0], -np.asarray(dgp.levels)))
         for n in (1, 300, 2000):
             assert _filters_agree([1.0], filt, rng.standard_normal(n) * 5.0)
-        # A stack filtered row by row, as estimate_mspe filters its block.
+        # A stack filtered row by row, as estimate_mspe filters its chunks.
         assert _filters_agree([1.0], filt, rng.standard_normal((64, 310)),
                               axis=1)
     # One coefficient in a is scipy's convolution path, signed zeros kept.
@@ -344,6 +347,109 @@ def test_estimate_mspe_is_deterministic():
     spec = a.PredictorSpec(2, a.DIRECT, 2)
     assert (a.estimate_mspe(dgp, spec, 300, 50, seed=4)
             == a.estimate_mspe(dgp, spec, 300, 50, seed=4))
+
+
+def _one_block_mspe(dgp, spec, n, R, seed):
+    """estimate_mspe written longhand: every innovation in one draw, the
+    fits and the future noise one block of 4096 rows at a time, as the
+    estimator once ran, and math.fsum for every sum."""
+    k, h, method = spec.k, spec.h, spec.method
+    levels = np.asarray(dgp.levels, dtype=float)
+    w = a.impulse_response(levels, h - 1)
+    eps = (np.random.default_rng(seed).standard_normal((R, n + h))
+           * math.sqrt(dgp.sigma2))
+    x = scipy_lfilter([1.0], np.concatenate(([1.0], -levels)), eps, axis=1)
+    lag = 1 if method == a.PLUG_IN else h
+    sums = []
+    for start in range(0, R, 4096):
+        rows = slice(start, start + 4096)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x[rows, :n], k, axis=1)[:, :, ::-1]
+        design = windows[:, :n - lag - k + 1, :]
+        gram = np.einsum("bjk,bjl->bkl", design, design)
+        cross = np.einsum("bjk,bj->bk", design, x[rows, k + lag - 1:n])
+        coeffs = np.linalg.solve(gram, cross[:, :, None])[:, :, 0]
+        if method == a.PLUG_IN:
+            powered = coeffs.copy()
+            for _ in range(h - 1):
+                powered = np.array([a.companion_apply(c, v)
+                                    for c, v in zip(coeffs, powered)])
+            coeffs = powered
+        err = (np.einsum("bk,bk->b", coeffs, windows[:, n - k, :])
+               - x[rows, n + h - 1])
+        u = err + eps[rows, n + h - 1 - np.arange(h)] @ w
+        err2, u2 = err * err, u * u
+        sums.append([math.fsum(t) for t in (err2, err2 * err2, u2, u2 * u2)])
+    err2, err4, u2, u4 = (math.fsum(column) / R for column in zip(*sums))
+    return a.MspeEstimate(
+        mspe=err2, se=math.sqrt(max(err4 - err2 ** 2, 0.0) / R),
+        scaled_excess=n * u2,
+        scaled_excess_se=n * math.sqrt(max(u4 - u2 ** 2, 0.0) / R),
+        replications=R, sigma_h2=float(dgp.sigma2 * np.dot(w, w)))
+
+
+@pytest.mark.parametrize("method", [a.DIRECT, a.PLUG_IN])
+@pytest.mark.parametrize("dgp_id, k", [("X", 2), ("VII", 3), ("IX", 11)])
+@pytest.mark.parametrize("R", [5, 9, 4100])
+def test_estimate_mspe_equals_the_one_block_longhand(dgp_id, k, method, R):
+    # R = 4100 straddles one block of 4096, and the default chunk budget
+    # splits it into several chunks.  Over 4096 rows a last-bit change
+    # in one row's future noise vanishes in the sums; over 5 or 9 it shows.
+    dgp = a.DGPS[dgp_id]
+    spec = a.PredictorSpec(k, method, dgp.horizon)
+    assert (a.estimate_mspe(dgp, spec, 300, R, seed=11)
+            == _one_block_mspe(dgp, spec, 300, R, 11))
+
+
+@pytest.mark.parametrize("method", [a.DIRECT, a.PLUG_IN])
+@pytest.mark.parametrize("R", [2, 9, 4097])
+def test_estimate_mspe_does_not_depend_on_the_chunk_size(monkeypatch,
+                                                         method, R):
+    # The stream is drawn row-major in replication order, so the rows per
+    # chunk change no draw, fit or sum.  At n = 60 the default budget
+    # holds every R here in one chunk; R = 4097 straddles one block of
+    # partial sums (_MSPE_BATCH).  A short switch interval makes the
+    # draw thread and the fitting thread trade the interpreter lock often.
+    dgp, n = a.DGPS["X"], 60
+    spec = a.PredictorSpec(2, method, dgp.horizon)
+    want = a.estimate_mspe(dgp, spec, n, R, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for rows in (1, 7):
+            monkeypatch.setattr(simulation, "_MSPE_CHUNK_BYTES",
+                                8 * (n + spec.h) * rows)
+            assert a.estimate_mspe(dgp, spec, n, R, seed=3) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("R", [4096, 9000])
+def test_estimate_mspe_memory_does_not_grow_with_the_replications(R):
+    # 4096 replications of n + h = 2010 innovations are 66 MB as one
+    # array; the chunks keep the whole call far below that, for any R.
+    tracemalloc.start()
+    try:
+        a.estimate_mspe(a.DGPS["X"], a.PredictorSpec(2, a.DIRECT, 10),
+                        2000, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_estimate_mspe_failure_names_the_replication_and_ends_the_draws(
+        monkeypatch):
+    # With no noise every design is singular; the error names the first
+    # replication, and the draw thread, busy with the next chunk when
+    # the first one fails, is gone once the call has raised.
+    flat = a.DgpSpec("flat", (0.0, 0.2, 0.8), True, 2, 10, sigma2=0.0)
+    spec = a.PredictorSpec(2, a.DIRECT, 2)
+    monkeypatch.setattr(simulation, "_MSPE_CHUNK_BYTES", 8 * 202 * 7)
+    before = threading.active_count()
+    with pytest.raises(a.SingularDesign, match="replication 0$"):
+        a.estimate_mspe(flat, spec, 200, 50)
+    assert threading.active_count() == before
 
 
 def test_estimate_mspe_validates_inputs():
