@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, NotUnitRoot
 from .estimation import fit_direct, fit_one_step, plug_in_multi
-from .model_core import (DIRECT, PLUG_IN, UnitRootArModel,
+from .model_core import (DIRECT, PLUG_IN, ar_coefficients,
                          direct_coefficients, level_ma_weights,
                          sigma_h_squared, stationary_model, unit_root_model)
 from .prediction import PredictorSpec, predict
@@ -186,9 +186,8 @@ def _cmd_theory(args):
         model, kind = _build_model(levels, sigma2)
         h, K = args.h, args.K
         source = args.model
-    levels = model.levels if isinstance(model, UnitRootArModel) \
-        else model.coeffs
-    p1 = model.p + 1 if isinstance(model, UnitRootArModel) else model.p
+    levels = ar_coefficients(model)[0]
+    p1 = len(levels)
     p_h = direct_coefficients(model, h).p_h
     weights = level_ma_weights(model, h - 1)
     sig_h2 = sigma_h_squared(model, h)

@@ -21,7 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
-from .model_core import DIRECT, PLUG_IN, _companion_image, impulse_response
+from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
+                         impulse_response)
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
 RCOND_MIN = 1e-13
@@ -34,7 +35,7 @@ def lag_matrix(series, k, first, last):
     (x_j, x_{j-1}, ..., x_{j-k+1}).  Requires first >= k so no pre-sample
     values are needed.
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     n = series.size
     if k < 1:
         raise ValueError("order must be at least 1")
@@ -256,7 +257,7 @@ def fit_direct(series, k, h, i=None):
     Rows run over j = k..i-h; for h = 1 this is fit_one_step up to the
     method label.
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     _require_finite(series)
     n = series.size
     if h < 1:
@@ -286,7 +287,7 @@ def residual_mse(series, coeffs, h, K):
     Using K rather than k keeps the window identical across candidate
     orders, so residual sums are comparable.
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     if coeffs.h != h:
         raise ValueError("coefficients target h=%d, asked for h=%d"
                          % (coeffs.h, h))

@@ -209,11 +209,17 @@ def stationary_model(coeffs, sigma2=1.0):
 
 
 def ar_coefficients(model):
-    """Levels coefficient vector of either model type, as an ndarray."""
+    """(levels, stationary) coefficient vectors of either model type.
+
+    stationary drives the stationary representation: the deflated
+    polynomial of a unit-root model, the levels one of a stable model.
+    """
     if isinstance(model, UnitRootArModel):
-        return np.asarray(model.levels, dtype=float)
+        return (np.asarray(model.levels, dtype=float),
+                np.asarray(model.stationary, dtype=float))
     if isinstance(model, StationaryArModel):
-        return np.asarray(model.coeffs, dtype=float)
+        coeffs = np.asarray(model.coeffs, dtype=float)
+        return coeffs, coeffs
     raise TypeError("expected UnitRootArModel or StationaryArModel, got %r"
                     % type(model).__name__)
 
@@ -311,7 +317,7 @@ def direct_coefficients(model, h):
     """
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    a = ar_coefficients(model)
+    a = ar_coefficients(model)[0]
     v = _companion_image(a, h)
     tol = ZERO_TOL * max(1.0, float(np.max(np.abs(v))))
     above = np.nonzero(np.abs(v) > tol)[0]
@@ -443,7 +449,7 @@ def level_ma_weights(model, length):
     For a unit-root model these are the b_j; for a stationary model they
     are the ordinary impulse-response weights of the levels polynomial.
     """
-    return impulse_response(ar_coefficients(model), length)
+    return impulse_response(ar_coefficients(model)[0], length)
 
 
 def sigma_h_squared(model, h):
@@ -464,7 +470,12 @@ def difference(series):
     Returns s_1..s_n with s_t = x_t - x_{t-1} and x_0 = 0, so the length
     is preserved and cumulative summation inverts the operation exactly.
     """
+    return np.diff(_as_series(series), prepend=0.0)
+
+
+def _as_series(series):
+    """series as a 1-D float array; anything else is a ValueError."""
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("series must be 1-D")
-    return np.diff(series, prepend=0.0)
+    return series

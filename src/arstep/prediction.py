@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
+from .model_core import _as_series
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ def predict(series, coeffs, origin=None):
     -------
     Forecast
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     n = series.size if origin is None else int(origin)
     if n > series.size:
         raise ValueError("origin %d exceeds series length %d" % (n, series.size))

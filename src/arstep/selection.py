@@ -27,8 +27,8 @@ from .estimation import (_SquareSums, _eig_solve, _gated_solve, _lag_view,
                          _normal_fit, _plug_in_powers, _require_finite,
                          _residuals, _singular_prefix, gram_is_invertible,
                          lag_matrix)
-from .model_core import (DIRECT, PLUG_IN, _power_sum, companion_matrix,
-                         impulse_response)
+from .model_core import (DIRECT, PLUG_IN, _as_series, _power_sum,
+                         companion_matrix, impulse_response)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def min_start_index(series, K, h):
     are skipped rather than fatal; if no i up to n - h works, the series
     is too short (or too degenerate) to select on.
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
     return _start_index(series, K, h, _gram_prefix(series, K)[1])
@@ -218,7 +218,7 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     -------
     float
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     _require_finite(series)
     n = series.size
     if not 1 <= k <= K:
@@ -245,7 +245,7 @@ def select_by_ape(series, h, K):
     candidate only when it beats the direct one strictly (ties go to
     direct).  Argmin ties inside each step take the smallest order.
     """
-    series = np.asarray(series, dtype=float)
+    series = _as_series(series)
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
     _require_finite(series)
@@ -421,4 +421,4 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
 
 def _stack(series):
     """One series as a stack of one."""
-    return np.asarray(series, dtype=float)[None]
+    return _as_series(series)[None]

@@ -440,6 +440,8 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     k, h, method = int(spec.k), int(spec.h), spec.method
     if method not in (PLUG_IN, DIRECT):
         raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
+    if k < 1 or h < 1:
+        raise ValueError("order k and horizon h must be at least 1")
     if method == PLUG_IN:
         if n < 2 * k:
             raise SeriesTooShort("plug-in fit needs n >= 2k")

@@ -25,27 +25,13 @@ import numpy as np
 from ._kernels import cho_factor, cho_solve
 from .errors import SingularGamma
 from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
-                         companion_matrix, direct_coefficients,
-                         impulse_response, level_ma_weights, unit_root_model,
-                         _auto_truncation, _power_sum)
+                         ar_coefficients, companion_matrix,
+                         direct_coefficients, impulse_response,
+                         level_ma_weights, unit_root_model, _auto_truncation,
+                         _power_sum)
 
 #: Relative slack within which two losses count as tied.
 TIE_REL_TOL = 1e-10
-
-
-def _stationary_ar(model):
-    """AR coefficients of the model's stationary representation.
-
-    For a unit-root model that is the deflated polynomial (driving the
-    differenced series); for a stable model it is the levels polynomial
-    itself.
-    """
-    if isinstance(model, UnitRootArModel):
-        return np.asarray(model.stationary, dtype=float)
-    if isinstance(model, StationaryArModel):
-        return np.asarray(model.coeffs, dtype=float)
-    raise TypeError("expected UnitRootArModel or StationaryArModel, got %r"
-                    % type(model).__name__)
 
 
 def _toeplitz(first):
@@ -69,37 +55,19 @@ class AutocovarianceTable:
         return _toeplitz(self.gamma[:dim])
 
 
-class _Expansion:
-    """Autocovariances of one model from one MA expansion.
+def _gamma(model, L):
+    """gamma(0)..gamma(L) of the model's stationary representation.
 
     The truncation length T (one eigvals) and the MA weights
-    c_0..c_{T+L_max} are computed once, and with them
-    gamma(m) = sigma^2 * sum_{i<=T} c_i c_{i+m} for every m <= L_max.
-    Every lag sums the same T + 1 products, so gamma(0)..gamma(L) equal
-    a stand-alone autocovariances(model, L).  Cholesky factors are kept
-    per dimension for the life of the object, which is one call.
+    c_0..c_{T+L} give gamma(m) = sigma^2 * sum_{i<=T} c_i c_{i+m}.  Every
+    lag sums the same T + 1 products and no weight depends on L, so
+    gamma(m) is the same for every L >= m.
     """
-
-    def __init__(self, model, L_max):
-        ar = _stationary_ar(model)
-        T = _auto_truncation(ar)
-        c = impulse_response(ar, T + L_max)
-        self.gamma = np.array([model.sigma2 * float(np.dot(c[:T + 1],
-                                                           c[m:m + T + 1]))
-                               for m in range(L_max + 1)])
-        self._factors = {}
-
-    def factor(self, dim):
-        """(cho_factor, matrix) of the dim-dimensional autocovariances."""
-        if dim not in self._factors:
-            matrix = _toeplitz(self.gamma[:dim])
-            try:
-                self._factors[dim] = cho_factor(matrix), matrix
-            except np.linalg.LinAlgError as exc:
-                raise SingularGamma(
-                    "autocovariance matrix of dimension %d is not positive "
-                    "definite: %s" % (dim, exc)) from exc
-        return self._factors[dim]
+    ar = ar_coefficients(model)[1]
+    T = _auto_truncation(ar)
+    c = impulse_response(ar, T + L)
+    return np.array([model.sigma2 * float(np.dot(c[:T + 1], c[m:m + T + 1]))
+                     for m in range(L + 1)])
 
 
 def autocovariances(model, L):
@@ -122,66 +90,55 @@ def autocovariances(model, L):
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return AutocovarianceTable(gamma=_Expansion(model, L).gamma, L=int(L))
+    return AutocovarianceTable(gamma=_gamma(model, L), L=int(L))
 
 
-def _companion_power_sum(model, dim, w):
-    """sum_j w_j S^(h-1-j) for the dim x dim companion matrix S."""
-    ar = _stationary_ar(model)
+def _costs(model, dim, gamma, w):
+    """(plug-in, direct) estimation costs at one trace dimension.
+
+    gamma holds the autocovariances up to lag h + dim - 2 and w the level
+    MA weights w_0..w_{h-1} of the horizon; G is the dim x dim
+    autocovariance matrix, factored once for both traces:
+
+    * plug-in: tr(G M G^{-1} M') * sigma^2, M = sum_j w_j S^(h-1-j) with
+      S the dim x dim companion matrix of the stationary coefficients
+      (padded with zeros, or truncated);
+    * direct: tr(G^{-1} V) * sigma^2, V the limiting direct covariance,
+      Toeplitz with entries g(d) = sum_{j,l < h} w_j w_l gamma(j-l+d),
+      evaluated exactly from the finite double sum.
+    """
+    G = _toeplitz(gamma[:dim])
+    try:
+        factor = cho_factor(G)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGamma("autocovariance matrix of dimension %d is not "
+                            "positive definite: %s" % (dim, exc)) from exc
+    ar = ar_coefficients(model)[1]
     padded = np.zeros(dim)
     padded[:min(dim, ar.size)] = ar[:dim]
-    return _power_sum(companion_matrix(padded), w)
-
-
-def companion_power_sum(model, h, dim):
-    """Weighted sum of companion powers entering the plug-in cost.
-
-    Returns sum_{j=0}^{h-1} w_j * S^(h-1-j), where S is the dim x dim
-    companion matrix of the stationary-representation coefficients
-    (padded with zeros, or truncated, to the requested dimension) and
-    w_j are the MA weights of the levels polynomial.  For h = 1 this is
-    the identity.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
-    return _companion_power_sum(model, dim, level_ma_weights(model, h - 1))
-
-
-def _trace_plugin(model, dim, expansion, w):
-    """tr(G M G^{-1} M') * sigma^2 at the given matrix dimension.
-
-    w holds the level MA weights w_0..w_{h-1} of the horizon.
-    """
-    factor, G = expansion.factor(dim)
-    M = _companion_power_sum(model, dim, w)
-    left = G @ M
-    right = cho_solve(factor, M.T)
-    return float(np.sum(left * right.T) * model.sigma2)
-
-
-def _trace_direct(model, dim, expansion, w):
-    """tr(G^{-1} V) * sigma^2 with V the limiting direct covariance.
-
-    V is Toeplitz with entries g(d) = sum_{j,l < h} w_j w_l gamma(j-l+d),
-    evaluated exactly from the finite double sum.
-    """
+    M = _power_sum(companion_matrix(padded), w)
+    plugin = float(np.sum((G @ M) * cho_solve(factor, M.T).T) * model.sigma2)
     h = len(w)
-    factor, _ = expansion.factor(dim)
     offsets = np.subtract.outer(np.arange(h), np.arange(h))
     lags = np.abs(offsets + np.arange(dim)[:, None, None])
-    g = expansion.gamma[lags].reshape(dim, h * h) @ np.outer(w, w).ravel()
-    return float(np.trace(cho_solve(factor, _toeplitz(g))) * model.sigma2)
+    g = gamma[lags].reshape(dim, h * h) @ np.outer(w, w).ravel()
+    direct = float(np.trace(cho_solve(factor, _toeplitz(g))) * model.sigma2)
+    return plugin, direct
 
 
-def _shared(model, h, dim):
-    """(expansion, level weights) for the traces of one call up to dim.
-
-    The direct trace needs lags up to h + dim - 2, the plug-in trace up
-    to dim - 1.
-    """
-    return _Expansion(model, h + dim - 2), level_ma_weights(model, h - 1)
+def _unit_root_costs(name, model, h, k):
+    """(plug-in, direct) costs of a unit-root model at working order k,
+    both zero at k = 1; name is the caller's, for the TypeError."""
+    if not isinstance(model, UnitRootArModel):
+        raise TypeError("%s needs a UnitRootArModel" % name)
+    if h < 1:
+        raise ValueError("horizon must be at least 1")
+    if k < 1:
+        raise ValueError("order must be at least 1")
+    if k == 1:
+        return 0.0, 0.0
+    return _costs(model, k - 1, _gamma(model, h + k - 3),
+                  level_ma_weights(model, h - 1))
 
 
 def plugin_cost(model, h, k):
@@ -191,13 +148,7 @@ def plugin_cost(model, h, k):
     plug-in predictor for a unit-root model; zero at k = 1 (only the
     nonstationarity term remains there).
     """
-    if not isinstance(model, UnitRootArModel):
-        raise TypeError("plugin_cost needs a UnitRootArModel")
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if k == 1:
-        return 0.0
-    return _trace_plugin(model, k - 1, *_shared(model, h, k - 1))
+    return _unit_root_costs("plugin_cost", model, h, k)[0]
 
 
 def direct_cost(model, h, k):
@@ -207,13 +158,7 @@ def direct_cost(model, h, k):
     an exact double sum over the MA weights and applies the inverse
     autocovariance trace; zero at k = 1.
     """
-    if not isinstance(model, UnitRootArModel):
-        raise TypeError("direct_cost needs a UnitRootArModel")
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if k == 1:
-        return 0.0
-    return _trace_direct(model, k - 1, *_shared(model, h, k - 1))
+    return _unit_root_costs("direct_cost", model, h, k)[1]
 
 
 def closed_form_h2(model, k, method):
@@ -261,28 +206,29 @@ class TheoreticalLoss:
 def _losses(model, h, K, keys):
     """TheoreticalLoss of each (k, method) key, all k <= K, in one pass.
 
-    The traces of all keys share one _Expansion and one set of level MA
-    weights; their dimension is k - 1 for a unit-root model (whose
-    differences are stationary) and k for a stable one.
+    Each order's two costs come from one _costs call at dimension
+    k - shift, with shift = 1 for a unit-root model (whose differences
+    are stationary) and 0 for a stable one: the length the levels
+    polynomial has beyond the stationary one.  The plug-in minimal order
+    is the levels order.
     """
-    unit_root = isinstance(model, UnitRootArModel)
-    shift = 1 if unit_root else 0
-    minimal = {PLUG_IN: model.p + shift,
-               DIRECT: direct_coefficients(model, h).p_h}
+    levels, stationary = ar_coefficients(model)
+    shift = len(levels) - len(stationary)
+    minimal = {PLUG_IN: len(levels), DIRECT: direct_coefficients(model, h).p_h}
     w = level_ma_weights(model, h - 1)
-    common = 2.0 * model.sigma2 * float(np.sum(w)) ** 2 if unit_root else 0.0
-    expansion = None
-    out = {}
+    common = 2.0 * model.sigma2 * float(np.sum(w)) ** 2 if shift else 0.0
+    gamma, costs, out = None, {}, {}
     for k, method in keys:
         if k < minimal[method]:
             value = math.inf
         elif k == shift:
             value = common  # unit root, k = 1: no estimation cost
         else:
-            if expansion is None:  # as _shared(model, h, K - shift)
-                expansion = _Expansion(model, h + K - shift - 2)
-            trace = _trace_plugin if method == PLUG_IN else _trace_direct
-            value = common + trace(model, k - shift, expansion, w)
+            if gamma is None:  # lags of the largest dimension, K - shift
+                gamma = _gamma(model, h + K - shift - 2)
+            if k not in costs:
+                costs[k] = _costs(model, k - shift, gamma, w)
+            value = common + costs[k][method == DIRECT]
         out[k, method] = TheoreticalLoss(value=value, k=k, method=method, h=h)
     return out
 
@@ -324,12 +270,9 @@ def loss_stationary(model, h, k, method):
 def loss_table(model, h, K):
     """All candidate losses for k = 1..K, keyed by (k, method).
 
-    Each entry equals loss (or loss_stationary) of its key; the table
-    computes the model's MA expansion once, not once per entry.
+    Each entry equals loss (or loss_stationary) of its key: both go
+    through the same per-dimension cost kernel.
     """
-    if not isinstance(model, (UnitRootArModel, StationaryArModel)):
-        raise TypeError("loss_table needs a UnitRootArModel or a "
-                        "StationaryArModel")
     return _losses(model, h, K, [(k, method) for k in range(1, K + 1)
                                  for method in (PLUG_IN, DIRECT)])
 
@@ -381,5 +324,5 @@ def minimal_order_cost_gap(a1):
     estimate it by the difference of their scaled excesses.
     """
     model = quartic_family(a1)
-    shared = _shared(model, 3, 3)
-    return _trace_direct(model, 2, *shared) - _trace_plugin(model, 3, *shared)
+    gamma, w = _gamma(model, 4), level_ma_weights(model, 2)
+    return _costs(model, 2, gamma, w)[1] - _costs(model, 3, gamma, w)[0]

@@ -218,6 +218,15 @@ def test_simulate_mspe_argument_validation(capsys):
     assert "one --dgp" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("bad", [["--k", "0"], ["--k", "1", "--h", "0"]])
+def test_simulate_mspe_order_or_horizon_below_one_exits_two(capsys, bad):
+    assert main(["simulate", "--mode", "mspe", "--dgp", "III", "--n", "100",
+                 "--method", a.DIRECT, "--reps", "10"] + bad) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "at least 1" in record["message"]
+
+
 def test_missing_input_file_exits_two(capsys):
     assert main(["select", "--input", "/no/such/file.csv", "--h", "1",
                  "--K", "2"]) == 2

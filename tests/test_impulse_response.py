@@ -1,5 +1,6 @@
 """The numpy impulse-response kernel against scipy's lfilter, and loss
-tables that share one MA expansion against stand-alone losses."""
+table entries against the stand-alone losses and costs they share one
+cost kernel with."""
 
 import math
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import arstep as a
-from arstep.model_core import _IR_BLOCK, _auto_truncation
-from arstep.theory_losses import _stationary_ar
+from arstep.model_core import _IR_BLOCK, _auto_truncation, ar_coefficients
 from sampling import sample_stationary_models, sample_unit_root_models
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
@@ -46,7 +46,7 @@ def test_short_responses_are_lfilters_bit_for_bit(coeffs):
 
 @pytest.mark.parametrize("dgp_id", ["IX", "VII", "III"])
 def test_long_expansions_agree_with_lfilter(dgp_id):
-    alpha = _stationary_ar(a.model_for(a.DGPS[dgp_id]))
+    alpha = ar_coefficients(a.model_for(a.DGPS[dgp_id]))[1]
     length = _auto_truncation(alpha) + 40
     got = a.impulse_response(alpha, length)
     want = _lfilter_response(alpha, length)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import arstep as a
+from arstep.model_core import ar_coefficients
 from oracles import hand_impulse, levels_from_stationary, substitution_coefficients
 from sampling import sample_unit_root_models
 
@@ -136,6 +137,27 @@ def test_sigma_h_squared_examples():
     assert a.sigma_h_squared(cubic, 3) == pytest.approx(25.0 * 1.81, rel=1e-12)
     with pytest.raises(ValueError):
         a.sigma_h_squared(rw, 0)
+
+
+def test_ar_coefficients_dispatch_on_the_model_type():
+    levels, stationary = ar_coefficients(a.unit_root_model(CUBIC))
+    assert levels.tolist() == list(CUBIC)
+    np.testing.assert_allclose(stationary, (-0.1, -0.91), rtol=0, atol=1e-12)
+    levels, stationary = ar_coefficients(a.stationary_model((0.5, -0.2)))
+    assert levels.tolist() == stationary.tolist() == [0.5, -0.2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: a.direct_coefficients(m, 2),
+    lambda m: a.level_ma_weights(m, 3),
+    lambda m: a.sigma_h_squared(m, 2),
+    lambda m: a.autocovariances(m, 3),
+    lambda m: a.loss_table(m, 2, 3),
+], ids=["direct_coefficients", "level_ma_weights", "sigma_h_squared",
+        "autocovariances", "loss_table"])
+def test_model_functions_reject_other_types(call):
+    with pytest.raises(TypeError):
+        call(CUBIC)  # a levels tuple is not a model
 
 
 def test_difference_roundtrip_and_presample_zero():

@@ -174,6 +174,35 @@ def test_procedures_reject_non_finite_series():
             a.accumulated_prediction_error(broken, 2, 2, a.DIRECT, 4)
 
 
+def _residual_mse_of(series):
+    fit = a.fit_direct(_series("III", 200), 2, 2)
+    return a.residual_mse(series, fit, 2, 4)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda x: a.select_by_ape(x, 2, 4),
+    lambda x: a.select_by_criterion(x, 2, 4),
+    lambda x: a.plugin_criterion(x, 2, 2, 4),
+    lambda x: a.direct_criterion(x, 2, 2, 4),
+    lambda x: a.accumulated_prediction_error(x, 2, 2, a.DIRECT, 4),
+    lambda x: a.min_start_index(x, 4, 2),
+    lambda x: a.fit_direct(x, 2, 2),
+    lambda x: a.fit_one_step(x, 2),
+    _residual_mse_of,
+    lambda x: a.lag_matrix(x, 2, 2, 10),
+    lambda x: a.predict(x, a.fit_direct(_series("III", 200), 2, 2)),
+    a.difference,
+], ids=["select_by_ape", "select_by_criterion", "plugin_criterion",
+        "direct_criterion", "accumulated_prediction_error",
+        "min_start_index", "fit_direct", "fit_one_step", "residual_mse",
+        "lag_matrix", "predict", "difference"])
+@pytest.mark.parametrize("shape", [(200, 1), (1, 200), (2, 100)])
+def test_series_entry_points_reject_non_1d_series(entry, shape):
+    series = _series("III", 200).reshape(shape)
+    with pytest.raises(ValueError, match="series must be 1-D"):
+        entry(series)
+
+
 def test_overflowing_grams_fail_with_typed_errors():
     # Finite values whose squares overflow give infinite Grams, on which
     # eigh and eigvalsh do not converge; the gate must still answer.

@@ -460,3 +460,16 @@ def test_estimate_mspe_validates_inputs():
         a.estimate_mspe(dgp, a.PredictorSpec(5, a.DIRECT, 4), 12, 10)
     with pytest.raises(ValueError):
         a.estimate_mspe(dgp, a.PredictorSpec(1, a.PLUG_IN, 1), 100, 1)
+
+
+@pytest.mark.parametrize("k, h", [(0, 1), (-1, 2), (1, 0), (2, -3)])
+def test_estimate_mspe_rejects_orders_and_horizons_below_one(
+        monkeypatch, k, h):
+    def draw(*args):
+        raise AssertionError("drew innovations before validating")
+
+    monkeypatch.setattr(simulation, "_draw_innovations", draw)
+    for method in (a.PLUG_IN, a.DIRECT):
+        with pytest.raises(ValueError, match="at least 1"):
+            a.estimate_mspe(a.DGPS["III"], a.PredictorSpec(k, method, h),
+                            100, 10)

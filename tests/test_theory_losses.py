@@ -115,14 +115,25 @@ def test_loss_infinite_exactly_below_minimal_order():
 
 
 def test_loss_common_term_plus_cost():
+    # Losses and stand-alone costs share one cost kernel, so the sum is
+    # exact.
     model = CUBIC_MODEL
     for h in (2, 3, 4):
         b = a.level_ma_weights(model, h - 1)
         common = 2.0 * model.sigma2 * float(b.sum()) ** 2
         for k in (3, 4, 5):
-            got = a.loss(model, h, k, a.PLUG_IN).value
-            want = common + a.plugin_cost(model, h, k)
-            assert got == pytest.approx(want, rel=1e-12)
+            for method, cost in ((a.PLUG_IN, a.plugin_cost),
+                                 (a.DIRECT, a.direct_cost)):
+                got = a.loss(model, h, k, method).value
+                assert got == common + cost(model, h, k)
+
+
+def test_costs_reject_horizons_below_one():
+    for cost in (a.plugin_cost, a.direct_cost):
+        for h in (0, -1):
+            for k in (1, 3):
+                with pytest.raises(ValueError, match="horizon"):
+                    cost(X_MODEL, h, k)
 
 
 FROZEN_BEST = {
