@@ -237,20 +237,6 @@ def plug_in_multi(one_step, h):
                               sample_end=one_step.sample_end)
 
 
-def _plug_in_powers(coeffs, h):
-    """h-step plug-in coefficients of a stack of one-step fits, one per row.
-
-    Row by row this is plug_in_multi: each fit a becomes A^(h-1) applied
-    to a, with A the companion matrix of a.
-    """
-    v = coeffs
-    for _ in range(h - 1):
-        w = coeffs * v[:, :1]
-        w[:, :-1] += v[:, 1:]
-        v = w
-    return v
-
-
 def fit_direct(series, k, h, i=None):
     """Direct h-step least squares of x_{j+h} on x_j(k).
 

@@ -197,9 +197,11 @@ def unit_root_model(levels, sigma2=1.0):
 
 
 def stationary_model(coeffs, sigma2=1.0):
-    """Validate a stable AR(p) levels model (no unit root)."""
+    """Validate a stable AR(p) levels model (no unit root), p >= 1."""
     coeffs = _as_floats(coeffs)
-    if len(coeffs) and coeffs[-1] == 0.0:
+    if len(coeffs) == 0:
+        raise ValueError("levels must be nonempty")
+    if coeffs[-1] == 0.0:
         raise ValueError("trailing coefficient must be nonzero")
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
@@ -276,11 +278,14 @@ def companion_apply(coeffs, vec):
 
 def _companion_image(coeffs, h):
     """A^(h-1) coeffs, with A the companion matrix of the float array
-    coeffs, by h - 1 applications of companion_apply (a copy of coeffs
-    at h = 1)."""
-    v = coeffs.copy()
+    coeffs (coeffs itself at h = 1), by h - 1 companion steps on the
+    last axis: a stack of coefficient vectors, one per row, gives the
+    image of each."""
+    v = coeffs
     for _ in range(h - 1):
-        v = companion_apply(coeffs, v)
+        w = coeffs * v[..., :1]
+        w[..., :-1] += v[..., 1:]
+        v = w
     return v
 
 

@@ -24,11 +24,10 @@ import numpy as np
 from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
 from .estimation import (_SquareSums, _eig_solve, _gated_solve, _lag_view,
-                         _normal_fit, _plug_in_powers, _require_finite,
-                         _residuals, _singular_prefix, gram_is_invertible,
-                         lag_matrix)
-from .model_core import (DIRECT, PLUG_IN, _as_series, _power_sum,
-                         companion_matrix, impulse_response)
+                         _normal_fit, _require_finite, _residuals,
+                         _singular_prefix, lag_matrix)
+from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
+                         _power_sum, companion_matrix, impulse_response)
 
 
 @dataclass(frozen=True)
@@ -123,57 +122,58 @@ def min_start_index(series, K, h):
     series = _as_series(series)
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
-    return _start_index(series, K, h, _gram_prefix(series, K)[1])
+    _require_finite(series)
+    return _start_index(series.size, K, h, _gated_prefix(series, K)[2])
 
 
-def _gram_prefix(series, k):
-    """Rows x_j(k), j = k..n-1, and their Gram prefix: entry i - 1 - k
-    is the Gram over rows j = k..i-1."""
+def _gated_prefix(series, k):
+    """Rows x_j(k), j = k..n-1, their Gram prefix (entry i - 1 - k is
+    the Gram over rows j = k..i-1) and the prefix's gate mask, True where
+    an entry fails the condition gate (_singular_prefix)."""
     rows = lag_matrix(series, k, k, series.size - 1)
-    return rows, np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    grams = rows[:, :, None] * rows[:, None, :]
+    np.cumsum(grams, axis=0, out=grams)  # in place: one Gram-sized array
+    return rows, grams, _singular_prefix(grams)
 
 
-def _start_index(series, K, h, grams):
-    """min_start_index, read from the order-K Gram prefix grams."""
-    n = series.size
+def _start_index(n, K, h, bad):
+    """min_start_index of a series of length n, read from the gate mask
+    bad of its order-K Gram prefix."""
     first = 2 * K + h - 1
     if n - h < first:
         raise SeriesTooShort(
             "need at least %d observations for K=%d, h=%d (have %d)"
             % (first + h, K, h, n))
-    for i in range(first, n - h + 1):
-        if gram_is_invertible(grams[i - 1 - K]) \
-                and gram_is_invertible(grams[i - h - K]):
-            return i
-    raise SeriesTooShort(
-        "no sample end up to %d yields invertible order-%d designs"
-        % (n - h, K))
+    ends = np.arange(first, n - h + 1)
+    clear = ~(bad[ends - 1 - K] | bad[ends - h - K])
+    if not clear.any():
+        raise SeriesTooShort(
+            "no sample end up to %d yields invertible order-%d designs"
+            % (n - h, K))
+    return int(ends[np.argmax(clear)])
 
 
-def _ape_sums(series, k, stages, sums):
+def _ape_sums(series, prefix, stages, sums):
     """Accumulated prediction errors of one order k for several stages.
 
-    Each stage (method, h, m) asks for the h-step sum of that method over
-    the sample ends i = m..n-h; its prediction errors are queued on the
-    _SquareSums sums, one row per stage, in stage order.  Every Gram
-    those refits need is an entry of one prefix over the rows x_j(k),
-    j = k..n-1: the one-step fit behind plug-in at sample end i reads
-    entry i-1-k, the direct h-step fit entry i-h-k (so direct at h = 1
-    is the one-step fit).  The prefix
-    is built once and gated once, from the smallest entry any stage
-    reads, by _singular_prefix (eigvalsh on a few anchors and on the
-    entries they do not certify).  Each fit lag is solved
-    once, over the sample ends of its first stage; a later stage with the
-    same lag must lie inside them and takes a slice.
+    prefix is _gated_prefix(series, k).  Each stage (method, h, m) asks
+    for the h-step sum of that method over the sample ends i = m..n-h;
+    its prediction errors are queued on the _SquareSums sums, one row per
+    stage, in stage order, and the index of the first one is returned.
+    Every Gram those refits need is an entry of the prefix: the one-step
+    fit behind plug-in at sample end i reads entry i-1-k, the direct
+    h-step fit entry i-h-k (so direct at h = 1 is the one-step fit).
+    Each fit lag is solved once, over the sample ends of its first stage;
+    a later stage with the same lag must lie inside them and takes a
+    slice.
     """
     n = series.size
-    rows, grams = _gram_prefix(series, k)
-    stages = [(method, h, m, 1 if method == PLUG_IN else h)
-              for method, h, m in stages]
-    base = min(m - lag for _, _, m, lag in stages) - k
-    bad = _singular_prefix(grams[base:])
+    rows, grams, bad = prefix
+    k = rows.shape[1]
+    queued = []
     solved = {}
-    for method, h, m, lag in stages:
+    for method, h, m in stages:
+        lag = 1 if method == PLUG_IN else h
         if lag not in solved:
             g = slice(m - lag - k, n - h - lag - k + 1)
             cross = np.cumsum(rows[:n - lag - k + 1]
@@ -181,14 +181,15 @@ def _ape_sums(series, k, stages, sums):
             solved[lag] = m, _gated_solve(
                 grams[g], cross[g],
                 lambda j: "singular design at sample end i=%d" % (m + j),
-                bad[g.start - base:g.stop - base])
+                bad[g])
         first, coeffs = solved[lag]
         coeffs = coeffs[m - first:n - h - first + 1]
         if method == PLUG_IN:
-            coeffs = _plug_in_powers(coeffs, h)
+            coeffs = _companion_image(coeffs, h)
         tails = rows[np.arange(m, n - h + 1) - k]
-        sums.add(series[None, m + h - 1:n]
-                 - np.einsum("bk,bk->b", coeffs, tails))
+        queued.append(sums.add(series[None, m + h - 1:n]
+                               - np.einsum("bk,bk->b", coeffs, tails)))
+    return queued[0]
 
 
 def accumulated_prediction_error(series, k, h, method, K, start_index=None):
@@ -232,7 +233,7 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     if m - (1 if method == PLUG_IN else h) < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
     sums = _SquareSums(n - h - m + 1, 1)
-    _ape_sums(series, k, ((method, h, m),), sums)
+    _ape_sums(series, _gated_prefix(series, k), ((method, h, m),), sums)
     return float(sums.totals()[0])
 
 
@@ -249,23 +250,26 @@ def select_by_ape(series, h, K):
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
     _require_finite(series)
-    # Both start indices read one order-K prefix, dropped before the
-    # passes below so that it does not add to their peak memory.
-    grams = _gram_prefix(series, K)[1]
-    m1 = _start_index(series, K, 1, grams)
-    mh = m1 if h == 1 else _start_index(series, K, h, grams)
-    del grams
+    prefix = _gated_prefix(series, K)
+    m1 = _start_index(series.size, K, 1, prefix[2])
+    mh = m1 if h == 1 else _start_index(series.size, K, h, prefix[2])
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet;
     # their one-step fits are a slice of the first stage's (mh >= m1),
     # whose error rows are the longest and fix the sum buffer's width.
+    # Order K's pass runs first, on the prefix the start indices came
+    # from, which is then dropped so that it does not add to the peak
+    # memory of the other passes.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
     sums = _SquareSums(series.size - m1, 3 * K)
-    for k in range(1, K + 1):
-        _ape_sums(series, k, stages, sums)
+    at = {K: _ape_sums(series, prefix, stages, sums)}
+    del prefix
+    for k in range(1, K):
+        at[k] = _ape_sums(series, _gated_prefix(series, k), stages, sums)
+    totals = sums.totals().tolist()
     first_stage, direct_vals, plug_all = (
-        dict(enumerate(values, start=1))
-        for values in sums.totals().reshape(K, 3).T.tolist())
+        {k: totals[at[k] + stage] for k in range(1, K + 1)}
+        for stage in range(3))
     k_first = _argmin_smallest(first_stage, "first-stage")
     return _outcome(first_stage, direct_vals,
                     {k: v for k, v in plug_all.items() if k >= k_first}, mh)
@@ -344,7 +348,7 @@ def _criteria(series, h, K, penalties, orders, methods):
         if PLUG_IN in methods:
             coeffs = one_step[k][2]
             at = sums.add(_residuals(lags, series,
-                                     _plug_in_powers(coeffs, h), h, K, n))
+                                     _companion_image(coeffs, h), h, K, n))
             gram, eig = window or _normal_fit(
                 lags[:, k - 1:n - h, :k], series[:, k + h - 1:n],
                 "plug-in rows j=%d..%d" % (k, n - h))[:2]

@@ -23,9 +23,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
-from .estimation import _gated_solve, _plug_in_powers, row_sums
-from .model_core import (DIRECT, PLUG_IN, _check_stable, deflate_unit_root,
-                         impulse_response, stationary_model, unit_root_model)
+from .estimation import _gated_solve, row_sums
+from .model_core import (DIRECT, PLUG_IN, _check_stable, _companion_image,
+                         deflate_unit_root, impulse_response,
+                         stationary_model, unit_root_model)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
                         select_by_ape)
 
@@ -317,16 +318,6 @@ class FrequencyTable:
                                 count / self.replications))
         return "\n".join(lines)
 
-    def to_csv(self, fileobj):
-        import csv
-
-        writer = csv.DictWriter(fileobj, fieldnames=[
-            "dgp", "n", "procedure", "order", "method", "count",
-            "frequency"])
-        writer.writeheader()
-        for record in self.to_records():
-            writer.writerow(record)
-
 
 def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
                              seed=0, workers=None):
@@ -538,6 +529,6 @@ def _prediction_errors(eps, first, k, h, method, filt):
     coeffs = _gated_solve(gram, cross, lambda j: (
         "singular design in replication %d" % (first + j)))
     if method == PLUG_IN:
-        coeffs = _plug_in_powers(coeffs, h)
+        coeffs = _companion_image(coeffs, h)
     tails = windows[:, n - k, :]
     return np.einsum("bk,bk->b", coeffs, tails) - x[:, n + h - 1]

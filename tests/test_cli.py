@@ -195,6 +195,7 @@ def test_simulate_frequency_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0].rstrip() == "dgp,n,procedure,order,method,count,frequency"
+    assert data[1].rstrip() == "I,150,B,1,direct,4,0.8"
     counts = [int(row.split(",")[5]) for row in data[1:]]
     assert sum(counts) == 5
 

@@ -50,6 +50,10 @@ def test_model_constructors_validate():
         a.unit_root_model((1.0,), sigma2=0.0)
     with pytest.raises(a.UnstableStationaryPart):
         a.stationary_model((1.0,))
+    # White noise has no lag: both constructors reject it alike.
+    for constructor in (a.unit_root_model, a.stationary_model):
+        with pytest.raises(ValueError, match="^levels must be nonempty$"):
+            constructor(())
     model = a.unit_root_model(CUBIC, sigma2=25.0)
     assert model.p == 2 and model.sigma2 == 25.0
 

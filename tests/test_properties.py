@@ -1,6 +1,6 @@
-"""Property tests: the prefix gate, lag matrices, plug-in powering and
-exact row sums against naive constructions, on inputs drawn by
-hypothesis."""
+"""Property tests: the prefix gate, the APE start index, lag matrices,
+plug-in powering and exact row sums against naive constructions, on
+inputs drawn by hypothesis."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arstep as a
-from arstep.estimation import (_plug_in_powers, _singular_grams,
-                               _singular_prefix, row_sums)
-from arstep.selection import _gram_prefix
+from arstep.estimation import _singular_grams, _singular_prefix, row_sums
+from arstep.model_core import _companion_image
+from arstep.selection import _gated_prefix
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -50,9 +50,49 @@ def _shaped_series(shape, n, seed):
        base=st.integers(0, 20))
 def test_prefix_gate_equals_batched_gate(shape, n, k, seed, scale, base):
     series = scale * _shaped_series(shape, n, seed)
-    grams = _gram_prefix(series, min(k, n - 1))[1][base:]
+    grams = _gated_prefix(series, min(k, n - 1))[1][base:]
     assert _singular_prefix(grams).tolist() == \
         _singular_grams(grams).tolist()
+
+
+def _scanned_start_index(series, K, h):
+    """min_start_index by a scan: the scalar gate on the two order-K
+    prefix entries each sample end i reads, from i = 2K + h - 1 up."""
+    grams = _gated_prefix(series, K)[1]
+    for i in range(2 * K + h - 1, series.size - h + 1):
+        if a.estimation.gram_is_invertible(grams[i - 1 - K]) \
+                and a.estimation.gram_is_invertible(grams[i - h - K]):
+            return i
+    raise a.SeriesTooShort("no sample end clears the gate")
+
+
+@BOUNDED
+@given(K=st.integers(1, 5), h=st.integers(1, 4),
+       lead=st.integers(0, 12), lead_value=st.sampled_from((0.0, 1.5)),
+       spike_at=st.one_of(st.none(), st.integers(-9, 6)),
+       tail=st.integers(-1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_start_index_equals_scalar_gate_scan(K, h, lead, lead_value,
+                                             spike_at, tail, seed):
+    # A zero or constant lead keeps the first Grams singular.  A spike
+    # (x = 1e8 among unit-scale values) makes the K - 1 Grams whose rows
+    # hold it in only some columns fail the gate: a singular stretch
+    # after clear Grams.  The spike sits spike_at after the start index
+    # i0 of the series without it, and the series ends tail sample ends
+    # after i0, so both fall where the start index is read.
+    rng = np.random.default_rng(seed)
+    series = rng.normal(size=lead + 2 * K + 2 * h + 40)
+    series[:lead] = lead_value
+    i0 = _scanned_start_index(series, K, h)
+    if spike_at is not None and i0 + spike_at >= 0:
+        series[i0 + spike_at] = 1e8
+    series = series[:i0 + h + tail]
+    try:
+        want = _scanned_start_index(series, K, h)
+    except a.SeriesTooShort:
+        with pytest.raises(a.SeriesTooShort):
+            a.min_start_index(series, K, h)
+    else:
+        assert a.min_start_index(series, K, h) == want
 
 
 @BOUNDED
@@ -86,7 +126,7 @@ def test_plug_in_powers_match_iterated_one_step_forecasts(k, h, rows, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, (rows, k))
     tails = rng.normal(size=(rows, k))
-    powered = _plug_in_powers(coeffs, h)
+    powered = _companion_image(coeffs, h)
     for a_row, tail, p_row in zip(coeffs, tails, powered):
         # Every intermediate forecast is at most this size, so rounding
         # stays a small multiple of eps times it.

@@ -172,6 +172,8 @@ def test_procedures_reject_non_finite_series():
             a.select_by_criterion(broken, 2, 4)
         with pytest.raises(a.NonFiniteSeries):
             a.accumulated_prediction_error(broken, 2, 2, a.DIRECT, 4)
+        with pytest.raises(a.NonFiniteSeries):
+            a.min_start_index(broken, 4, 2)
 
 
 def _residual_mse_of(series):

@@ -1,6 +1,5 @@
 """Monte Carlo harness: generators, seeding, tables, MSPE estimation."""
 
-import io
 import math
 import sys
 import threading
@@ -311,12 +310,6 @@ def test_frequency_table_rendering():
     assert "5 replications" in text
     assert "failures=1" in text
     assert "k=1" in text and a.DIRECT in text
-    sink = io.StringIO()
-    table.to_csv(sink)
-    lines = sink.getvalue().strip().splitlines()
-    assert lines[0].rstrip() == "dgp,n,procedure,order,method,count,frequency"
-    assert len(lines) == 4
-    assert lines[1].startswith("I,100,B,1,direct,3,0.6")
 
 
 def test_estimate_mspe_random_walk_one_step():
