@@ -226,14 +226,22 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
         raise ValueError("candidate order must satisfy 1 <= k <= K")
     if method not in (PLUG_IN, DIRECT):
         raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
-    m = min_start_index(series, K, h) if start_index is None else int(start_index)
+    if h < 1:
+        raise ValueError("K and h must be at least 1")
+    if start_index is None:  # min_start_index; its prefix serves k == K
+        prefix = _gated_prefix(series, K)
+        m = _start_index(n, K, h, prefix[2])
+        prefix = prefix if k == K else None
+    else:
+        prefix, m = None, int(start_index)
     if n - h < m:
         raise SeriesTooShort("no forecast origins between i=%d and n-h=%d"
                              % (m, n - h))
     if m - (1 if method == PLUG_IN else h) < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
     sums = _SquareSums(n - h - m + 1, 1)
-    _ape_sums(series, _gated_prefix(series, k), ((method, h, m),), sums)
+    _ape_sums(series, prefix or _gated_prefix(series, k), ((method, h, m),),
+              sums)
     return float(sums.totals()[0])
 
 

@@ -14,6 +14,7 @@ together.
 
 import math
 import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -169,85 +170,74 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
 
 
 def _normalize_procedures(procedures):
-    """Coerce a procedures argument into ((label, kind, multiplier), ...).
+    """Coerce a procedures argument into ((label, weight), ...).
 
     Accepts preset labels ("A"/"B"/"C" for the penalized criteria, "I"
     for the sequential prediction-error procedure), a mapping from label
-    to PenaltyWeight, or (label, PenaltyWeight) pairs.
+    to weight, or (label, weight) pairs, where a weight is a
+    PenaltyWeight or None for the sequential procedure.  Raises
+    ValueError for an unknown preset label or any other weight.
     """
     if procedures is None:
         procedures = ("B",)
     if isinstance(procedures, dict):
-        items = procedures.items()
-    else:
-        items = []
-        for entry in procedures:
-            if isinstance(entry, str):
-                if entry == "I":
-                    items.append(("I", None))
-                elif entry in PENALTY_PRESETS:
-                    items.append((entry, PENALTY_PRESETS[entry]))
-                else:
-                    raise ValueError("unknown procedure label %r" % entry)
-            else:
-                items.append(tuple(entry))
-        items = tuple(items)
+        procedures = procedures.items()
     out = []
-    for label, weight in items:
-        if weight is None:
-            out.append((str(label), "ape", None))
-        else:
-            out.append((str(label), "criterion", float(weight.multiplier)))
+    for entry in procedures:
+        if isinstance(entry, str):
+            if entry != "I" and entry not in PENALTY_PRESETS:
+                raise ValueError("unknown procedure label %r" % entry)
+            entry = (entry, PENALTY_PRESETS.get(entry))
+        label, weight = entry
+        if weight is not None and not isinstance(weight, PenaltyWeight):
+            raise ValueError("procedure %r: weight must be a PenaltyWeight "
+                             "or None, not %r" % (label, weight))
+        out.append((str(label), weight))
     return tuple(out)
 
 
 def _run_block(task):
     """Every procedure on a block of replications of one (dgp, n) cell.
 
-    Module-level so process pools can pickle it.  Returns, per
-    replication, a dict mapping procedure label to (order, method), or to
-    the exception class name when that procedure failed on that series
-    (singular designs and the like).  The penalized procedures are
-    evaluated on the whole block by one stacked _criteria call; when it
-    raises, they are evaluated again one replication at a time, so each
-    failure is charged to its own replication.
+    Module-level so process pools can pickle it.  Returns one tally per
+    procedure label, {outcome: count}, where an outcome is the selected
+    (order, method) or the class name of the ArstepError the procedure
+    raised on that series (singular designs and the like).  The
+    penalized procedures are evaluated on the whole block by one stacked
+    _criteria call; when it raises, they are evaluated again one
+    replication at a time, so each failure is charged to its own
+    replication.
     """
     dgp, n, reps, master, K, procedures = task
     stack = np.array([generate(dgp, n, replication_seed(master, dgp, n, r))
                       for r in reps])
     h, cap = dgp.horizon, dgp.max_order if K is None else K
-    results = [{} for _ in reps]
-    for label, kind, _ in procedures:
-        if kind == "ape":
-            for res, series in zip(results, stack):
-                res[label] = _attempt(select_by_ape, series, h, cap)
-    penalized = [(label, PenaltyWeight(multiplier))
-                 for label, kind, multiplier in procedures
-                 if kind == "criterion"]
+    tallies = {label: Counter(_attempt(select_by_ape, series, h, cap)
+                              for series in stack if weight is None)
+               for label, weight in procedures}
+    penalized = {label: w for label, w in procedures if w is not None}
     if not penalized:
-        return results
-    labels, penalties = zip(*penalized)
+        return tallies
 
-    def criteria(series):
-        return _criteria(series, h, cap, penalties, range(1, cap + 1),
-                         (DIRECT, PLUG_IN))
+    def stages(series):
+        """Per series of a stack, the stages of every penalty."""
+        return list(zip(*_criteria(series, h, cap, penalized.values(),
+                                   range(1, cap + 1), (DIRECT, PLUG_IN))))
 
     try:
-        block = criteria(stack)
+        block = stages(stack)
     except ArstepError:
         block = None
-    for r, res in enumerate(results):
-        if block is not None:
-            picks = [per_series[r] for per_series in block]
+    for r in range(len(stack)):
+        try:
+            picks = stages(stack[r:r + 1])[0] if block is None else block[r]
+        except ArstepError as exc:
+            outcomes = [type(exc).__name__] * len(penalized)
         else:
-            try:
-                picks = [one[0] for one in criteria(stack[r:r + 1])]
-            except ArstepError as exc:
-                res.update(dict.fromkeys(labels, type(exc).__name__))
-                continue
-        for label, stages in zip(labels, picks):
-            res[label] = _attempt(_outcome, *stages, None)
-    return results
+            outcomes = [_attempt(_outcome, *pick, None) for pick in picks]
+        for label, outcome in zip(penalized, outcomes):
+            tallies[label][outcome] += 1
+    return tallies
 
 
 def _attempt(select, *args):
@@ -325,12 +315,14 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
 
     Every replication simulates one series (shared by all procedures, so
     the comparison uses common random numbers) and records what each
-    procedure selected.  A cell's replications are evaluated in blocks
-    of up to _BLOCK_REPS (see _run_block); with workers > 1 the blocks,
-    made small enough to give every worker one, run in a process pool.
-    The merge order is fixed by the task list and a block's results equal
-    those of its replications one by one, so tables are identical for any
-    worker count and block split.
+    procedure selected.  Each (dgp id, n, procedure label) cell is keyed
+    once, before any replication runs; a key listed twice raises
+    ValueError.  A cell's replications are evaluated in blocks of up to
+    _BLOCK_REPS, each returning one tally per label (see _run_block);
+    with workers > 1 the blocks, made small enough to give every worker
+    one, run in a process pool.  A table is those tallies summed, and a
+    block's tally equals that of its replications one by one, so tables
+    are identical for any worker count and block split.
 
     Parameters
     ----------
@@ -353,6 +345,13 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     procedures = _normalize_procedures(procedures)
     if R < 1:
         raise ValueError("R must be at least 1")
+    tallies = {}
+    for key in [(dgp.id, n, label)
+                for dgp in dgps for n in ns for label, _ in procedures]:
+        if key in tallies:
+            raise ValueError("cell (dgp %r, n=%d, procedure %r) is listed "
+                             "more than once" % key)
+        tallies[key] = Counter()
     parallel = workers is not None and workers > 1
     size = min(_BLOCK_REPS, -(-R // workers)) if parallel else _BLOCK_REPS
     tasks = [(dgp, n, range(start, min(start + size, R)), int(seed), K,
@@ -367,25 +366,16 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
             results = list(pool.map(_run_block, tasks, chunksize=chunk))
     else:
         results = [_run_block(t) for t in tasks]
-    rows, failures, reasons = {}, {}, {}
-    for dgp in dgps:
-        for n in ns:
-            for label, _, _ in procedures:
-                rows[(dgp.id, n, label)] = {}
-                failures[(dgp.id, n, label)] = 0
-                reasons[(dgp.id, n, label)] = {}
-    for (dgp, n, *_), outcomes in zip(tasks, results):
-        for outcome in outcomes:
-            for label, _, _ in procedures:
-                key = (dgp.id, n, label)
-                picked = outcome[label]
-                if isinstance(picked, str):  # the failure's exception name
-                    failures[key] += 1
-                    cell = reasons[key]
-                else:
-                    cell = rows[key]
-                cell[picked] = cell.get(picked, 0) + 1
-    return FrequencyTable(rows=rows, replications=R, failures=failures,
+    for (dgp, n, *_), block in zip(tasks, results):
+        for label, tally in block.items():
+            tallies[(dgp.id, n, label)].update(tally)
+    rows, reasons = {}, {}
+    for key, tally in tallies.items():
+        rows[key] = {o: c for o, c in tally.items() if not isinstance(o, str)}
+        reasons[key] = {o: c for o, c in tally.items() if isinstance(o, str)}
+    return FrequencyTable(rows=rows, replications=R,
+                          failures={key: sum(counts.values())
+                                    for key, counts in reasons.items()},
                           failure_reasons=reasons)
 
 

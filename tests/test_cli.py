@@ -200,6 +200,16 @@ def test_simulate_frequency_csv(capsys):
     assert sum(counts) == 5
 
 
+def test_simulate_repeated_cell_exits_two(capsys):
+    assert main(["simulate", "--dgp", "III", "--n", "200", "200",
+                 "--reps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError"
+    assert "listed more than once" in record["message"]
+
+
 def test_simulate_mspe_text(capsys):
     assert main(["simulate", "--mode", "mspe", "--dgp", "X", "--n", "200",
                  "--reps", "50", "--k", "2", "--method", a.PLUG_IN,

@@ -98,6 +98,30 @@ def test_ape_per_term_tracks_h_step_noise_variance():
     assert value / terms == pytest.approx(sigma2_2, rel=0.10)
 
 
+def test_ape_builds_the_order_K_prefix_once(monkeypatch):
+    series = _series("IX", 1000)
+    m = a.min_start_index(series, 20, 10)
+    want = {k: a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
+                                              start_index=m)
+            for k in (10, 20)}
+    real, built = a.selection._gated_prefix, []
+
+    def gated_prefix(series, k):
+        built.append(k)
+        return real(series, k)
+
+    monkeypatch.setattr(a.selection, "_gated_prefix", gated_prefix)
+    for k, orders in ((20, [20]), (10, [20, 10])):
+        built.clear()
+        assert a.accumulated_prediction_error(series, k, 10, a.DIRECT,
+                                              20) == want[k]
+        assert built == orders
+    for start_index in (None, m):
+        with pytest.raises(ValueError, match="K and h must be at least 1"):
+            a.accumulated_prediction_error(series, 20, 0, a.PLUG_IN, 20,
+                                           start_index)
+
+
 def test_ape_validates_candidate_order():
     series = _series("I", 100)
     with pytest.raises(ValueError):

@@ -298,6 +298,58 @@ def test_frequency_experiment_validates_arguments():
         a.run_frequency_experiment(["I"], [100], ("Z",), R=2)
 
 
+@pytest.mark.parametrize("dgps, ns, procedures", [
+    (["III"], [200, 200], ("B",)),
+    (["III", "I", "III"], [200], ("B",)),
+    (["III", a.DgpSpec("III", (1.5, -0.5), True, 2, 5)], [200], ("B",)),
+    (["III"], [200], [("B", a.PENALTY_PRESETS["B"]),
+                      ("B", a.PENALTY_PRESETS["C"])]),
+    (["III"], [200], ("I", "B", "I")),
+])
+def test_repeated_cells_are_refused_before_simulating(monkeypatch, dgps, ns,
+                                                      procedures):
+    def no_replication(task):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
+    with pytest.raises(ValueError, match="listed more than once"):
+        a.run_frequency_experiment(dgps, ns, procedures, R=3)
+
+
+@pytest.mark.parametrize("weight", [2.0, "B", a.PENALTY_PRESETS])
+def test_procedure_weights_are_typed_before_simulating(monkeypatch, weight):
+    def no_replication(task):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
+    for procedures in ({"X": weight}, [("X", weight)]):
+        with pytest.raises(ValueError, match="procedure 'X'"):
+            a.run_frequency_experiment(["III"], [200], procedures, R=3)
+
+
+def test_procedure_forms_give_equal_tables():
+    # The flat generator fails every replication, so failed and selected
+    # outcomes are both tallied.
+    flat = a.DgpSpec("flat", (1.0,), True, 2, 3, sigma2=0.0)
+    B = a.PENALTY_PRESETS["B"]
+    tables = [a.run_frequency_experiment(["III", flat], [60, 150], form,
+                                         R=5, seed=2)
+              for form in (("I", "B"), {"I": None, "B": B},
+                           [("I", None), ("B", B)])]
+    first, *others = [(t.rows, t.failures, t.failure_reasons,
+                       t.to_records(), t.format_text()) for t in tables]
+    assert all(other == first for other in others)
+    rows, failures, reasons = first[:3]
+    assert list(rows) == [(d, n, label) for d in ("III", "flat")
+                          for n in (60, 150) for label in ("I", "B")]
+    for key, cell in rows.items():
+        assert sum(cell.values()) + failures[key] == 5
+        assert failures[key] == sum(reasons[key].values())
+    assert reasons[("flat", 150, "I")] == {"SeriesTooShort": 5}
+    assert reasons[("flat", 150, "B")] == {"SingularDesign": 5}
+    assert sum(rows[("III", 150, "B")].values()) == 5
+
+
 def test_frequency_table_rendering():
     table = a.FrequencyTable(
         rows={("I", 100, "B"): {(1, a.DIRECT): 3, (2, a.PLUG_IN): 1}},
