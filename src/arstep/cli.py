@@ -34,7 +34,7 @@ from .selection import (PENALTY_PRESETS, PenaltyWeight, select_by_ape,
                         select_by_criterion)
 from .simulation import (DGPS, estimate_mspe, model_for,
                          run_frequency_experiment)
-from .theory_losses import best_combinations, loss_table
+from .theory_losses import _best, loss_table
 
 
 def _plain(value):
@@ -192,7 +192,7 @@ def _cmd_theory(args):
     weights = level_ma_weights(model, h - 1)
     sig_h2 = sigma_h_squared(model, h)
     table = loss_table(model, h, K)
-    best = sorted(best_combinations(model, h, K))
+    best = sorted(_best(table, K))
     meta = {"source": source, "model": kind, "levels": list(levels),
             "sigma2": model.sigma2, "h": h, "K": K, "p1": p1, "p_h": p_h,
             "ma_weights": list(weights), "sigma_h2": sig_h2,

@@ -139,16 +139,14 @@ def _singular_prefix(grams):
     return bad
 
 
-def _gated_solve(grams, crosses, where, bad=None):
+def _gated_solve(grams, crosses, where, bad):
     """Solve the stacked normal equations grams @ b = crosses, b per row.
 
-    bad is the gate mask of grams; a caller that gated a larger stack
-    passes its slice, otherwise it is computed here.  When any Gram
-    fails, SingularDesign is raised with message where(j), j the
-    position of the first failing Gram.
+    bad is the gate mask of grams (_singular_grams, or a slice of the
+    mask of a larger stack).  When any Gram fails, SingularDesign is
+    raised with message where(j), j the position of the first failing
+    Gram.
     """
-    if bad is None:
-        bad = _singular_grams(grams)
     if bad.any():
         raise SingularDesign(where(int(np.argmax(bad))))
     return np.linalg.solve(grams, crosses[:, :, None])[:, :, 0]
@@ -170,15 +168,10 @@ def _gated_eigh(grams, context=""):
 def _eig_solve(eig, cross):
     """Solve gram @ coeffs = cross from the Gram's eigendecomposition.
 
-    cross is a vector or a matrix (one right-hand side per column), or a
-    stack of them matching a stack of decompositions."""
+    cross is a matrix, one right-hand side per column, or a stack of
+    them matching a stack of decompositions."""
     evals, evecs = eig
-    cross = np.asarray(cross)
-    vectors = cross.ndim == evals.ndim  # solved as one-column matrices
-    if vectors:
-        cross = cross[..., None]
-    out = evecs @ ((evecs.swapaxes(-1, -2) @ cross) / evals[..., None])
-    return out[..., 0] if vectors else out
+    return evecs @ ((evecs.swapaxes(-1, -2) @ cross) / evals[..., None])
 
 
 def _normal_fit(X, y, context):
@@ -271,9 +264,11 @@ def residual_mse(series, coeffs, h, K):
     n - h - K (one less than the number of terms — the convention is
     deliberate and pinned by tests), where n is the fit's sample end.
     Using K rather than k keeps the window identical across candidate
-    orders, so residual sums are comparable.
+    orders, so residual sums are comparable.  A series holding NaN or
+    inf raises NonFiniteSeries.
     """
     series = _as_series(series)
+    _require_finite(series)
     if coeffs.h != h:
         raise ValueError("coefficients target h=%d, asked for h=%d"
                          % (coeffs.h, h))
@@ -425,6 +420,4 @@ def fitted_ma_weights(one_step, J):
     """
     if one_step.h != 1:
         raise ValueError("fitted_ma_weights needs a one-step fit")
-    if J < 0:
-        raise ValueError("J must be nonnegative")
     return impulse_response(np.asarray(one_step.coeffs, dtype=float), J)

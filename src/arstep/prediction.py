@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
+from .estimation import _require_finite
 from .model_core import _as_series
 
 
@@ -33,7 +34,8 @@ def predict(series, coeffs, origin=None):
     Forecasts x_{origin+h} as coeffs' x_origin(k) with x_origin(k) =
     (x_origin, ..., x_{origin-k+1})'.  The origin defaults to the series
     end; regressors are never padded with pre-sample zeros at prediction
-    time (InsufficientHistory is raised instead).
+    time (InsufficientHistory is raised instead), and a regressor holding
+    NaN or inf raises NonFiniteSeries.
 
     Parameters
     ----------
@@ -55,6 +57,7 @@ def predict(series, coeffs, origin=None):
         raise InsufficientHistory(
             "origin %d has fewer than %d trailing observations" % (n, k))
     tail = series[n - k:n][::-1]
+    _require_finite(tail)
     value = float(np.dot(np.asarray(coeffs.coeffs, dtype=float), tail))
     return Forecast(value=value, origin=n, horizon=coeffs.h,
                     spec=PredictorSpec(k=k, method=coeffs.method, h=coeffs.h))

@@ -36,10 +36,16 @@ class PenaltyWeight:
 
     The form guarantees C_n -> 0 while n * C_n / log(n) stays bounded
     below, which is what the consistency arguments for the penalized
-    criteria need.  Presets A, B, C use multipliers 1, 2, 3.
+    criteria need.  Presets A, B, C use multipliers 1, 2, 3.  A
+    multiplier that is not finite and positive is a ValueError.
     """
 
     multiplier: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValueError("penalty multiplier must be finite and "
+                             "positive, not %r" % (self.multiplier,))
 
     def value(self, n):
         if n < 2:
@@ -260,7 +266,7 @@ def select_by_ape(series, h, K):
     _require_finite(series)
     prefix = _gated_prefix(series, K)
     m1 = _start_index(series.size, K, 1, prefix[2])
-    mh = m1 if h == 1 else _start_index(series.size, K, h, prefix[2])
+    mh = _start_index(series.size, K, h, prefix[2])
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet;
     # their one-step fits are a slice of the first stage's (mh >= m1),

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
-from .estimation import _gated_solve, row_sums
+from .estimation import _gated_solve, _singular_grams, row_sums
 from .model_core import (DIRECT, PLUG_IN, _check_stable, _companion_image,
                          deflate_unit_root, impulse_response,
                          stationary_model, unit_root_model)
@@ -517,7 +517,8 @@ def _prediction_errors(eps, first, k, h, method, filt):
     gram = np.einsum("bjk,bjl->bkl", design, design)
     cross = np.einsum("bjk,bj->bk", design, target)
     coeffs = _gated_solve(gram, cross, lambda j: (
-        "singular design in replication %d" % (first + j)))
+        "singular design in replication %d" % (first + j)),
+        _singular_grams(gram))
     if method == PLUG_IN:
         coeffs = _companion_image(coeffs, h)
     tails = windows[:, n - k, :]

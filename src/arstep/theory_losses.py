@@ -284,7 +284,11 @@ def best_combinations(model, h, K):
     that need a single representative conventionally take the smallest
     order, plug-in before direct.
     """
-    table = loss_table(model, h, K)
+    return _best(loss_table(model, h, K), K)
+
+
+def _best(table, K):
+    """best_combinations of a loss table over k = 1..K."""
     finite = {key: entry.value for key, entry in table.items()
               if math.isfinite(entry.value)}
     if not finite:

@@ -33,6 +33,20 @@ def test_theory_text_for_registry_entry(capsys):
     assert "minimal loss at: (k=2, direct)" in out
 
 
+def test_theory_builds_its_loss_table_once(capsys, monkeypatch):
+    calls = []
+    losses = a.theory_losses._losses
+
+    def counted(*args):
+        calls.append(args)
+        return losses(*args)
+
+    monkeypatch.setattr(a.theory_losses, "_losses", counted)
+    assert main(["theory", "--dgp", "VII", "--K", "4"]) == 0
+    assert "minimal loss at: (k=2, direct)" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_theory_model_file_detects_unit_root(capsys, tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("# comment\nlevels = 1.5, -0.5\nsigma2 = 25\n")
@@ -152,6 +166,15 @@ def test_select_custom_penalty_label(capsys, tmp_path):
     assert main(["select", "--input", path, "--h", "2", "--K", "3",
                  "--cn-multiplier", "2.5"]) == 0
     assert "II(C_n=2.5*log(n)/n)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("multiplier", ["nan", "inf", "0", "-2"])
+def test_select_bad_penalty_multiplier_exits_two(capsys, tmp_path,
+                                                 multiplier):
+    path = _write_series(tmp_path, _sample_series())
+    assert main(["select", "--input", path, "--h", "2", "--K", "3",
+                 "--cn-multiplier", multiplier]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_forecast_defaults_to_both_methods(capsys, tmp_path):

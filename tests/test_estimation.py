@@ -166,8 +166,8 @@ def test_scalar_gate_rejects_non_finite_grams():
             with pytest.raises(a.SingularDesign):
                 _gated_eigh(gram)
     np.testing.assert_allclose(
-        _eig_solve(_gated_eigh(np.diag([2.0, 4.0])), [1.0, 1.0]),
-        [0.5, 0.25], rtol=1e-15)
+        _eig_solve(_gated_eigh(np.diag([2.0, 4.0])), [[1.0], [1.0]]),
+        [[0.5], [0.25]], rtol=1e-15)
 
 
 def test_one_step_fit_is_the_relabelled_h1_direct_fit():
@@ -189,6 +189,8 @@ def test_fits_reject_non_finite_series():
             a.fit_one_step(broken, 2)
         with pytest.raises(a.NonFiniteSeries):
             a.fit_direct(broken, 2, 3)
+        with pytest.raises(a.NonFiniteSeries):
+            a.residual_mse(broken, a.fit_direct(series, 2, 3), 3, 4)
 
 
 def test_h1_direct_fit_is_the_one_step_fit():

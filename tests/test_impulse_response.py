@@ -37,7 +37,7 @@ def test_short_responses_are_lfilters_bit_for_bit(coeffs):
     p = len(coeffs)
     for length in range(_IR_BLOCK + p):
         want = _lfilter_response(coeffs, length)
-        # One row, and the first row of a stack (another code path).
+        # One row, and the first row of a stack (run row by row).
         stacked = a.impulse_response([coeffs, coeffs[::-1]], length)[0]
         for got in (a.impulse_response(coeffs, length), stacked):
             assert got.tolist() == want.tolist()
@@ -75,6 +75,18 @@ def test_empty_coefficients_give_the_pulse():
     pulses = a.impulse_response(np.zeros((2, 0)), 200)
     assert pulses.shape == (2, 201)
     assert pulses.sum(axis=1).tolist() == [1.0, 1.0]
+
+
+def test_negative_lengths_are_value_errors():
+    one_step = a.fit_one_step(np.random.default_rng(2).normal(size=40), 2)
+    model = a.model_for(a.DGPS["III"])
+    for call in (lambda: a.impulse_response([0.5, 0.1], -1),
+                 lambda: a.impulse_response(np.zeros(0), -2),
+                 lambda: a.ma_weights(model, -1),
+                 lambda: a.level_ma_weights(model, -1),
+                 lambda: a.fitted_ma_weights(one_step, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
 
 
 def _models():

@@ -44,6 +44,19 @@ def test_predict_guards():
         a.predict(np.array([1.0, 2.0, 3.0]), fit, origin=9)
 
 
+def test_predict_rejects_a_non_finite_regressor():
+    series = np.random.default_rng(6).normal(size=60).cumsum()
+    fit = a.fit_direct(series, 2, 2)
+    for value in (np.nan, np.inf, -np.inf):
+        broken = series.copy()
+        broken[-1] = value
+        with pytest.raises(a.NonFiniteSeries):
+            a.predict(broken, fit)
+        # A value outside the regressor does not matter.
+        assert a.predict(broken, fit, origin=59).value \
+            == a.predict(series, fit, origin=59).value
+
+
 def test_plug_in_forecast_equals_iterated_one_step():
     rng = np.random.default_rng(31)
     series = rng.normal(size=120).cumsum()

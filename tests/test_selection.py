@@ -43,6 +43,12 @@ def test_penalty_presets():
     assert a.DEFAULT_PENALTY is a.PENALTY_PRESETS["B"]
 
 
+@pytest.mark.parametrize("multiplier", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+def test_penalty_weight_rejects_bad_multipliers(multiplier):
+    with pytest.raises(ValueError, match="finite and positive"):
+        a.PenaltyWeight(multiplier)
+
+
 def test_argmin_ties_take_smallest_order():
     assert _argmin_smallest({2: 1.0, 1: 1.0, 3: 0.5}) == 3
     assert _argmin_smallest({3: 0.5, 1: 0.5, 2: 0.7}) == 1
