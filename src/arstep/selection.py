@@ -129,17 +129,35 @@ def min_start_index(series, K, h):
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
     _require_finite(series)
-    return _start_index(series.size, K, h, _gated_prefix(series, K)[2])
+    return _start_index(series.size, K, h,
+                        _order_prefix(_shared_prefix(series, K), K)[2])
 
 
-def _gated_prefix(series, k):
-    """Rows x_j(k), j = k..n-1, their Gram prefix (entry i - 1 - k is
-    the Gram over rows j = k..i-1) and the prefix's gate mask, True where
-    an entry fails the condition gate (_singular_prefix)."""
-    rows = lag_matrix(series, k, k, series.size - 1)
+def _shared_prefix(series, K):
+    """Rows x_j(K), j = K..K+n-2, of the series with K - 1 zeros appended,
+    and their Gram prefix: entry r is the Gram over rows j = K..K+r.
+
+    Every order k <= K reads its own rows and Gram prefix from the last
+    k columns (_order_prefix): the same products, summed in the same
+    order, as a prefix built for order k alone.
+    """
+    padded = np.concatenate((series, np.zeros(K - 1)))
+    rows = lag_matrix(padded, K, K, padded.size - 1)
     grams = rows[:, :, None] * rows[:, None, :]
     np.cumsum(grams, axis=0, out=grams)  # in place: one Gram-sized array
-    return rows, grams, _singular_prefix(grams)
+    return rows, grams
+
+
+def _order_prefix(shared, k):
+    """Order k's rows x_j(k), j = k..n-1, and Gram prefix (entry i - 1 - k
+    is the Gram over rows j = k..i-1), as views of the shared prefix, and
+    the prefix's gate mask, True where an entry fails the condition gate
+    (_singular_prefix)."""
+    rows, grams = shared
+    c = rows.shape[1] - k
+    count = rows.shape[0] + 1 - k  # n - k
+    grams = grams[:count, c:, c:]
+    return rows[:count, c:], grams, _singular_prefix(grams)
 
 
 def _start_index(n, K, h, bad):
@@ -162,7 +180,7 @@ def _start_index(n, K, h, bad):
 def _ape_sums(series, prefix, stages, sums):
     """Accumulated prediction errors of one order k for several stages.
 
-    prefix is _gated_prefix(series, k).  Each stage (method, h, m) asks
+    prefix is _order_prefix(shared, k).  Each stage (method, h, m) asks
     for the h-step sum of that method over the sample ends i = m..n-h;
     its prediction errors are queued on the _SquareSums sums, one row per
     stage, in stage order, and the index of the first one is returned.
@@ -233,21 +251,24 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     if method not in (PLUG_IN, DIRECT):
         raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
     if h < 1:
-        raise ValueError("K and h must be at least 1")
-    if start_index is None:  # min_start_index; its prefix serves k == K
-        prefix = _gated_prefix(series, K)
+        raise ValueError("h must be at least 1")
+    if start_index is None:  # min_start_index; its prefix serves every k
+        shared = _shared_prefix(series, K)
+        prefix = _order_prefix(shared, K)
         m = _start_index(n, K, h, prefix[2])
-        prefix = prefix if k == K else None
     else:
-        prefix, m = None, int(start_index)
+        shared, prefix, m = None, None, int(start_index)
     if n - h < m:
         raise SeriesTooShort("no forecast origins between i=%d and n-h=%d"
                              % (m, n - h))
     if m - (1 if method == PLUG_IN else h) < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
+    if shared is None:
+        shared = _shared_prefix(series, k)
+    if prefix is None or k < K:
+        prefix = _order_prefix(shared, k)
     sums = _SquareSums(n - h - m + 1, 1)
-    _ape_sums(series, prefix or _gated_prefix(series, k), ((method, h, m),),
-              sums)
+    _ape_sums(series, prefix, ((method, h, m),), sums)
     return float(sums.totals()[0])
 
 
@@ -264,22 +285,21 @@ def select_by_ape(series, h, K):
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
     _require_finite(series)
-    prefix = _gated_prefix(series, K)
-    m1 = _start_index(series.size, K, 1, prefix[2])
-    mh = _start_index(series.size, K, h, prefix[2])
+    shared = _shared_prefix(series, K)
+    top = _order_prefix(shared, K)
+    m1 = _start_index(series.size, K, 1, top[2])
+    mh = _start_index(series.size, K, h, top[2])
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet;
     # their one-step fits are a slice of the first stage's (mh >= m1),
     # whose error rows are the longest and fix the sum buffer's width.
-    # Order K's pass runs first, on the prefix the start indices came
-    # from, which is then dropped so that it does not add to the peak
-    # memory of the other passes.
+    # Order K's pass runs first, so that a series singular at several
+    # orders fails on order K's sample end.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
     sums = _SquareSums(series.size - m1, 3 * K)
-    at = {K: _ape_sums(series, prefix, stages, sums)}
-    del prefix
-    for k in range(1, K):
-        at[k] = _ape_sums(series, _gated_prefix(series, k), stages, sums)
+    at = {k: _ape_sums(series, top if k == K else _order_prefix(shared, k),
+                       stages, sums)
+          for k in (K, *range(1, K))}
     totals = sums.totals().tolist()
     first_stage, direct_vals, plug_all = (
         {k: totals[at[k] + stage] for k in range(1, K + 1)}

@@ -150,7 +150,8 @@ def test_batched_gates_fail_non_finite_grams_without_raising():
         series = rows[:, 0].copy()
         series[40] = value
         with np.errstate(invalid="ignore"):
-            grams = a.selection._gated_prefix(series, 3)[1]
+            grams = a.selection._order_prefix(
+                a.selection._shared_prefix(series, 3), 3)[1]
         assert _singular_prefix(grams).tolist() == \
             _singular_grams(grams).tolist()
         # x_41 enters at row j = 41, prefix entry 41 - k.

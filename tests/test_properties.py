@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import arstep as a
 from arstep.estimation import _singular_grams, _singular_prefix, row_sums
 from arstep.model_core import _companion_image
-from arstep.selection import _gated_prefix
+from arstep.selection import _order_prefix, _shared_prefix
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -50,7 +50,8 @@ def _shaped_series(shape, n, seed):
        base=st.integers(0, 20))
 def test_prefix_gate_equals_batched_gate(shape, n, k, seed, scale, base):
     series = scale * _shaped_series(shape, n, seed)
-    grams = _gated_prefix(series, min(k, n - 1))[1][base:]
+    k = min(k, n - 1)
+    grams = _order_prefix(_shared_prefix(series, k), k)[1][base:]
     assert _singular_prefix(grams).tolist() == \
         _singular_grams(grams).tolist()
 
@@ -58,7 +59,7 @@ def test_prefix_gate_equals_batched_gate(shape, n, k, seed, scale, base):
 def _scanned_start_index(series, K, h):
     """min_start_index by a scan: the scalar gate on the two order-K
     prefix entries each sample end i reads, from i = 2K + h - 1 up."""
-    grams = _gated_prefix(series, K)[1]
+    grams = _shared_prefix(series, K)[1]
     for i in range(2 * K + h - 1, series.size - h + 1):
         if a.estimation.gram_is_invertible(grams[i - 1 - K]) \
                 and a.estimation.gram_is_invertible(grams[i - h - K]):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import arstep as a
+from arstep.estimation import _singular_grams
 from arstep.selection import _argmin_smallest, _criteria
 
 
@@ -68,13 +69,17 @@ def _naive_ape(series, k, h, method, K):
 
 
 def test_ape_matches_naive_refit_loop():
-    series = _series("III", 120)
-    for k in (1, 2, 3):
-        for h in (1, 2):
-            for method in (a.PLUG_IN, a.DIRECT):
-                got = a.accumulated_prediction_error(series, k, h, method, 4)
-                want = _naive_ape(series, k, h, method, 4)
-                assert got == pytest.approx(want, rel=1e-9), (k, h, method)
+    for label, n, K, orders, horizons in (("III", 120, 4, (1, 2, 3), (1, 2)),
+                                         ("IX", 200, 20, (1, 2, 19), (10,))):
+        series = _series(label, n)
+        for k in orders:
+            for h in horizons:
+                for method in (a.PLUG_IN, a.DIRECT):
+                    got = a.accumulated_prediction_error(series, k, h, method,
+                                                         K)
+                    want = _naive_ape(series, k, h, method, K)
+                    assert got == pytest.approx(want, rel=1e-9), \
+                        (label, k, h, method)
 
 
 def test_ape_vanishes_on_noiseless_series_at_minimal_order():
@@ -105,27 +110,74 @@ def test_ape_per_term_tracks_h_step_noise_variance():
 
 
 def test_ape_builds_the_order_K_prefix_once(monkeypatch):
+    # One shared prefix serves the start index and every order.
     series = _series("IX", 1000)
     m = a.min_start_index(series, 20, 10)
     want = {k: a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
                                               start_index=m)
             for k in (10, 20)}
-    real, built = a.selection._gated_prefix, []
+    real, built = a.selection._shared_prefix, []
 
-    def gated_prefix(series, k):
-        built.append(k)
-        return real(series, k)
+    def shared_prefix(series, K):
+        built.append(K)
+        return real(series, K)
 
-    monkeypatch.setattr(a.selection, "_gated_prefix", gated_prefix)
-    for k, orders in ((20, [20]), (10, [20, 10])):
+    monkeypatch.setattr(a.selection, "_shared_prefix", shared_prefix)
+    for k, start_index, widths in ((20, None, [20]), (10, None, [20]),
+                                   (10, m, [10])):
         built.clear()
-        assert a.accumulated_prediction_error(series, k, 10, a.DIRECT,
-                                              20) == want[k]
-        assert built == orders
+        assert a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
+                                              start_index) == want[k]
+        assert built == widths
+    built.clear()
+    a.select_by_ape(series, 10, 20)
+    assert built == [20]
     for start_index in (None, m):
-        with pytest.raises(ValueError, match="K and h must be at least 1"):
+        with pytest.raises(ValueError, match="^h must be at least 1$"):
             a.accumulated_prediction_error(series, 20, 0, a.PLUG_IN, 20,
                                            start_index)
+
+
+def test_order_prefixes_are_views_of_the_shared_prefix():
+    # Each order's rows, Gram prefix and gate mask equal those of a prefix
+    # built for that order alone, from its own lag matrix.
+    flat = np.concatenate([np.zeros(5), np.ones(20)])
+    for series, K in ((_series("IX", 300), 20), (flat, 3)):
+        n = len(series)
+        shared = a.selection._shared_prefix(series, K)
+        for k in range(1, K + 1):
+            rows, grams, bad = a.selection._order_prefix(shared, k)
+            alone = a.lag_matrix(series, k, k, n - 1)
+            prefix = np.cumsum(alone[:, :, None] * alone[:, None, :], axis=0)
+            assert np.array_equal(rows, alone)
+            assert np.array_equal(grams, prefix)
+            assert bad.tolist() == _singular_grams(prefix).tolist()
+
+
+def test_singular_stretch_names_the_sample_end_of_its_window():
+    # A spike of 1e8 in a unit-scale walk leaves the order-3 Grams whose
+    # rows hold it in only some columns singular.  With x_76 = 1e8 the
+    # stretch reaches only one-step Grams, past the last direct 4-step
+    # one; with x_61 = 1e8 it reaches both windows.  The sample ends were
+    # recorded when each fit lag had a solve of its own.
+    walk = np.random.default_rng(5).normal(size=80).cumsum()
+    for spike, named in ((75, {"select": 77, (1, a.DIRECT): 77}),
+                         (60, {"select": 62, (1, a.DIRECT): 62,
+                               (4, a.DIRECT): 65, (4, a.PLUG_IN): 62})):
+        series = walk.copy()
+        series[spike] = 1e8
+        for key in ("select", (1, a.DIRECT), (4, a.DIRECT), (4, a.PLUG_IN)):
+            if key == "select":
+                call = lambda: a.select_by_ape(series, 4, 3)
+            else:
+                call = lambda: a.accumulated_prediction_error(
+                    series, 3, key[0], key[1], 3)
+            if key not in named:
+                call()
+                continue
+            with pytest.raises(a.SingularDesign,
+                               match="at sample end i=%d$" % named[key]):
+                call()
 
 
 def test_ape_validates_candidate_order():
