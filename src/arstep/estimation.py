@@ -216,14 +216,12 @@ def plug_in_multi(one_step, h):
 
     Applies the (h-1)-th companion power of the fitted coefficients to
     themselves, which is algebraically the same as iterating one-step
-    forecasts h - 1 times.  h = 1 returns the input unchanged.
+    forecasts h - 1 times; at h = 1 the coefficients are the input's.
     """
     if one_step.method != PLUG_IN or one_step.h != 1:
         raise ValueError("plug_in_multi needs a one-step plug-in fit")
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    if h == 1:
-        return one_step
     v = _companion_image(np.asarray(one_step.coeffs, dtype=float), h)
     return FittedCoefficients(coeffs=tuple(float(c) for c in v),
                               k=one_step.k, h=int(h), method=PLUG_IN,

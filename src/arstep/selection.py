@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
-from .estimation import (_SquareSums, _eig_solve, _gated_solve, _lag_view,
-                         _normal_fit, _require_finite, _residuals,
-                         _singular_prefix, lag_matrix)
+from .estimation import (_SquareSums, _eig_solve, _lag_view, _normal_fit,
+                         _require_finite, _residuals, _singular_prefix,
+                         lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
                          _power_sum, companion_matrix, impulse_response)
 
@@ -187,32 +187,48 @@ def _ape_sums(series, prefix, stages, sums):
     Every Gram those refits need is an entry of the prefix: the one-step
     fit behind plug-in at sample end i reads entry i-1-k, the direct
     h-step fit entry i-h-k (so direct at h = 1 is the one-step fit).
-    Each fit lag is solved once, over the sample ends of its first stage;
-    a later stage with the same lag must lie inside them and takes a
-    slice.
+    Each fit lag's window, the entries read by its first stage, is gated
+    in stage order, and a later stage with the same lag must lie inside
+    it.  The stages use at most two lags, 1 and H, whose windows overlap
+    (in select_by_ape the direct window lies inside the one-step one), so
+    one solve over their span meets only gated entries and serves both
+    lags: column 0 of its right-hand side holds the one-step
+    cross-products, column 1 the lag-H ones (the one-step ones again when
+    H = 1).  A column's solution does not depend on the other column, so
+    a stage gets the same coefficients whatever stages share the solve.
     """
     n = series.size
     rows, grams, bad = prefix
     k = rows.shape[1]
-    queued = []
-    solved = {}
+    windows = {}
     for method, h, m in stages:
         lag = 1 if method == PLUG_IN else h
-        if lag not in solved:
+        if lag not in windows:
             g = slice(m - lag - k, n - h - lag - k + 1)
-            cross = np.cumsum(rows[:n - lag - k + 1]
-                              * series[k + lag - 1:n, None], axis=0)
-            solved[lag] = m, _gated_solve(
-                grams[g], cross[g],
-                lambda j: "singular design at sample end i=%d" % (m + j),
-                bad[g])
-        first, coeffs = solved[lag]
-        coeffs = coeffs[m - first:n - h - first + 1]
+            if bad[g].any():
+                raise SingularDesign("singular design at sample end i=%d"
+                                     % (m + int(np.argmax(bad[g]))))
+            windows[lag] = g
+    lo = min(g.start for g in windows.values())
+    hi = max(g.stop for g in windows.values())
+    H = max(windows)
+    cross = np.zeros((hi, k, 2))
+    np.multiply(rows[:hi], series[k:k + hi, None], out=cross[:, :, 0])
+    stop = min(hi, n - H - k + 1)
+    np.multiply(rows[:stop], series[k + H - 1:k + H - 1 + stop, None],
+                out=cross[:stop, :, 1])
+    np.cumsum(cross, axis=0, out=cross)
+    coeffs = np.linalg.solve(grams[lo:hi], cross[lo:])
+    queued = []
+    for method, h, m in stages:
+        lag = 1 if method == PLUG_IN else h
+        first = m - lag - k - lo
+        fits = coeffs[first:first + n - h - m + 1, :, 0 if lag == 1 else 1]
         if method == PLUG_IN:
-            coeffs = _companion_image(coeffs, h)
+            fits = _companion_image(fits, h)
         tails = rows[np.arange(m, n - h + 1) - k]
         queued.append(sums.add(series[None, m + h - 1:n]
-                               - np.einsum("bk,bk->b", coeffs, tails)))
+                               - np.einsum("bk,bk->b", fits, tails)))
     return queued[0]
 
 
@@ -263,10 +279,8 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
                              % (m, n - h))
     if m - (1 if method == PLUG_IN else h) < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
-    if shared is None:
-        shared = _shared_prefix(series, k)
     if prefix is None or k < K:
-        prefix = _order_prefix(shared, k)
+        prefix = _order_prefix(shared or _shared_prefix(series, k), k)
     sums = _SquareSums(n - h - m + 1, 1)
     _ape_sums(series, prefix, ((method, h, m),), sums)
     return float(sums.totals()[0])

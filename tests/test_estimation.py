@@ -50,7 +50,7 @@ def test_plug_in_multi_on_exact_coefficients():
                               method=a.PLUG_IN, sample_end=100)
     np.testing.assert_allclose(a.plug_in_multi(x2, 2).coeffs,
                                (1.75, -0.75), rtol=0, atol=1e-14)
-    assert a.plug_in_multi(x2, 1) is x2
+    assert a.plug_in_multi(x2, 1) == x2
 
 
 def test_plug_in_multi_requires_one_step_input():

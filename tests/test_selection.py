@@ -154,6 +154,24 @@ def test_order_prefixes_are_views_of_the_shared_prefix():
             assert bad.tolist() == _singular_grams(prefix).tolist()
 
 
+def test_select_by_ape_solves_each_order_once(monkeypatch):
+    # Both fit lags of an order go through one batched solve with a
+    # two-column right-hand side; a single sum takes one solve too.
+    series = _series("IX", 300)
+    real, calls = np.linalg.solve, []
+
+    def solve(grams, crosses):
+        calls.append((grams.shape[-1], crosses.shape[-1]))
+        return real(grams, crosses)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    a.select_by_ape(series, 10, 20)
+    assert sorted(calls) == [(k, 2) for k in range(1, 21)]
+    calls.clear()
+    a.accumulated_prediction_error(series, 4, 10, a.PLUG_IN, 20)
+    assert calls == [(4, 2)]
+
+
 def test_singular_stretch_names_the_sample_end_of_its_window():
     # A spike of 1e8 in a unit-scale walk leaves the order-3 Grams whose
     # rows hold it in only some columns singular.  With x_76 = 1e8 the
