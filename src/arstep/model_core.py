@@ -14,7 +14,9 @@ convention.
 This module provides model validation and unit-root deflation, companion
 matrices, the h-step direct coefficient vector and its minimal order,
 moving-average weight sequences of 1/alpha(z) and 1/A(z), the h-step
-innovation variance, and first differencing.
+innovation variance, and first differencing.  Every MA weight is an
+impulse response computed by scipy's compiled lfilter recursion
+(``_kernels.lfilter``), whose module the first response loads.
 """
 
 import math
@@ -22,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy's compiled filter, loaded on its first call.  Unused here (the
-# impulse response below is numpy's); bound because the benchmark's
-# tracer looks the filter up under this name.
-from ._kernels import lfilter  # noqa: F401
+from ._kernels import lfilter
 from .errors import NotUnitRoot, UnstableStationaryPart
 
 #: Methods recognized throughout the package.
@@ -46,9 +45,6 @@ _MA_TAIL = 1e-14
 
 #: Hard cap on automatic MA truncation lengths.
 _MA_CAP = 100_000
-
-#: Values per block of a long impulse response (see impulse_response).
-_IR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -330,65 +326,23 @@ def impulse_response(coeffs, length):
     """Impulse response w_0..w_length of 1 / (1 - sum coeffs_i z^i).
 
     coeffs is one vector a_1..a_p, or a stack of them (one per row) for
-    one response per row.  The first B + p values, B = max(64, p), are
-    those of scipy's lfilter bit for bit, sign of zero included: each
-    w_t is summed from +0 farthest lag first,
-    (...(a_p w_{t-p} + a_{p-1} w_{t-p+1}) + ...) + a_1 w_{t-1}.
-    Later values come in blocks of B, each block one small matrix
-    product of the p values before it; the block states follow from
-    one another by repeated squaring of the B-step transition.  For the
-    stable polynomials of the registry they stay within 1e-15 * max|w|
-    of lfilter.  No value depends on `length` or on the other rows: a
-    response is a prefix of every longer one, and a stack equals its
-    rows one by one.  A negative length is a ValueError.
+    one response per row.  Each row is scipy's lfilter of a unit pulse
+    through [1, -a_1, ..., -a_p], bit for bit at every length, sign of
+    zero included, so a response is a prefix of every longer one and a
+    stack equals its rows one by one.  A negative length is a
+    ValueError.
     """
     if length < 0:
         raise ValueError("length must be nonnegative, not %d" % length)
     coeffs = np.asarray(coeffs, dtype=float)
     p = coeffs.shape[-1]
     rows = coeffs.reshape(math.prod(coeffs.shape[:-1]), p)
-    total = length + 1
-    head = min(total, max(_IR_BLOCK, p) + p) if p else total
-    # Column p + t holds w_t; the p leading zeros stand for w_{-p}..w_{-1}.
-    w = np.zeros((rows.shape[0], p + head))
-    w[:, p] = 1.0
-    if p:
-        # Row by row on Python floats, each sum from +0 as in lfilter:
-        # for one row 3-5x faster than numpy calls per value.
-        for row, out in zip(rows, w):
-            lags, values = row[::-1].tolist(), out.tolist()
-            for t in range(p + 1, p + head):
-                acc = 0.0
-                for x, c in zip(values[t - p:t], lags):
-                    acc += x * c
-                values[t] = acc
-            out[:] = values
-        if total > head:
-            w = np.concatenate([w, _blocks(rows, w, total - head)], axis=1)
-    return w[:, p:p + total].reshape(coeffs.shape[:-1] + (total,))
-
-
-def _blocks(rows, w, count):
-    """At least `count` impulse-response values after those held in w.
-
-    rows is the (R, p) coefficient stack and w its (R, p + B + p)
-    recursion head from impulse_response, B = max(64, p).  Returns
-    whole blocks of B values per row.
-    """
-    R, p = rows.shape
-    B = w.shape[1] - 2 * p
-    # M[m, q] weighs w_{t-p+q} in w_{t+m}: sum over d of w_{m-d} a_{p-q+d}.
-    recent = w[:, np.arange(B)[:, None] - np.arange(p) + p]
-    later = np.concatenate([rows, np.zeros_like(rows)], axis=1)[
-        :, np.add.outer(np.arange(p), np.arange(p))]
-    M = np.ascontiguousarray((recent @ later)[:, :, ::-1])
-    step = M[:, B - p:]
-    states = w[:, None, B + p:]
-    while states.shape[1] * B < count:
-        states = np.concatenate([states, states @ step.swapaxes(1, 2)],
-                                axis=1)
-        step = step @ step
-    return (M[:, None] @ states[..., None]).reshape(R, -1)
+    pulse = np.zeros(length + 1)
+    pulse[0] = 1.0
+    w = np.empty((rows.shape[0], length + 1))
+    for row, out in zip(rows, w):
+        out[:] = lfilter([1.0], np.concatenate(([1.0], -row)), pulse)
+    return w.reshape(coeffs.shape[:-1] + (length + 1,))
 
 
 def _auto_truncation(alpha):

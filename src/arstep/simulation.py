@@ -25,9 +25,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
 from .estimation import _gated_solve, _singular_grams, row_sums
-from .model_core import (DIRECT, PLUG_IN, _check_stable, _companion_image,
-                         deflate_unit_root, impulse_response,
-                         stationary_model, unit_root_model)
+from .model_core import (DIRECT, PLUG_IN, _companion_image,
+                         impulse_response, stationary_model,
+                         unit_root_model)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
                         select_by_ape)
 
@@ -90,19 +90,27 @@ def model_for(dgp):
     return stationary_model(dgp.levels, dgp.sigma2)
 
 
-def _check_levels(dgp):
-    """Raise NotUnitRoot or UnstableStationaryPart when a spec's levels
-    do not match its unit_root flag (sigma2 is not checked: 0 is legal).
-    Cached per distinct levels and flag, so a replication pays a lookup."""
+def _check_dgp(dgp):
+    """Validate a spec before it simulates anything.
+
+    Its levels must make a model of its kind: model_for's ValueError,
+    NotUnitRoot or UnstableStationaryPart otherwise.  sigma2 must be
+    finite and nonnegative (0 is legal), else ValueError.  The levels
+    check is cached per distinct levels and flag, so a replication pays
+    a lookup.
+    """
     _levels_error(tuple(dgp.levels), bool(dgp.unit_root))
+    if not 0.0 <= dgp.sigma2 < math.inf:  # NaN fails too
+        raise ValueError("sigma2 must be finite and nonnegative, not %r"
+                         % dgp.sigma2)
 
 
 @lru_cache(maxsize=None)
 def _levels_error(levels, unit_root):
     if unit_root:
-        deflate_unit_root(levels)
+        unit_root_model(levels)
     else:
-        _check_stable(levels, "levels")
+        stationary_model(levels)
 
 
 def _dgp_key(dgp_id):
@@ -150,7 +158,7 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
     """
     if n < 1 or burn_in < 0:
         raise ValueError("need n >= 1 and burn_in >= 0")
-    _check_levels(dgp)
+    _check_dgp(dgp)
     levels = np.asarray(dgp.levels, dtype=float)
     rng = np.random.default_rng(seed)
     total = n + burn_in
@@ -336,15 +344,18 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     seed : int
         Master seed.
     workers : int, optional
-        Process count; None or 1 runs serially.
+        Process count; None or 1 runs serially, and below 1 is a
+        ValueError.
     """
     dgps = [DGPS[d] if isinstance(d, str) else d for d in dgps]
     for dgp in dgps:
-        _check_levels(dgp)
+        _check_dgp(dgp)
     ns = [int(n) for n in ns]
     procedures = _normalize_procedures(procedures)
     if R < 1:
         raise ValueError("R must be at least 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1, not %r" % workers)
     tallies = {}
     for key in [(dgp.id, n, label)
                 for dgp in dgps for n in ns for label, _ in procedures]:
@@ -430,7 +441,7 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         raise SeriesTooShort("direct fit needs n - h >= 2k - 1")
     if R < 2:
         raise ValueError("R must be at least 2")
-    _check_levels(dgp)
+    _check_dgp(dgp)
     levels = np.asarray(dgp.levels, dtype=float)
     w = impulse_response(levels, h - 1)
     sigma_h2 = float(dgp.sigma2 * np.dot(w, w))

@@ -233,6 +233,16 @@ def test_simulate_repeated_cell_exits_two(capsys):
     assert "listed more than once" in record["message"]
 
 
+def test_simulate_workers_below_one_exits_two(capsys):
+    assert main(["simulate", "--dgp", "III", "--n", "120", "--reps", "2",
+                 "--workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError"
+    assert "workers must be at least 1" in record["message"]
+
+
 def test_simulate_mspe_text(capsys):
     assert main(["simulate", "--mode", "mspe", "--dgp", "X", "--n", "200",
                  "--reps", "50", "--k", "2", "--method", a.PLUG_IN,

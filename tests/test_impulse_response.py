@@ -1,6 +1,6 @@
-"""The numpy impulse-response kernel against scipy's lfilter, and loss
-table entries against the stand-alone losses and costs they share one
-cost kernel with."""
+"""Impulse responses against scipy's lfilter, and loss table entries
+against the stand-alone losses and costs they share one cost kernel
+with."""
 
 import math
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import arstep as a
-from arstep.model_core import _IR_BLOCK, _auto_truncation, ar_coefficients
+from arstep.model_core import _auto_truncation, ar_coefficients
 from sampling import sample_stationary_models, sample_unit_root_models
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
@@ -35,7 +35,7 @@ def _lfilter_response(coeffs, length):
 @given(coeffs=st.lists(COEFF, min_size=1, max_size=20))
 def test_short_responses_are_lfilters_bit_for_bit(coeffs):
     p = len(coeffs)
-    for length in range(_IR_BLOCK + p):
+    for length in range(64 + p):
         want = _lfilter_response(coeffs, length)
         # One row, and the first row of a stack (run row by row).
         stacked = a.impulse_response([coeffs, coeffs[::-1]], length)[0]
@@ -44,14 +44,17 @@ def test_short_responses_are_lfilters_bit_for_bit(coeffs):
             assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
-@pytest.mark.parametrize("dgp_id", ["IX", "VII", "III"])
+@pytest.mark.parametrize("dgp_id", sorted(a.DGPS))
 def test_long_expansions_agree_with_lfilter(dgp_id):
-    alpha = ar_coefficients(a.model_for(a.DGPS[dgp_id]))[1]
-    length = _auto_truncation(alpha) + 40
-    got = a.impulse_response(alpha, length)
-    want = _lfilter_response(alpha, length)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # Both polynomials: the levels responses of unit-root models do not
+    # decay.
+    levels, stationary = ar_coefficients(a.model_for(a.DGPS[dgp_id]))
+    length = _auto_truncation(stationary) + 40
+    for coeffs in (stationary, levels):
+        got = a.impulse_response(coeffs, length)
+        want = _lfilter_response(coeffs, length)
+        assert got.tolist() == want.tolist()
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 @BOUNDED

@@ -291,6 +291,66 @@ def test_dgp_levels_are_validated_before_simulating(monkeypatch):
     assert not a.generate(flat, 10, 0).any()
 
 
+def _entry_points(monkeypatch, spec):
+    """Calls of the three simulation entry points on spec; a frequency
+    table may not run a replication."""
+    def no_replication(task):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
+    return (lambda: a.generate(spec, 100, 0),
+            lambda: a.estimate_mspe(spec, a.PredictorSpec(1, a.DIRECT, 2),
+                                    100, 10),
+            lambda: a.run_frequency_experiment(["I", spec], [100], R=3))
+
+
+@pytest.mark.parametrize("levels, unit_root", [
+    ((), False), ((), True), ((0.5, 0.0), False), ((1.0, 0.0), True)],
+    ids=["empty", "empty-unit-root", "trailing-zero",
+         "trailing-zero-unit-root"])
+def test_levels_model_for_rejects_are_refused_before_simulating(
+        monkeypatch, levels, unit_root):
+    spec = a.DgpSpec("Z", levels, unit_root, 2, 5)
+    with pytest.raises(ValueError) as want:
+        a.model_for(spec)
+    for call in _entry_points(monkeypatch, spec):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+def test_bad_sigma2_is_refused_before_simulating(monkeypatch, sigma2):
+    spec = a.DgpSpec("Z", (0.5,), False, 2, 5, sigma2=sigma2)
+    for call in _entry_points(monkeypatch, spec):
+        with pytest.raises(ValueError, match="^sigma2 must be finite and "
+                                             "nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("workers", [0, -1, -8])
+def test_workers_below_one_are_refused_before_simulating(monkeypatch,
+                                                          workers):
+    def no_replication(task):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
+    with pytest.raises(ValueError, match="^workers must be at least 1"):
+        a.run_frequency_experiment(["I"], [100], R=3, workers=workers)
+
+
+def test_one_worker_runs_serially(monkeypatch):
+    want = a.run_frequency_experiment(["III"], [100], R=2, seed=5)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(a.simulation, "ProcessPoolExecutor", no_pool)
+    got = a.run_frequency_experiment(["III"], [100], R=2, seed=5, workers=1)
+    assert got.rows == want.rows
+
+
 def test_frequency_experiment_validates_arguments():
     with pytest.raises(ValueError):
         a.run_frequency_experiment(["I"], [100], R=0)
