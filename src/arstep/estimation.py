@@ -6,11 +6,13 @@ Conventions shared by every routine here: a series array holds x_1..x_n
 usable regressor row is j = k — estimation windows never reach into the
 zero pre-sample.
 
-Gram matrices are solved through a symmetric eigendecomposition with a
-reciprocal-condition threshold; anything below it raises SingularDesign
-rather than silently pseudo-inverting (unit-root regressors make these
-matrices wildly scaled, and a corrupted solve would poison every
-sequential-prediction sum built on top of it).
+Every Gram matrix passes a reciprocal-condition gate on its eigenvalues
+before its LU solve (_gated_solve); a Gram below the threshold raises
+SingularDesign rather than silently pseudo-inverting (unit-root
+regressors make these matrices wildly scaled, and a corrupted solve
+would poison every sequential-prediction sum built on top of it).  A
+series enters the fits divided by a power of two (_normalized), so no
+Gram underflows or overflows.
 """
 
 import math
@@ -139,49 +141,35 @@ def _singular_prefix(grams):
     return bad
 
 
-def _gated_solve(grams, crosses, where, bad):
-    """Solve the stacked normal equations grams @ b = crosses, b per row.
+def _gated_solve(grams, rhs, where, bad=None):
+    """Solve grams @ x = rhs by LU for a Gram matrix, or for each Gram of
+    a stack, rhs holding one right-hand side per column.
 
-    bad is the gate mask of grams (_singular_grams, or a slice of the
-    mask of a larger stack).  When any Gram fails, SingularDesign is
-    raised with message where(j), j the position of the first failing
-    Gram.
+    bad is the gate mask of grams (by default _singular_grams(grams); a
+    slice of the mask of a larger stack will do).  When any Gram fails,
+    SingularDesign is raised with message where(j), j the position of
+    the first failing Gram.
     """
+    if bad is None:
+        bad = _singular_grams(grams)
     if bad.any():
         raise SingularDesign(where(int(np.argmax(bad))))
-    return np.linalg.solve(grams, crosses[:, :, None])[:, :, 0]
+    return np.linalg.solve(grams, rhs)
 
 
-def _gated_eigh(grams, context=""):
-    """Eigendecompositions of a Gram matrix, or of a stack of them, that
-    all clear the gate."""
-    try:
-        eig = np.linalg.eigh(grams)
-    except np.linalg.LinAlgError:  # no convergence on an infinite entry
-        eig = (np.full(1, np.nan), None)
-    if not _clears_gate(eig[0]).all():
-        raise SingularDesign("Gram matrix is numerically singular%s"
-                             % (" (%s)" % context if context else ""))
-    return eig
+def _normalized(series):
+    """(series * 2^-e, e) with e the exponent (math.frexp) of max|x|, one
+    per row of a stack: the scaled max|x| lies in [1/2, 1).  The scaling
+    is exact (barring entries 300 decades below max|x|), so coefficients
+    do not depend on it; squares and their sums scale back by 2^(2e)."""
+    e = np.frexp(np.abs(series).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(series, -e[..., None]), e
 
 
-def _eig_solve(eig, cross):
-    """Solve gram @ coeffs = cross from the Gram's eigendecomposition.
-
-    cross is a matrix, one right-hand side per column, or a stack of
-    them matching a stack of decompositions."""
-    evals, evecs = eig
-    return evecs @ ((evecs.swapaxes(-1, -2) @ cross) / evals[..., None])
-
-
-def _normal_fit(X, y, context):
-    """Least squares of y on X, or of each y on its X in a stack: the Gram
-    X'X, its gated eigendecomposition (for reuse by other solves) and the
-    coefficients."""
-    Xt = X.swapaxes(-1, -2)
-    gram = Xt @ X
-    eig = _gated_eigh(gram, context)
-    return gram, eig, _eig_solve(eig, Xt @ y[..., None])[..., 0]
+def _unscaled(values, scale):
+    """values * 2^scale: 0 where that underflows, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, scale)
 
 
 @dataclass(frozen=True)
@@ -247,9 +235,11 @@ def fit_direct(series, k, h, i=None):
         raise SingularDesign(
             "sample end %d leaves fewer than %d direct rows at h=%d"
             % (i, k, h))
-    _, _, coeffs = _normal_fit(lag_matrix(series, k, k, i - h),
-                               series[k + h - 1:i],
-                               "direct rows j=%d..%d, h=%d" % (k, i - h, h))
+    series = _normalized(series)[0]
+    X = lag_matrix(series, k, k, i - h)
+    coeffs = _gated_solve(X.T @ X, X.T @ series[k + h - 1:i, None],
+                          lambda _: "singular Gram, direct rows j=%d..%d, "
+                          "h=%d" % (k, i - h, h))[:, 0]
     return FittedCoefficients(coeffs=tuple(float(c) for c in coeffs),
                               k=int(k), h=int(h), method=DIRECT,
                               sample_end=int(i))
@@ -276,9 +266,11 @@ def residual_mse(series, coeffs, h, K):
     if n > series.size:
         raise ValueError("sample end %d exceeds series length %d"
                          % (n, series.size))
+    series, e = _normalized(series)
     resid = _residuals(_lag_view(series, coeffs.k), series,
                        np.asarray(coeffs.coeffs), h, K, n)
-    return float(row_sums([resid * resid])[0]) / (n - h - K)
+    return float(_unscaled(row_sums([resid * resid])[0] / (n - h - K),
+                           2 * e))
 
 
 def _residuals(lags, series, coeffs, h, K, n):

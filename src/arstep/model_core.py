@@ -182,8 +182,9 @@ def unit_root_model(levels, sigma2=1.0):
         raise ValueError("levels must be nonempty")
     if levels[-1] == 0.0:
         raise ValueError("trailing levels coefficient must be nonzero")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:  # NaN fails too
+        raise ValueError("sigma2 must be finite and positive, not %r"
+                         % (sigma2,))
     alpha = deflate_unit_root(levels)
     return UnitRootArModel(levels=levels, stationary=tuple(float(a) for a in alpha),
                            sigma2=float(sigma2), p=len(levels) - 1)
@@ -196,8 +197,9 @@ def stationary_model(coeffs, sigma2=1.0):
         raise ValueError("levels must be nonempty")
     if coeffs[-1] == 0.0:
         raise ValueError("trailing coefficient must be nonzero")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:  # NaN fails too
+        raise ValueError("sigma2 must be finite and positive, not %r"
+                         % (sigma2,))
     _check_stable(coeffs, "levels")
     return StationaryArModel(coeffs=coeffs, sigma2=float(sigma2),
                              p=len(coeffs))

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
-from .estimation import (_SquareSums, _eig_solve, _lag_view, _normal_fit,
+from .estimation import (_SquareSums, _gated_solve, _lag_view, _normalized,
                          _require_finite, _residuals, _singular_prefix,
-                         lag_matrix)
+                         _unscaled, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
                          _power_sum, companion_matrix, impulse_response)
 
@@ -95,10 +95,11 @@ def _argmin_smallest(values, stage="candidate"):
     return best_k
 
 
-def _outcome(first_stage, direct_vals, plug_vals, m_h):
+def _outcome(first_stage, direct_vals, plug_vals, scale=0, m_h=None):
     """Steps 2 and 3 of both procedures and their outcome.  plug_vals
     holds the plug-in candidates to record; the search takes those no
-    smaller than the first-stage pick."""
+    smaller than the first-stage pick.  The picks are made on the values
+    given; the outcome records them times 2^scale."""
     k_first = _argmin_smallest(first_stage, "first-stage")
     k_direct = _argmin_smallest(direct_vals, DIRECT)
     k_plug = _argmin_smallest({k: v for k, v in plug_vals.items()
@@ -109,6 +110,9 @@ def _outcome(first_stage, direct_vals, plug_vals, m_h):
         chosen, method = k_direct, DIRECT
     criteria = {(k, DIRECT): v for k, v in direct_vals.items()}
     criteria.update({(k, PLUG_IN): v for k, v in plug_vals.items()})
+    criteria, first_stage = (
+        dict(zip(values, _unscaled(list(values.values()), scale).tolist()))
+        for values in (criteria, first_stage))
     return SelectionOutcome(k=chosen, method=method, criteria=criteria,
                             m_h=m_h, first_stage=first_stage,
                             orders={"first_stage": k_first,
@@ -129,8 +133,8 @@ def min_start_index(series, K, h):
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
     _require_finite(series)
-    return _start_index(series.size, K, h,
-                        _order_prefix(_shared_prefix(series, K), K)[2])
+    shared = _shared_prefix(_normalized(series)[0], K)
+    return _start_index(series.size, K, h, _order_prefix(shared, K)[2])
 
 
 def _shared_prefix(series, K):
@@ -187,41 +191,33 @@ def _ape_sums(series, prefix, stages, sums):
     Every Gram those refits need is an entry of the prefix: the one-step
     fit behind plug-in at sample end i reads entry i-1-k, the direct
     h-step fit entry i-h-k (so direct at h = 1 is the one-step fit).
-    Each fit lag's window, the entries read by its first stage, is gated
-    in stage order, and a later stage with the same lag must lie inside
-    it.  The stages use at most two lags, 1 and H, whose windows overlap
-    (in select_by_ape the direct window lies inside the one-step one), so
-    one solve over their span meets only gated entries and serves both
-    lags: column 0 of its right-hand side holds the one-step
-    cross-products, column 1 the lag-H ones (the one-step ones again when
-    H = 1).  A column's solution does not depend on the other column, so
-    a stage gets the same coefficients whatever stages share the solve.
+    The first stage's entries, its window, must hold every later
+    stage's (in select_by_ape the one-step window holds the direct one).
+    The stages use at most two fit lags, 1 and H, so one gated solve over
+    that window serves them all: column 0 of its right-hand side holds
+    the one-step cross-products, column 1 the lag-H ones (the one-step
+    ones again when H = 1).  A column's solution does not depend on the
+    other column, so a stage gets the same coefficients whatever stages
+    share the solve.  A singular entry raises SingularDesign naming the
+    first stage's sample end that reads it.
     """
     n = series.size
     rows, grams, bad = prefix
     k = rows.shape[1]
-    windows = {}
-    for method, h, m in stages:
-        lag = 1 if method == PLUG_IN else h
-        if lag not in windows:
-            g = slice(m - lag - k, n - h - lag - k + 1)
-            if bad[g].any():
-                raise SingularDesign("singular design at sample end i=%d"
-                                     % (m + int(np.argmax(bad[g]))))
-            windows[lag] = g
-    lo = min(g.start for g in windows.values())
-    hi = max(g.stop for g in windows.values())
-    H = max(windows)
+    lags = [1 if method == PLUG_IN else h for method, h, _ in stages]
+    m = stages[0][2]
+    lo, hi = m - lags[0] - k, n - stages[0][1] - lags[0] - k + 1
+    H = max(lags)
     cross = np.zeros((hi, k, 2))
     np.multiply(rows[:hi], series[k:k + hi, None], out=cross[:, :, 0])
     stop = min(hi, n - H - k + 1)
     np.multiply(rows[:stop], series[k + H - 1:k + H - 1 + stop, None],
                 out=cross[:stop, :, 1])
     np.cumsum(cross, axis=0, out=cross)
-    coeffs = np.linalg.solve(grams[lo:hi], cross[lo:])
+    coeffs = _gated_solve(grams[lo:hi], cross[lo:], lambda j: (
+        "singular design at sample end i=%d" % (m + j)), bad[lo:hi])
     queued = []
-    for method, h, m in stages:
-        lag = 1 if method == PLUG_IN else h
+    for (method, h, m), lag in zip(stages, lags):
         first = m - lag - k - lo
         fits = coeffs[first:first + n - h - m + 1, :, 0 if lag == 1 else 1]
         if method == PLUG_IN:
@@ -268,6 +264,7 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
         raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
     if h < 1:
         raise ValueError("h must be at least 1")
+    series, e = _normalized(series)
     if start_index is None:  # min_start_index; its prefix serves every k
         shared = _shared_prefix(series, K)
         prefix = _order_prefix(shared, K)
@@ -283,7 +280,7 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
         prefix = _order_prefix(shared or _shared_prefix(series, k), k)
     sums = _SquareSums(n - h - m + 1, 1)
     _ape_sums(series, prefix, ((method, h, m),), sums)
-    return float(sums.totals()[0])
+    return float(_unscaled(sums.totals()[0], 2 * e))
 
 
 def select_by_ape(series, h, K):
@@ -299,14 +296,17 @@ def select_by_ape(series, h, K):
     if h < 1 or K < 1:
         raise ValueError("h and K must be at least 1")
     _require_finite(series)
+    series, e = _normalized(series)
     shared = _shared_prefix(series, K)
     top = _order_prefix(shared, K)
     m1 = _start_index(series.size, K, 1, top[2])
     mh = _start_index(series.size, K, h, top[2])
     # One pass per order serves all three stages.  Plug-in sums are
-    # taken for every order because the step-1 pick is not known yet;
-    # their one-step fits are a slice of the first stage's (mh >= m1),
-    # whose error rows are the longest and fix the sum buffer's width.
+    # taken for every order because the step-1 pick is not known yet.
+    # The first stage's window holds the other two (mh >= m1, and
+    # mh - h >= m1 - 1 since sample end mh - h + 1 >= 2K clears the
+    # one-step gate), and its error rows are the longest and fix the
+    # sum buffer's width.
     # Order K's pass runs first, so that a series singular at several
     # orders fails on order K's sample end.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
@@ -320,25 +320,28 @@ def select_by_ape(series, h, K):
         for stage in range(3))
     k_first = _argmin_smallest(first_stage, "first-stage")
     return _outcome(first_stage, direct_vals,
-                    {k: v for k, v in plug_all.items() if k >= k_first}, mh)
+                    {k: v for k, v in plug_all.items() if k >= k_first},
+                    2 * int(e), mh)
 
 
 def _criteria(series, h, K, penalties, orders, methods):
     """Criteria of orders for a stack of series, one series per row.
 
-    Returns, per penalty and then per series, the triple (first_stage,
-    direct, plug_in), each {k: value}.  methods names the h-step
-    criteria wanted, DIRECT and/or PLUG_IN; the first stage is the direct
-    criterion at h = 1.  Every order is taken once for the whole stack:
-    its one-step Grams (rows j = k..n-1) and W (rows j = k..n-h; the same
-    matrices at h = 1) are sliced from one zero-padded order-K lag view
-    per series and gated by one batched eigh, and every solve on them
-    reuses that eigendecomposition.  The squared residuals of all fits go
-    through one _SquareSums buffer, so each residual sum is math.fsum's.
-    Order K's one-step fit fixes sigma~^2 and b^ of each series.  Errors
-    come in candidate-by-candidate order (the one-step fits, then per
-    order direct before plug-in), and a Gram of any series that fails
-    the gate fails the whole stack.
+    Returns, per penalty and then per series, (first_stage, direct,
+    plug_in, scale): {k: value} dicts of the series normalized by
+    _normalized, and the exponent that reports them at its own scale
+    (_outcome's arguments).  methods names the h-step criteria wanted,
+    DIRECT and/or PLUG_IN; the first stage is the direct criterion at
+    h = 1.  Every order is taken once for the whole stack: one gated LU
+    solve on its one-step Grams (rows j = k..n-1) and, at h > 1, one on
+    its direct-window Grams W (rows j = k..n-h) with right-hand side
+    [X'y | Z'Z | L'], the columns its methods need.  The first-stage
+    penalty tr(G^-1 G) is k; so is the plug-in one at h = 1 (L = I),
+    where every h-step fit is the one-step fit.  Each residual sum is
+    math.fsum's (one _SquareSums buffer).  Order K's one-step fit fixes
+    sigma~^2 and b^ of each series.  Errors come candidate by candidate:
+    the one-step fits, then per order its window lengths before the gate
+    of W; a Gram of any series that fails the gate fails the whole stack.
     """
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
@@ -348,39 +351,35 @@ def _criteria(series, h, K, penalties, orders, methods):
     if n < 2 * K:
         raise SingularDesign(
             "sample end %d leaves fewer than %d regressor rows" % (n, K))
+    series, e = _normalized(series)
     lags = _lag_view(series, K)
     fitted = orders if h == 1 or PLUG_IN in methods else ()
     fitted = tuple(dict.fromkeys((K,) + tuple(fitted)))
     sums = _SquareSums(n - K, R * (len(fitted) + len(orders) * len(methods)))
     one_step = {}
     for k in fitted:
-        gram, eig, coeffs = _normal_fit(lags[:, k - 1:n - 1, :k],
-                                        series[:, k:n],
-                                        "one-step rows j=%d..%d" % (k, n - 1))
-        one_step[k] = (gram, eig, coeffs,
+        X = lags[:, k - 1:n - 1, :k]
+        Xt = X.swapaxes(1, 2)
+        coeffs = _gated_solve(Xt @ X, Xt @ series[:, k:n, None],
+                              lambda _: "singular Gram, one-step rows "
+                              "j=%d..%d" % (k, n - 1))[..., 0]
+        one_step[k] = (coeffs,
                        sums.add(_residuals(lags, series, coeffs, 1, K, n)))
-    bhat = impulse_response(one_step[K][2], h - 1)
     # One entry per criterion: (stage, k, index of its first residual
     # sum, the horizon of those residuals, trace penalty per series).
-    entries = []
+    entries = [(0, k, one_step[k][1], 1, np.full(R, float(k)))
+               for k in orders if k in one_step]
+    bhat = impulse_response(one_step[K][0], h - 1)
     z_lags = None
-    for k in orders:
-        window = one_step[k][:2] if h == 1 else None  # W, its eigh
-        if k in one_step:
-            # At h = 1 the weighted lag vectors are the regressor rows,
-            # so the penalty matrix is the one-step Gram itself.
-            gram, eig, _, at = one_step[k]
-            entries.append((0, k, at, 1, _trace(_eig_solve(eig, gram))))
-        if h > 1 and DIRECT in methods:
-            if n - h < 2 * k - 1:
-                raise SingularDesign(
-                    "sample end %d leaves fewer than %d direct rows at h=%d"
-                    % (n, k, h))
-            gram, eig, coeffs = _normal_fit(
-                lags[:, k - 1:n - h, :k], series[:, k + h - 1:n],
-                "direct rows j=%d..%d, h=%d" % (k, n - h, h))
-            window = gram, eig
-            at = sums.add(_residuals(lags, series, coeffs, h, K, n))
+    for k in orders if h > 1 else ():
+        if DIRECT in methods and n - h < 2 * k - 1:
+            raise SingularDesign(
+                "sample end %d leaves fewer than %d direct rows at h=%d"
+                % (n, k, h))
+        X = lags[:, k - 1:n - h, :k]
+        Xt = X.swapaxes(1, 2)
+        rhs = []
+        if DIRECT in methods:
             if n - 2 * h + 1 < k:
                 raise WindowTooShort("weighted-average rows j=%d..%d are "
                                      "empty" % (k, n - 2 * h + 1))
@@ -391,45 +390,44 @@ def _criteria(series, h, K, penalties, orders, methods):
                                        * series[:, i:n - h + 1 + i]
                                        for i in range(h)), K)
             Z = z_lags[:, k - 1:n - 2 * h + 1, :k]
-            entries.append((1, k, at, h, _trace(_eig_solve(
-                eig, Z.swapaxes(1, 2) @ Z))))
+            rhs += [Xt @ series[:, k + h - 1:n, None], Z.swapaxes(1, 2) @ Z]
         if PLUG_IN in methods:
-            coeffs = one_step[k][2]
-            at = sums.add(_residuals(lags, series,
-                                     _companion_image(coeffs, h), h, K, n))
-            gram, eig = window or _normal_fit(
-                lags[:, k - 1:n - h, :k], series[:, k + h - 1:n],
-                "plug-in rows j=%d..%d" % (k, n - h))[:2]
+            coeffs = one_step[k][0]
+            plug_at = sums.add(_residuals(
+                lags, series, _companion_image(coeffs, h), h, K, n))
             L = _power_sum(companion_matrix(coeffs), bhat)
-            entries.append((2, k, at, h, np.sum(
-                (gram @ L) * _eig_solve(eig, L.swapaxes(1, 2)).swapaxes(1, 2),
-                axis=(1, 2))))
+            rhs.append(L.swapaxes(1, 2))
+        W = Xt @ X
+        solved = _gated_solve(W, np.concatenate(rhs, axis=2),
+                              lambda _: "singular Gram, direct rows "
+                              "j=%d..%d, h=%d" % (k, n - h, h))
+        if DIRECT in methods:
+            at = sums.add(_residuals(lags, series, solved[..., 0], h, K, n))
+            entries.append((1, k, at, h, np.trace(solved[..., 1:k + 1],
+                                                  axis1=1, axis2=2)))
+        if PLUG_IN in methods:
+            entries.append((2, k, plug_at, h, np.sum(
+                (W @ L) * solved[..., -k:].swapaxes(1, 2), axis=(1, 2))))
     stage, ks, at, lag, trace = zip(*entries)
     totals = sums.totals()
     resid_ms = totals[np.add.outer(at, np.arange(R))] \
         / (n - K - np.array(lag))[:, None]
-    sigma_tilde = totals[one_step[K][3]:one_step[K][3] + R] / (n - 1 - K)
+    sigma_tilde = totals[one_step[K][1]:one_step[K][1] + R] / (n - 1 - K)
     trace = np.array(trace)
+    scales = (2 * e).tolist()
     out = []
     for penalty in penalties:
         values = (resid_ms + trace * sigma_tilde * penalty.value(n)).T
         per_series = []
-        for row in values.tolist():
+        for row, scale in zip(values.tolist(), scales):
             stages = {}, {}, {}
             for s, k, v in zip(stage, ks, row):
                 stages[s][k] = v
-            if h == 1:
-                stages = stages[0], dict(stages[0]), stages[2]
-            per_series.append(stages)
+            if h == 1:  # every h-step fit is the one-step fit
+                stages = stages[0], dict(stages[0]), dict(stages[0])
+            per_series.append((*stages, scale))
         out.append(per_series)
     return out
-
-
-def _trace(a):
-    """Trace of each matrix of a stack.  np.trace, not an einsum: the two
-    can round the diagonal sum differently, and criteria are meant to
-    stay bit-identical from release to release."""
-    return np.trace(a, axis1=-2, axis2=-1)
 
 
 def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
@@ -441,8 +439,9 @@ def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     order-K MA weights, and sigma~^2 the order-K one-step residual mean
     square.
     """
-    return _criteria(_stack(series), h, K, (penalty,), (k,),
-                     (PLUG_IN,))[0][0][2][k]
+    _, _, plug, scale = _criteria(_stack(series), h, K, (penalty,), (k,),
+                                  (PLUG_IN,))[0][0]
+    return float(_unscaled(plug[k], scale))
 
 
 def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
@@ -453,8 +452,9 @@ def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     MA-weighted h-step combination of the series (note its shorter
     window, j = k..n-2h+1).
     """
-    return _criteria(_stack(series), h, K, (penalty,), (k,),
-                     (DIRECT,))[0][0][1][k]
+    _, direct, _, scale = _criteria(_stack(series), h, K, (penalty,), (k,),
+                                    (DIRECT,))[0][0]
+    return float(_unscaled(direct[k], scale))
 
 
 def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
@@ -467,8 +467,7 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
     values for every candidate are recorded in the outcome.
     """
     return _outcome(*_criteria(_stack(series), h, K, (penalty,),
-                               range(1, K + 1), (DIRECT, PLUG_IN))[0][0],
-                    None)
+                               range(1, K + 1), (DIRECT, PLUG_IN))[0][0])
 
 
 def _stack(series):

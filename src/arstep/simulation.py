@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
-from .estimation import _gated_solve, _singular_grams, row_sums
+from .estimation import _gated_solve, row_sums
 from .model_core import (DIRECT, PLUG_IN, _companion_image,
                          impulse_response, stationary_model,
                          unit_root_model)
@@ -242,7 +242,7 @@ def _run_block(task):
         except ArstepError as exc:
             outcomes = [type(exc).__name__] * len(penalized)
         else:
-            outcomes = [_attempt(_outcome, *pick, None) for pick in picks]
+            outcomes = [_attempt(_outcome, *pick) for pick in picks]
         for label, outcome in zip(penalized, outcomes):
             tallies[label][outcome] += 1
     return tallies
@@ -527,9 +527,8 @@ def _prediction_errors(eps, first, k, h, method, filt):
     target = x[:, k + lag - 1:n]
     gram = np.einsum("bjk,bjl->bkl", design, design)
     cross = np.einsum("bjk,bj->bk", design, target)
-    coeffs = _gated_solve(gram, cross, lambda j: (
-        "singular design in replication %d" % (first + j)),
-        _singular_grams(gram))
+    coeffs = _gated_solve(gram, cross[:, :, None], lambda j: (
+        "singular design in replication %d" % (first + j)))[:, :, 0]
     if method == PLUG_IN:
         coeffs = _companion_image(coeffs, h)
     tails = windows[:, n - k, :]

@@ -1,12 +1,14 @@
 """Exact model algebra: deflation, companions, direct coefficients, weights."""
 
+import math
+
 import numpy as np
 import pytest
 
 import arstep as a
 from arstep.model_core import ar_coefficients
 from oracles import hand_impulse, levels_from_stationary, substitution_coefficients
-from sampling import sample_unit_root_models
+from sampling import random_stable_coeffs, sample_unit_root_models
 
 CUBIC = (0.9, -0.81, 0.91)
 X2 = (1.5, -0.5)
@@ -24,6 +26,20 @@ def test_deflate_inverts_polynomial_multiplication():
     for model in sample_unit_root_models(60, seed=20260817):
         rebuilt = levels_from_stationary(model.stationary)
         np.testing.assert_allclose(rebuilt, model.levels, rtol=0, atol=1e-12)
+
+
+def test_unit_root_model_round_trips_the_stationary_factor():
+    # alpha -> levels of (1 - z)(1 - alpha(z)) -> unit_root_model gives
+    # alpha back, through deflate_unit_root, and rebuilding the model from
+    # its own levels gives the same model.
+    rng = np.random.default_rng(20261019)
+    for _ in range(60):
+        alpha = random_stable_coeffs(rng)
+        model = a.unit_root_model(levels_from_stationary(alpha), 2.0)
+        np.testing.assert_allclose(model.stationary, alpha, rtol=0,
+                                   atol=1e-12)
+        assert model.stationary == tuple(a.deflate_unit_root(model.levels))
+        assert a.unit_root_model(model.levels, model.sigma2) == model
 
 
 def test_deflate_rejects_non_unit_root():
@@ -56,6 +72,16 @@ def test_model_constructors_validate():
             constructor(())
     model = a.unit_root_model(CUBIC, sigma2=25.0)
     assert model.p == 2 and model.sigma2 == 25.0
+
+
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf, 0.0,
+                                    -1.0])
+def test_model_constructors_reject_bad_innovation_variances(sigma2):
+    for constructor, levels in ((a.unit_root_model, CUBIC),
+                                (a.stationary_model, (0.5,))):
+        with pytest.raises(ValueError, match="^sigma2 must be finite and "
+                                             "positive"):
+            constructor(levels, sigma2)
 
 
 def test_companion_matrix_fixture():

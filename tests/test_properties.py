@@ -136,6 +136,42 @@ def test_plug_in_powers_match_iterated_one_step_forecasts(k, h, rows, seed):
             _iterated_forecast(a_row, tail, h), rel=0, abs=1e-13 * size)
 
 
+def _times_4_to_the(values, m):
+    """{key: value * 4^m}, correctly rounded, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return dict(zip(values, np.ldexp(list(values.values()),
+                                         2 * m).tolist()))
+
+
+@BOUNDED
+@given(label=st.sampled_from(sorted(a.DGPS)), m=st.integers(-900, 900))
+def test_fits_and_selections_scale_by_powers_of_two(label, m):
+    # x -> 2^m x is exact on these series, so each output is the
+    # unscaled one: picks, start indices and coefficients are equal, and
+    # criteria, sums and mean squares are 4^m times the unscaled values
+    # rounded once (0 or inf where that leaves the float range).
+    dgp = a.DGPS[label]
+    h, K = dgp.horizon, dgp.max_order
+    series = a.generate(dgp, 150, a.replication_seed(0, dgp, 150, 0))
+    scaled = np.ldexp(series, m)
+    for select in (a.select_by_criterion, a.select_by_ape):
+        ref, out = select(series, h, K), select(scaled, h, K)
+        assert (out.k, out.method, out.orders, out.m_h) == \
+            (ref.k, ref.method, ref.orders, ref.m_h)
+        assert out.criteria == _times_4_to_the(ref.criteria, m)
+        assert out.first_stage == _times_4_to_the(ref.first_stage, m)
+    assert a.min_start_index(scaled, K, h) == a.min_start_index(series, K, h)
+    fit = a.fit_direct(series, 2, h)
+    assert a.fit_direct(scaled, 2, h) == fit
+    unscaled = {"mse": a.residual_mse(series, fit, h, K),
+                "ape": a.accumulated_prediction_error(series, 2, h,
+                                                      a.PLUG_IN, K)}
+    assert {"mse": a.residual_mse(scaled, fit, h, K),
+            "ape": a.accumulated_prediction_error(scaled, 2, h, a.PLUG_IN,
+                                                  K)} \
+        == _times_4_to_the(unscaled, m)
+
+
 def _rounded_exact_sum(row):
     """The exact sum of a row rounded to a float, +-inf past the range."""
     exact = sum(map(Fraction, row))

@@ -1,11 +1,13 @@
 """Selection procedures: start index, sequential errors, criteria, steps."""
 
+import math
+
 import numpy as np
 import pytest
 
 import arstep as a
 from arstep.estimation import _singular_grams
-from arstep.selection import _argmin_smallest, _criteria
+from arstep.selection import _argmin_smallest, _criteria, _outcome
 
 
 def _series(label, n, r=0, seed=0):
@@ -305,20 +307,36 @@ def test_series_entry_points_reject_non_1d_series(entry, shape):
         entry(series)
 
 
-def test_overflowing_grams_fail_with_typed_errors():
-    # Finite values whose squares overflow give infinite Grams, on which
-    # eigh and eigvalsh do not converge; the gate must still answer.
-    series = _series("III", 300) * 1e160
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(a.SingularDesign):
-            a.select_by_criterion(series, 2, 4)
-        with pytest.raises(a.SingularDesign):
-            a.fit_direct(series, 2, 2)
-        with pytest.raises(a.SeriesTooShort):
-            a.select_by_ape(series, 2, 4)
-        # Past the start-index search, the batched gate answers too.
-        with pytest.raises(a.SingularDesign):
-            a.accumulated_prediction_error(series, 3, 2, a.DIRECT, 3, 7)
+def test_series_whose_squares_overflow_select_as_unscaled():
+    # Values near 2^547 have squares past the float range.  A series
+    # enters the fits divided by a power of two, so its Grams stay finite:
+    # it selects and fits as the unscaled series, and only the reported
+    # squares (criteria, sums, mean squares) overflow, to inf.
+    series = _series("III", 300)
+    big = np.ldexp(series, 540)
+    for select in (a.select_by_criterion, a.select_by_ape):
+        out, ref = select(big, 2, 4), select(series, 2, 4)
+        assert (out.k, out.method, out.orders) == \
+            (ref.k, ref.method, ref.orders)
+        assert set(out.criteria.values()) == {math.inf}
+    fit = a.fit_direct(series, 2, 2)
+    assert a.fit_direct(big, 2, 2) == fit
+    assert a.residual_mse(big, fit, 2, 4) == math.inf
+    assert a.accumulated_prediction_error(big, 3, 2, a.DIRECT, 3, 7) \
+        == math.inf
+
+
+def test_tiny_series_select_as_unscaled():
+    # At 2^-520 the Grams would be subnormal, and LU solves on them return
+    # inf and NaN that the scale-free condition gate lets through.  Both
+    # procedures must pick as for the unscaled series.
+    for label, dgp in a.DGPS.items():
+        series = _series(label, 400)
+        tiny = np.ldexp(series, -520)
+        for select in (a.select_by_ape, a.select_by_criterion):
+            out = select(tiny, dgp.horizon, dgp.max_order)
+            ref = select(series, dgp.horizon, dgp.max_order)
+            assert (out.k, out.method) == (ref.k, ref.method), label
 
 
 def test_criterion_traces_are_exactly_k_at_h1():
@@ -467,8 +485,9 @@ def test_underfitting_inflates_the_direct_criterion():
 
 
 def test_stacked_criteria_equal_one_series_at_a_time():
-    # The stack goes through batched Grams, eigh, solves and one residual
-    # sum buffer; every value must still be the single-series one.
+    # The stack goes through batched Grams, gates, LU solves and one
+    # residual sum buffer; every value must still be the single-series
+    # one.
     penalties = list(a.PENALTY_PRESETS.values())
     for label, h in (("I", 1), ("III", 2), ("VII", 3), ("IX", 10)):
         K = a.DGPS[label].max_order
@@ -476,12 +495,9 @@ def test_stacked_criteria_equal_one_series_at_a_time():
         block = _criteria(stack, h, K, penalties, range(1, K + 1),
                           (a.DIRECT, a.PLUG_IN))
         for penalty, per_series in zip(penalties, block):
-            for series, (first, direct, plug) in zip(stack, per_series):
+            for series, stages in zip(stack, per_series):
                 alone = a.select_by_criterion(series, h, K, penalty)
-                assert alone.first_stage == first
-                assert alone.criteria == {
-                    **{(k, a.DIRECT): v for k, v in direct.items()},
-                    **{(k, a.PLUG_IN): v for k, v in plug.items()}}
+                assert _outcome(*stages) == alone
 
 
 def test_select_by_criterion_outcome_structure():

@@ -216,19 +216,57 @@ def test_frequency_experiment_records_failures():
                         "frequency": 1.0}]
 
 
-def test_all_nan_criteria_fail_one_replication_not_the_table():
-    # sigma2 = 1e-320 keeps the series near 1e-160, where the Grams
-    # underflow and every criterion of a stage comes out NaN.
-    tiny = a.DgpSpec("tiny", (0.0, 0.2, 0.8), True, 2, 10, sigma2=1e-320)
-    with np.errstate(all="ignore"):
-        table = a.run_frequency_experiment([tiny], [400], ("B",), R=3)
-        with pytest.raises(a.NonFiniteCriterion):
-            a.select_by_criterion(
-                a.generate(tiny, 400, a.replication_seed(0, tiny, 400, 0)),
-                2, 10)
-    key = ("tiny", 400, "B")
-    assert table.failures[key] == 3
-    assert table.failure_reasons[key] == {"NonFiniteCriterion": 3}
+def _nan_direct_stage(criteria, series_index):
+    """_criteria whose direct criteria of one series of a stack are NaN."""
+    def patched(series, *args):
+        out = criteria(series, *args)
+        for per_series in out:
+            if series_index < len(per_series):
+                first, direct, plug, scale = per_series[series_index]
+                per_series[series_index] = (
+                    first, dict.fromkeys(direct, math.nan), plug, scale)
+        return out
+    return patched
+
+
+def test_all_nan_criteria_fail_one_replication_not_the_table(monkeypatch):
+    # A stage whose every criterion is NaN raises NonFiniteCriterion; in
+    # a frequency cell it fails its own replication only.
+    dgp = a.DGPS["III"]
+    clean = a.run_frequency_experiment([dgp], [200], ("A", "B"), R=3,
+                                       seed=6)
+    monkeypatch.setattr(a.simulation, "_criteria",
+                        _nan_direct_stage(a.simulation._criteria, 1))
+    table = a.run_frequency_experiment([dgp], [200], ("A", "B"), R=3,
+                                       seed=6)
+    for label in ("A", "B"):
+        key = ("III", 200, label)
+        assert table.failures[key] == 1
+        assert table.failure_reasons[key] == {"NonFiniteCriterion": 1}
+        out = a.select_by_criterion(
+            a.generate(dgp, 200, a.replication_seed(6, dgp, 200, 1)),
+            dgp.horizon, dgp.max_order, a.PENALTY_PRESETS[label])
+        want = Counter(clean.rows[key])
+        want[(out.k, out.method)] -= 1
+        assert table.rows[key] == +want
+    monkeypatch.setattr(a.selection, "_criteria",
+                        _nan_direct_stage(a.selection._criteria, 0))
+    with pytest.raises(a.NonFiniteCriterion):
+        a.select_by_criterion(
+            a.generate(dgp, 200, a.replication_seed(6, dgp, 200, 1)), 2, 10)
+
+
+def test_frequency_tables_do_not_depend_on_a_power_of_two_scale():
+    # sigma = 5 * 2^-530 scales every series of the cell by exactly
+    # 2^-530, to near 1e-158, where the Grams of the series themselves
+    # would be subnormal.
+    tiny = a.DgpSpec("III", (0.0, 0.2, 0.8), True, 2, 10,
+                     sigma2=25 * 2.0 ** -1060)
+    runs = [a.run_frequency_experiment([dgp], [300], ("A", "I"), R=3, seed=2)
+            for dgp in (a.DGPS["III"], tiny)]
+    assert runs[0].failures == runs[1].failures == {
+        ("III", 300, "A"): 0, ("III", 300, "I"): 0}
+    assert runs[0].rows == runs[1].rows
 
 
 def test_frequency_tables_do_not_depend_on_blocks_or_workers(monkeypatch):
@@ -578,3 +616,30 @@ def test_estimate_mspe_rejects_orders_and_horizons_below_one(
         with pytest.raises(ValueError, match="at least 1"):
             a.estimate_mspe(a.DGPS["III"], a.PredictorSpec(k, method, h),
                             100, 10)
+
+
+def test_mspe_errors_match_the_fitted_predictors(monkeypatch):
+    # estimate_mspe builds its Grams with einsum and the fits with
+    # matmul, so one replication's prediction error agrees with
+    # fit_direct or plug_in_multi plus predict to rounding, not bit for
+    # bit.
+    dgp, n, R, seed = a.DGPS["VII"], 300, 3, 12
+    h = dgp.horizon
+    errors, real = [], simulation._block_sums
+    monkeypatch.setattr(simulation, "_block_sums", lambda err, *rest: (
+        errors.append(err.copy()) or real(err, *rest)))
+    eps = (np.random.default_rng(seed).standard_normal((R, n + h))
+           * math.sqrt(dgp.sigma2))
+    x = scipy_lfilter([1.0], np.concatenate(([1.0], -np.array(dgp.levels))),
+                      eps, axis=1)
+    for k in (1, 3, 6):
+        for method in (a.PLUG_IN, a.DIRECT):
+            a.estimate_mspe(dgp, a.PredictorSpec(k, method, h), n, R, seed)
+            for r, err in enumerate(errors.pop()):
+                series = x[r, :n]
+                if method == a.DIRECT:
+                    fit = a.fit_direct(series, k, h)
+                else:
+                    fit = a.plug_in_multi(a.fit_one_step(series, k), h)
+                want = a.predict(series, fit).value - x[r, n + h - 1]
+                assert err == pytest.approx(want, rel=1e-10, abs=0)
