@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
@@ -59,7 +59,9 @@ def _lag_view(series, K):
     row) gives one such view per series."""
     padded = np.concatenate((np.zeros(series.shape[:-1] + (K - 1,)), series),
                             axis=-1)
-    return sliding_window_view(padded, K, axis=-1)[..., ::-1]
+    step = padded.strides[-1]
+    return as_strided(padded[..., K - 1:], series.shape + (K,),
+                      padded.strides[:-1] + (step, -step), writeable=False)
 
 
 def _require_finite(series):
@@ -73,14 +75,6 @@ def _clears_gate(evals):
     one Gram or a stack; NaN fails it."""
     low, high = evals[..., 0], evals[..., -1]
     return (low > high * RCOND_MIN) & (high > 0.0)
-
-
-def gram_is_invertible(gram):
-    """True when the Gram matrix clears the reciprocal-condition gate."""
-    try:
-        return bool(_clears_gate(np.linalg.eigvalsh(gram)))
-    except np.linalg.LinAlgError:  # no convergence on an infinite entry
-        return False
 
 
 def _finite_eigvalsh(grams):
@@ -277,11 +271,17 @@ def _residuals(lags, series, coeffs, h, K, n):
     """Residuals x_{j+h} - coeffs' x_j(k), j = K..n-h, of a coefficient
     vector; lags is _lag_view(series, m) for some m >= k.  Stacks of
     series, lag views and coefficient vectors give one row per series."""
-    if n - h - K < 1:
-        raise WindowTooShort("residual window j=%d..%d has no usable "
-                             "divisor" % (K, n - h))
+    _check_residual_window(K, n - h)
     fitted = lags[..., K - 1:n - h, :coeffs.shape[-1]] @ coeffs[..., None]
     return series[..., K + h - 1:n] - fitted[..., 0]
+
+
+def _check_residual_window(K, last):
+    """Raise WindowTooShort when the residual window j = K..last has no
+    usable divisor (last - K)."""
+    if last - K < 1:
+        raise WindowTooShort("residual window j=%d..%d has no usable "
+                             "divisor" % (K, last))
 
 
 #: Working memory of a _SquareSums buffer, in bytes.

@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
-from .estimation import (_SquareSums, _gated_solve, _lag_view, _normalized,
-                         _require_finite, _residuals, _singular_prefix,
-                         _unscaled, lag_matrix)
+from .estimation import (SUM_BUFFER_BYTES, _SquareSums,
+                         _check_residual_window, _gated_solve, _lag_view,
+                         _normalized, _require_finite, _singular_grams,
+                         _singular_prefix, _unscaled, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
                          _power_sum, companion_matrix, impulse_response)
 
@@ -324,6 +325,95 @@ def select_by_ape(series, h, K):
                     2 * int(e), mh)
 
 
+class _SuffixSums:
+    """Sums over the rows j = k..last of u_j v_j', for orders k taken in
+    descending order.
+
+    u_j and v_j are row j - 1 of U and V, stacks of row arrays (one per
+    series); a row past last counts as zero.  The sum of order K is one
+    strided product over the rows j = K..last, and order k's is order
+    k + 1's plus row k's rank-one term (a cumsum), so no sum depends on
+    which orders are taken or in what groups.
+    """
+
+    def __init__(self, U, V, last, K):
+        self._U, self._V, self._last, self._at = U, V, last, K
+        top = slice(K - 1, max(last, K - 1))
+        self._sum = U[:, top].swapaxes(1, 2) @ V[:, top]
+
+    def take(self, ks):
+        """The sums of orders ks, descending and none above the lowest
+        order taken before, stacked on axis 1."""
+        at, low = self._at, int(ks[-1])
+        chain = np.empty(self._sum.shape[:1] + (at - low + 1,)
+                         + self._sum.shape[1:])
+        chain[:, 0] = self._sum
+        stop = max(low - 1, min(at - 1, self._last))  # rows j = low..stop
+        chain[:, 1:at - stop] = 0.0
+        np.multiply(self._U[:, low - 1:stop, :, None][:, ::-1],
+                    self._V[:, low - 1:stop, None, :][:, ::-1],
+                    out=chain[:, at - stop:])
+        np.cumsum(chain, axis=1, out=chain)
+        self._sum, self._at = chain[:, -1].copy(), low
+        return chain[:, at - ks]
+
+
+def _padded_grams(grams, inside):
+    """Each Gram of a (series, order) stack cut to its order's leading
+    block (inside: True on the first k of K positions), zero elsewhere
+    but on the diagonal, which holds the block's [0, 0] entry.
+
+    That entry lies between the block's extreme eigenvalues, so the
+    padded Gram has the block's condition number, and with a right-hand
+    side zero past row k it solves to the block's solution, zero past
+    row k.
+    """
+    out = grams * (inside[:, :, None] & inside[:, None, :])
+    d = np.arange(out.shape[-1])
+    out[..., d, d] = np.where(inside, out[..., d, d], out[..., :1, 0])
+    return out
+
+
+def _order_groups(ks, R, K):
+    """The orders ks, largest first, in arrays of as many orders as keep
+    a group's padded Grams and right-hand sides, R K (2K + 1) values per
+    order, within SUM_BUFFER_BYTES."""
+    ks = sorted(ks, reverse=True)
+    size = max(1, SUM_BUFFER_BYTES // (8 * R * K * (2 * K + 1)))
+    return [np.array(ks[i:i + size]) for i in range(0, len(ks), size)]
+
+
+def _queue_residuals(sums, lags, series, coeffs, h, K):
+    """Queue on sums the residuals x_{j+h} - b' x_j(K), j = K..n-h, of
+    every zero-padded coefficient vector b of coeffs[series, fit], and
+    return the index of each one's sum as a [fit, series] array.
+
+    The fitted values are products of a series' fits with its order-K
+    lag window, in blocks that keep their residuals within
+    SUM_BUFFER_BYTES: as many fits as fit the budget, and the fits of as
+    many series.  A series' blocks, and so its values, do not depend on
+    the series beside it.
+    """
+    R, G, K = coeffs.shape
+    n = series.shape[1]
+    _check_residual_window(K, n - h)
+    window = lags[:, K - 1:n - h].swapaxes(1, 2)
+    width = n - h - K + 1
+    fits = max(1, SUM_BUFFER_BYTES // (8 * width))
+    chunk = max(1, fits // G)
+    at = np.empty((G, R), dtype=int)
+    for r in range(0, R, chunk):
+        for g in range(0, G, fits):
+            s, f = slice(r, r + chunk), slice(g, g + fits)
+            residuals = coeffs[s, f] @ window[s]
+            np.subtract(series[s, None, K + h - 1:], residuals,
+                        out=residuals)
+            rows, cols = residuals.shape[:2]
+            at[f, s] = sums.add(residuals.reshape(-1, width)) \
+                + np.arange(cols)[:, None] + cols * np.arange(rows)
+    return at
+
+
 def _criteria(series, h, K, penalties, orders, methods):
     """Criteria of orders for a stack of series, one series per row.
 
@@ -332,16 +422,33 @@ def _criteria(series, h, K, penalties, orders, methods):
     _normalized, and the exponent that reports them at its own scale
     (_outcome's arguments).  methods names the h-step criteria wanted,
     DIRECT and/or PLUG_IN; the first stage is the direct criterion at
-    h = 1.  Every order is taken once for the whole stack: one gated LU
-    solve on its one-step Grams (rows j = k..n-1) and, at h > 1, one on
-    its direct-window Grams W (rows j = k..n-h) with right-hand side
-    [X'y | Z'Z | L'], the columns its methods need.  The first-stage
-    penalty tr(G^-1 G) is k; so is the plug-in one at h = 1 (L = I),
-    where every h-step fit is the one-step fit.  Each residual sum is
-    math.fsum's (one _SquareSums buffer).  Order K's one-step fit fixes
-    sigma~^2 and b^ of each series.  Errors come candidate by candidate:
-    the one-step fits, then per order its window lengths before the gate
-    of W; a Gram of any series that fails the gate fails the whole stack.
+    h = 1.
+
+    Each stage, the one-step fits (rows j = k..n-1) and at h > 1 the
+    direct window (rows j = k..n-h), is one padded pass over its orders:
+    every array carries an order axis, and order k's K x K Gram holds its
+    k x k Gram, padded by _padded_grams, so one eigvalsh gates and one LU
+    solve fits every order of every series.  The Grams and
+    cross-products of all orders come from _SuffixSums.  The direct
+    window's right-hand side is [X'y | I] ([I] for PLUG_IN alone): the
+    direct coefficients and W^-1, whose products with Z'Z and with L give
+    the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
+    powers of the padded companion matrix, cut to its order's block.
+    Each residual sum is math.fsum's (one _SquareSums buffer,
+    _queue_residuals).  Memory
+    stays bounded: a stage takes its orders in groups (_order_groups),
+    largest first, and its residuals in chunks of series; no value
+    depends on the grouping, so a stack's values are those of its series
+    one at a time.
+
+    The first-stage penalty tr(G^-1 G) is k; so is the plug-in one at
+    h = 1 (L = I), where every h-step fit is the one-step fit.  Order K's
+    one-step fit fixes sigma~^2 and b^ of each series.  Errors come as
+    if candidate by candidate: the one-step gates of orders K, 1, ...,
+    K - 1 (the residual window checked after order K's), then per
+    ascending order its direct and weighted-average window lengths and
+    the gate of W; a Gram of any series that fails the gate fails the
+    whole stack.
     """
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
@@ -353,66 +460,25 @@ def _criteria(series, h, K, penalties, orders, methods):
             "sample end %d leaves fewer than %d regressor rows" % (n, K))
     series, e = _normalized(series)
     lags = _lag_view(series, K)
-    fitted = orders if h == 1 or PLUG_IN in methods else ()
-    fitted = tuple(dict.fromkeys((K,) + tuple(fitted)))
-    sums = _SquareSums(n - K, R * (len(fitted) + len(orders) * len(methods)))
-    one_step = {}
-    for k in fitted:
-        X = lags[:, k - 1:n - 1, :k]
-        Xt = X.swapaxes(1, 2)
-        coeffs = _gated_solve(Xt @ X, Xt @ series[:, k:n, None],
-                              lambda _: "singular Gram, one-step rows "
-                              "j=%d..%d" % (k, n - 1))[..., 0]
-        one_step[k] = (coeffs,
-                       sums.add(_residuals(lags, series, coeffs, 1, K, n)))
-    # One entry per criterion: (stage, k, index of its first residual
-    # sum, the horizon of those residuals, trace penalty per series).
-    entries = [(0, k, one_step[k][1], 1, np.full(R, float(k)))
-               for k in orders if k in one_step]
-    bhat = impulse_response(one_step[K][0], h - 1)
-    z_lags = None
-    for k in orders if h > 1 else ():
-        if DIRECT in methods and n - h < 2 * k - 1:
-            raise SingularDesign(
-                "sample end %d leaves fewer than %d direct rows at h=%d"
-                % (n, k, h))
-        X = lags[:, k - 1:n - h, :k]
-        Xt = X.swapaxes(1, 2)
-        rhs = []
-        if DIRECT in methods:
-            if n - 2 * h + 1 < k:
-                raise WindowTooShort("weighted-average rows j=%d..%d are "
-                                     "empty" % (k, n - 2 * h + 1))
-            if z_lags is None:
-                # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving
-                # combination whose lag vectors drive the direct penalty.
-                z_lags = _lag_view(sum(bhat[:, i, None]
-                                       * series[:, i:n - h + 1 + i]
-                                       for i in range(h)), K)
-            Z = z_lags[:, k - 1:n - 2 * h + 1, :k]
-            rhs += [Xt @ series[:, k + h - 1:n, None], Z.swapaxes(1, 2) @ Z]
-        if PLUG_IN in methods:
-            coeffs = one_step[k][0]
-            plug_at = sums.add(_residuals(
-                lags, series, _companion_image(coeffs, h), h, K, n))
-            L = _power_sum(companion_matrix(coeffs), bhat)
-            rhs.append(L.swapaxes(1, 2))
-        W = Xt @ X
-        solved = _gated_solve(W, np.concatenate(rhs, axis=2),
-                              lambda _: "singular Gram, direct rows "
-                              "j=%d..%d, h=%d" % (k, n - h, h))
-        if DIRECT in methods:
-            at = sums.add(_residuals(lags, series, solved[..., 0], h, K, n))
-            entries.append((1, k, at, h, np.trace(solved[..., 1:k + 1],
-                                                  axis1=1, axis2=2)))
-        if PLUG_IN in methods:
-            entries.append((2, k, plug_at, h, np.sum(
-                (W @ L) * solved[..., -k:].swapaxes(1, 2), axis=(1, 2))))
+    orders = sorted(set(orders))
+    fitted = set(orders) if h == 1 or PLUG_IN in methods else set()
+    fitted = sorted(fitted | {K})
+    h_step = orders if h > 1 else []
+    sums = _SquareSums(n - K, R * (len(fitted) + len(h_step) * len(methods)))
+    coeffs = _one_step_fits(series, lags, K, fitted)
+    one_at = dict(zip(fitted, _queue_residuals(
+        sums, lags, series, coeffs[:, fitted], 1, K)))
+    # One entry per criterion: (stage, k, index of its residual sum per
+    # series, the horizon of those residuals, trace penalty per series).
+    entries = [(0, k, one_at[k], 1, np.full(R, float(k)))
+               for k in orders if k in one_at]
+    if h_step:
+        entries += _h_step_entries(series, lags, h, K, h_step, methods,
+                                   coeffs, sums)
     stage, ks, at, lag, trace = zip(*entries)
     totals = sums.totals()
-    resid_ms = totals[np.add.outer(at, np.arange(R))] \
-        / (n - K - np.array(lag))[:, None]
-    sigma_tilde = totals[one_step[K][1]:one_step[K][1] + R] / (n - 1 - K)
+    resid_ms = totals[np.array(at)] / (n - K - np.array(lag))[:, None]
+    sigma_tilde = totals[one_at[K]] / (n - 1 - K)
     trace = np.array(trace)
     scales = (2 * e).tolist()
     out = []
@@ -428,6 +494,105 @@ def _criteria(series, h, K, penalties, orders, methods):
             per_series.append((*stages, scale))
         out.append(per_series)
     return out
+
+
+def _one_step_fits(series, lags, K, fitted):
+    """One-step coefficients of the orders fitted, rows j = k..n-1, for
+    a stack of series, zero-padded to K and indexed [series, order].
+    Order K's gate fails first, then the residual window, then the
+    smallest order whose gate fails."""
+    R, n = series.shape
+    coeffs = np.zeros((R, K + 1, K))
+    gram = _SuffixSums(lags, lags, n - 1, K)
+    cross = _SuffixSums(lags, series[:, 1:, None], n - 1, K)
+    singular = []
+    for ks in _order_groups(fitted, R, K):
+        inside = np.arange(K) < ks[:, None]
+        grams = _padded_grams(gram.take(ks), inside)
+        singular += ks[_singular_grams(grams).any(axis=0)].tolist()
+        if not singular:  # else only the gates of lower orders matter
+            coeffs[:, ks] = np.linalg.solve(
+                grams, cross.take(ks) * inside[..., None])[..., 0]
+    if singular:
+        k = K if K in singular else min(singular)
+        if k != K:
+            _check_residual_window(K, n - 1)
+        raise SingularDesign("singular Gram, one-step rows j=%d..%d"
+                             % (k, n - 1))
+    return coeffs
+
+
+def _h_step_entries(series, lags, h, K, orders, methods, coeffs, sums):
+    """_criteria's entries of the h-step stages, h > 1, for the ascending
+    orders: one gated LU solve of each order's direct-window Gram W
+    serves every series and method.  coeffs holds the one-step fits
+    (_one_step_fits) of order K and, for PLUG_IN, of the orders."""
+    R, n = series.shape
+    # Window errors, keyed as if raised candidate by candidate: per order,
+    # the direct and weighted-average rows, the plug-in residual window,
+    # the gate of W (added in the pass), and the direct residual window.
+    errors = []
+    for k in orders if DIRECT in methods else ():
+        if n - h < 2 * k - 1:
+            errors.append(((k, 0), SingularDesign(
+                "sample end %d leaves fewer than %d direct rows at h=%d"
+                % (n, k, h))))
+        elif n - 2 * h + 1 < k:
+            errors.append(((k, 1), WindowTooShort(
+                "weighted-average rows j=%d..%d are empty"
+                % (k, n - 2 * h + 1))))
+    try:
+        _check_residual_window(K, n - h)
+    except WindowTooShort as exc:
+        errors.append(((orders[0], 2 if PLUG_IN in methods else 4), exc))
+    bhat = impulse_response(coeffs[:, K], h - 1)
+    gram = _SuffixSums(lags, lags, n - h, K)
+    if not errors and DIRECT in methods:
+        cross = _SuffixSums(lags, series[:, h:, None], n - h, K)
+        # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving combination
+        # whose lag vectors drive the direct penalty.
+        z_lags = _lag_view(sum(bhat[:, i, None] * series[:, i:n - h + 1 + i]
+                               for i in range(h)), K)
+        zz = _SuffixSums(z_lags, z_lags, n - 2 * h + 1, K)
+    fits = {method: np.zeros((R, len(orders), K)) for method in methods}
+    traces = {method: np.zeros((R, len(orders))) for method in methods}
+    for ks in _order_groups(orders, R, K):
+        inside = np.arange(K) < ks[:, None]
+        W = _padded_grams(gram.take(ks), inside)
+        bad = _singular_grams(W).any(axis=0)
+        if bad.any():
+            k = int(ks[bad][-1])
+            errors.append(((k, 3), SingularDesign(
+                "singular Gram, direct rows j=%d..%d, h=%d" % (k, n - h, h))))
+        if errors:  # only the gates of lower orders matter
+            continue
+        at = np.searchsorted(orders, ks)
+        block = inside[:, :, None] & inside[:, None, :]
+        rhs = np.broadcast_to(np.eye(K), W.shape)
+        if DIRECT in methods:
+            rhs = np.concatenate((cross.take(ks) * inside[..., None], rhs),
+                                 axis=-1)
+        solved = np.linalg.solve(W, rhs)
+        inverse = solved[..., -K:]
+        if DIRECT in methods:
+            fits[DIRECT][:, at] = solved[..., 0]
+            traces[DIRECT][:, at] = np.sum(inverse * zz.take(ks) * block,
+                                           axis=(-2, -1))
+        if PLUG_IN in methods:
+            one_step = coeffs[:, ks]
+            fits[PLUG_IN][:, at] = _companion_image(one_step, h)
+            L = _power_sum(companion_matrix(one_step), bhat[:, None]) * block
+            traces[PLUG_IN][:, at] = np.sum(
+                (W @ L) * (inverse @ L.swapaxes(-1, -2)).swapaxes(-1, -2),
+                axis=(-2, -1))
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    at = _queue_residuals(sums, lags, series,
+                          np.concatenate(list(fits.values()), axis=1), h, K)
+    stages = {DIRECT: 1, PLUG_IN: 2}
+    return [(stages[method], k, at[i * len(orders) + j], h,
+             traces[method][:, j])
+            for i, method in enumerate(fits) for j, k in enumerate(orders)]
 
 
 def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
-from .estimation import _gated_solve, row_sums
+from .estimation import _gated_solve, _unscaled, row_sums
 from .model_core import (DIRECT, PLUG_IN, _companion_image,
                          impulse_response, stationary_model,
                          unit_root_model)
@@ -428,6 +428,11 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         in chunks of _MSPE_CHUNK_BYTES while one helper thread draws the
         next chunk, in stream order; memory grows neither with R nor
         with _MSPE_BATCH, whose blocks only group the partial sums.
+
+    The series are simulated in units of 2^s, s the math.frexp exponent
+    of sqrt(sigma2), so no square or fourth power overflows or
+    underflows; the fields are reported at the dgp's scale (_unscaled),
+    inf where they overflow and 0 where they underflow.
     """
     k, h, method = int(spec.k), int(spec.h), spec.method
     if method not in (PLUG_IN, DIRECT):
@@ -444,8 +449,7 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     _check_dgp(dgp)
     levels = np.asarray(dgp.levels, dtype=float)
     w = impulse_response(levels, h - 1)
-    sigma_h2 = float(dgp.sigma2 * np.dot(w, w))
-    scale = math.sqrt(dgp.sigma2)
+    scale, s = math.frexp(math.sqrt(dgp.sigma2))
     rng = np.random.default_rng(int(seed))
     filt = np.concatenate(([1.0], -levels))
     # Chunks of at most `rows` replications, never across a block of
@@ -481,13 +485,13 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
                                               for sums in zip(*block_sums))
     var_err2 = max(mean_err4 - mean_err2 ** 2, 0.0)
     var_u2 = max(mean_u4 - mean_u2 ** 2, 0.0)
-    return MspeEstimate(
-        mspe=mean_err2,
-        se=math.sqrt(var_err2 / R),
-        scaled_excess=n * mean_u2,
-        scaled_excess_se=n * math.sqrt(var_u2 / R),
-        replications=int(R),
-        sigma_h2=sigma_h2)
+    mspe, se, excess, excess_se, sigma_h2 = _unscaled(
+        [mean_err2, math.sqrt(var_err2 / R), n * mean_u2,
+         n * math.sqrt(var_u2 / R),
+         math.ldexp(dgp.sigma2, -2 * s) * np.dot(w, w)], 2 * s).tolist()
+    return MspeEstimate(mspe=mspe, se=se, scaled_excess=excess,
+                        scaled_excess_se=excess_se, replications=int(R),
+                        sigma_h2=sigma_h2)
 
 
 def _block_sums(err, future, w):

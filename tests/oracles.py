@@ -35,6 +35,21 @@ def substitution_coefficients(levels, h):
     return out
 
 
+#: Reciprocal-condition threshold of the package's Gram gate.
+GATE_RCOND = 1e-13
+
+
+def gram_is_invertible(gram):
+    """The condition gate on one Gram matrix, from its definition: the
+    Gram is finite, its largest eigenvalue is positive, and its smallest
+    exceeds GATE_RCOND times its largest."""
+    gram = np.asarray(gram, dtype=float)
+    if not np.isfinite(gram).all():
+        return False
+    evals = np.linalg.eigvalsh(gram)
+    return bool(evals[-1] > 0.0 and evals[0] > GATE_RCOND * evals[-1])
+
+
 def gaussian_elimination_solve(matrix, rhs):
     """Solve a linear system by Gaussian elimination with partial pivoting.
 

@@ -6,7 +6,8 @@ import pytest
 import arstep as a
 from arstep.estimation import (_gated_solve, _singular_grams,
                                _singular_prefix)
-from oracles import least_squares_by_elimination, substitution_coefficients
+from oracles import (gram_is_invertible, least_squares_by_elimination,
+                     substitution_coefficients)
 
 CUBIC = (0.9, -0.81, 0.91)
 
@@ -119,7 +120,7 @@ def test_batched_gate_agrees_with_scalar_gate_and_rejects_non_finite():
     finite = [x.T @ x, np.zeros((3, 3)), -np.eye(3),
               np.diag([1.0, 1.0, 1e-14]), np.diag([1.0, 1.0, 1e-12])]
     bad = _singular_grams(np.array(finite))
-    assert list(bad) == [not a.estimation.gram_is_invertible(g)
+    assert list(bad) == [not gram_is_invertible(g)
                          for g in finite]
     for value in (np.nan, np.inf):
         gram = np.eye(3)
@@ -139,7 +140,7 @@ def test_batched_gates_fail_non_finite_grams_without_raising():
     for index, value in fills.items():
         prefix[index] = value
     expected = [index in fills
-                or not a.estimation.gram_is_invertible(prefix[index])
+                or not gram_is_invertible(prefix[index])
                 for index in range(60)]
     assert _singular_grams(prefix).tolist() == expected
     assert _singular_prefix(prefix).tolist() == expected
@@ -163,7 +164,7 @@ def test_scalar_gate_rejects_non_finite_grams():
     for value in (np.nan, np.inf, -np.inf):
         for gram in (np.full((3, 3), value), np.eye(3)):
             gram[0, 1] = gram[1, 0] = value
-            assert not a.estimation.gram_is_invertible(gram)
+            assert not gram_is_invertible(gram)
             with pytest.raises(a.SingularDesign, match="^gram$"):
                 _gated_solve(gram, np.ones((3, 1)), lambda j: "gram")
     np.testing.assert_array_equal(

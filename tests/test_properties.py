@@ -14,6 +14,7 @@ import arstep as a
 from arstep.estimation import _singular_grams, _singular_prefix, row_sums
 from arstep.model_core import _companion_image
 from arstep.selection import _order_prefix, _shared_prefix
+from oracles import gram_is_invertible
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -61,8 +62,8 @@ def _scanned_start_index(series, K, h):
     prefix entries each sample end i reads, from i = 2K + h - 1 up."""
     grams = _shared_prefix(series, K)[1]
     for i in range(2 * K + h - 1, series.size - h + 1):
-        if a.estimation.gram_is_invertible(grams[i - 1 - K]) \
-                and a.estimation.gram_is_invertible(grams[i - h - K]):
+        if gram_is_invertible(grams[i - 1 - K]) \
+                and gram_is_invertible(grams[i - h - K]):
             return i
     raise a.SeriesTooShort("no sample end clears the gate")
 

@@ -1,13 +1,16 @@
 """Selection procedures: start index, sequential errors, criteria, steps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import arstep as a
-from arstep.estimation import _singular_grams
-from arstep.selection import _argmin_smallest, _criteria, _outcome
+from arstep.estimation import _lag_view, _singular_grams
+from arstep.selection import (_SuffixSums, _argmin_smallest, _criteria,
+                              _outcome, _padded_grams)
+from oracles import gram_is_invertible
 
 
 def _series(label, n, r=0, seed=0):
@@ -498,6 +501,100 @@ def test_stacked_criteria_equal_one_series_at_a_time():
             for series, stages in zip(stack, per_series):
                 alone = a.select_by_criterion(series, h, K, penalty)
                 assert _outcome(*stages) == alone
+
+
+def _noiseless_impulse_series():
+    """Generator I without noise, from a unit impulse: x_{t+2} = -0.8 x_t
+    exactly, so every Gram of order 3 or more is singular."""
+    dgp = a.DgpSpec("I0", (0.0, -0.8), False, 2, 10, sigma2=0.0)
+    return a.generate(dgp, 300, 0, impulse=1.0)
+
+
+def test_padded_gate_agrees_with_the_scalar_gate():
+    # Order by order, on the one-step rows and on the direct window at
+    # h = 2, the padded Grams of _criteria pass the condition gate where
+    # the order's own Gram passes the scalar gate of the oracles.
+    x = _noiseless_impulse_series()
+    n, K = x.size, 10
+    lags = _lag_view(x[None], K)
+    ks = np.arange(K, 0, -1)
+    for last in (n - 1, n - 2):
+        grams = _padded_grams(_SuffixSums(lags, lags, last, K).take(ks),
+                              np.arange(K) < ks[:, None])
+        scalar = [gram_is_invertible(X.T @ X) for X in
+                  (a.lag_matrix(x, k, k, last) for k in ks)]
+        assert (~_singular_grams(grams[0])).tolist() == scalar
+        assert scalar == [False] * 8 + [True, True]
+
+
+def test_singular_orders_fail_and_pass_as_candidate_by_candidate():
+    # The values and errors of the candidate-by-candidate implementation.
+    # With K = 10 the one-step Gram of order K is singular and every call
+    # names it; with K = 2 every call returns, and the criteria the
+    # noiseless fits make exactly zero are zero up to rounding.
+    x = _noiseless_impulse_series()
+    for h in (1, 2):
+        calls = [lambda: a.select_by_criterion(x, h, 10)]
+        calls += [lambda k=k, f=f: f(x, k, h, 10) for k in range(1, 11)
+                  for f in (a.plugin_criterion, a.direct_criterion)]
+        for call in calls:
+            with pytest.raises(a.SingularDesign) as caught:
+                call()
+            assert type(caught.value) is a.SingularDesign
+            assert str(caught.value) == \
+                "singular Gram, one-step rows j=10..299"
+    want = {(1, 1, a.PLUG_IN): 0.005985783763561544,
+            (1, 1, a.DIRECT): 0.005985783763561544,
+            (2, 1, a.PLUG_IN): 0.003843843843843846}
+    for h in (1, 2):
+        out = a.select_by_criterion(x, h, 2)
+        for k in (1, 2):
+            for method, value in ((a.PLUG_IN, a.plugin_criterion(x, k, h, 2)),
+                                  (a.DIRECT, a.direct_criterion(x, k, h, 2))):
+                expected = pytest.approx(want.get((h, k, method), 0.0),
+                                         rel=1e-12, abs=1e-30)
+                assert value == expected, (h, k, method)
+                assert out.criteria[k, method] == expected, (h, k, method)
+    assert (a.select_by_criterion(x, 1, 2).k,
+            a.select_by_criterion(x, 1, 2).method) == (2, a.DIRECT)
+
+
+def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
+    # One padded pass per stage: one eigvalsh and one LU solve for the
+    # one-step fits and one each for the direct window, whatever K.
+    calls = {"eigvalsh": 0, "solve": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    series = _series("X", 300)
+    for K in (5, 20):
+        for name in calls:
+            calls[name] = 0
+        a.select_by_criterion(series, 2, K)
+        assert calls == {"eigvalsh": 2, "solve": 2}, K
+
+
+def test_criteria_memory_stays_bounded_on_a_large_stack():
+    # 32 series of 1000 values at K = 20: every order's padded Grams and
+    # residuals at once would take tens of megabytes; groups of orders
+    # and chunks of series keep the peak near the parent's 2.1 MB.
+    dgp = a.DGPS["IX"]
+    stack = np.array([_series("IX", 1000, r=r) for r in range(32)])
+    tracemalloc.start()
+    try:
+        _criteria(stack, dgp.horizon, dgp.max_order, (a.PENALTY_PRESETS["B"],),
+                  range(1, dgp.max_order + 1), (a.DIRECT, a.PLUG_IN))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_select_by_criterion_outcome_structure():

@@ -492,6 +492,28 @@ def test_estimate_mspe_is_deterministic():
             == a.estimate_mspe(dgp, spec, 300, 50, seed=4))
 
 
+@pytest.mark.parametrize("spec", [a.PredictorSpec(2, a.DIRECT, 2),
+                                  a.PredictorSpec(3, a.PLUG_IN, 2)],
+                         ids=["direct", "plug-in"])
+def test_estimate_mspe_scales_by_powers_of_four(spec):
+    # At sigma2 = 25 * 4^m the series are 2^m times those at 25.  The
+    # estimator simulates in units of a power of two, so every field is
+    # the one at 25 times 4^m, rounded once: no RuntimeWarning or
+    # OverflowError at 2^1000, and no zero standard error at 2^-1060,
+    # where err^4 would underflow.
+    base = a.estimate_mspe(a.DGPS["III"], spec, 300, 50, seed=1)
+    for m in (-530, 0, 500):
+        dgp = a.DgpSpec("III", (0.0, 0.2, 0.8), True, 2, 10,
+                        sigma2=25 * 4.0 ** m)
+        est = a.estimate_mspe(dgp, spec, 300, 50, seed=1)
+        assert est.replications == base.replications
+        for field in ("mspe", "se", "scaled_excess", "scaled_excess_se",
+                      "sigma_h2"):
+            assert getattr(est, field) \
+                == math.ldexp(getattr(base, field), 2 * m), (m, field)
+        assert est.se > 0.0
+
+
 def _one_block_mspe(dgp, spec, n, R, seed):
     """estimate_mspe written longhand: every innovation in one draw, the
     fits and the future noise one block of 4096 rows at a time, as the
@@ -622,9 +644,11 @@ def test_mspe_errors_match_the_fitted_predictors(monkeypatch):
     # estimate_mspe builds its Grams with einsum and the fits with
     # matmul, so one replication's prediction error agrees with
     # fit_direct or plug_in_multi plus predict to rounding, not bit for
-    # bit.
+    # bit.  It simulates in units of 2^s, s the exponent of sqrt(sigma2),
+    # so its errors are those of the series as drawn times 2^-s.
     dgp, n, R, seed = a.DGPS["VII"], 300, 3, 12
     h = dgp.horizon
+    unit = 2.0 ** -math.frexp(math.sqrt(dgp.sigma2))[1]
     errors, real = [], simulation._block_sums
     monkeypatch.setattr(simulation, "_block_sums", lambda err, *rest: (
         errors.append(err.copy()) or real(err, *rest)))
@@ -642,4 +666,4 @@ def test_mspe_errors_match_the_fitted_predictors(monkeypatch):
                 else:
                     fit = a.plug_in_multi(a.fit_one_step(series, k), h)
                 want = a.predict(series, fit).value - x[r, n + h - 1]
-                assert err == pytest.approx(want, rel=1e-10, abs=0)
+                assert err == pytest.approx(want * unit, rel=1e-10, abs=0)
