@@ -7,12 +7,13 @@ usable regressor row is j = k — estimation windows never reach into the
 zero pre-sample.
 
 Every Gram matrix passes a reciprocal-condition gate on its eigenvalues
-before its LU solve (_gated_solve); a Gram below the threshold raises
-SingularDesign rather than silently pseudo-inverting (unit-root
-regressors make these matrices wildly scaled, and a corrupted solve
-would poison every sequential-prediction sum built on top of it).  A
-series enters the fits divided by a power of two (_normalized), so no
-Gram underflows or overflows.
+before its LU solve (_gated_solve, or the padded passes of
+selection._criteria, which gate every order before one solve); a Gram
+below the threshold raises SingularDesign rather than silently
+pseudo-inverting (unit-root regressors make these matrices wildly
+scaled, and a corrupted solve would poison every sequential-prediction
+sum built on top of it).  A series enters the fits divided by a power of
+two (_normalized), so no Gram underflows or overflows.
 """
 
 import math
@@ -392,6 +393,13 @@ class _SquareSums:
             start = stop
         self._queued += len(vectors)
         return first
+
+    def reserve(self, count):
+        """Sum the buffer now unless count more rows fit in it, so that a
+        caller can make its next count vectors after the sum's working
+        copy of the buffer is freed, not beside it."""
+        if self._fill + count > len(self._buffer):
+            self._flush()
 
     def _flush(self):
         self._done.append(_sum_rows(self._buffer[:self._fill]))

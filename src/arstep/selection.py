@@ -391,8 +391,10 @@ def _queue_residuals(sums, lags, series, coeffs, h, K):
     The fitted values are products of a series' fits with its order-K
     lag window, in blocks that keep their residuals within
     SUM_BUFFER_BYTES: as many fits as fit the budget, and the fits of as
-    many series.  A series' blocks, and so its values, do not depend on
-    the series beside it.
+    many series.  A block is made after any sum its rows would set off
+    (_SquareSums.reserve), so that it never lies beside the sum's working
+    copy.  A series' blocks, and so its values, do not depend on the
+    series beside it.
     """
     R, G, K = coeffs.shape
     n = series.shape[1]
@@ -405,12 +407,15 @@ def _queue_residuals(sums, lags, series, coeffs, h, K):
     for r in range(0, R, chunk):
         for g in range(0, G, fits):
             s, f = slice(r, r + chunk), slice(g, g + fits)
-            residuals = coeffs[s, f] @ window[s]
+            block = coeffs[s, f]
+            rows, cols = block.shape[:2]
+            sums.reserve(rows * cols)
+            residuals = block @ window[s]
             np.subtract(series[s, None, K + h - 1:], residuals,
                         out=residuals)
-            rows, cols = residuals.shape[:2]
             at[f, s] = sums.add(residuals.reshape(-1, width)) \
                 + np.arange(cols)[:, None] + cols * np.arange(rows)
+            del residuals  # freed before the next reserve
     return at
 
 
@@ -435,11 +440,10 @@ def _criteria(series, h, K, penalties, orders, methods):
     the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
     powers of the padded companion matrix, cut to its order's block.
     Each residual sum is math.fsum's (one _SquareSums buffer,
-    _queue_residuals).  Memory
-    stays bounded: a stage takes its orders in groups (_order_groups),
-    largest first, and its residuals in chunks of series; no value
-    depends on the grouping, so a stack's values are those of its series
-    one at a time.
+    _queue_residuals).  Memory stays bounded: a stage takes its orders in
+    groups (_order_groups), largest first, and its residuals in chunks of
+    series; no value depends on the grouping, so a stack's values are
+    those of its series one at a time.
 
     The first-stage penalty tr(G^-1 G) is k; so is the plug-in one at
     h = 1 (L = I), where every h-step fit is the one-step fit.  Order K's
@@ -464,8 +468,13 @@ def _criteria(series, h, K, penalties, orders, methods):
     fitted = set(orders) if h == 1 or PLUG_IN in methods else set()
     fitted = sorted(fitted | {K})
     h_step = orders if h > 1 else []
-    sums = _SquareSums(n - K, R * (len(fitted) + len(h_step) * len(methods)))
     coeffs = _one_step_fits(series, lags, K, fitted)
+    if h_step:
+        fits, traces = _h_step_fits(series, lags, h, K, h_step, methods,
+                                    coeffs)
+    # The residuals are queued after every fit, so the sum buffer is
+    # never held beside a pass's padded arrays.
+    sums = _SquareSums(n - K, R * (len(fitted) + len(h_step) * len(methods)))
     one_at = dict(zip(fitted, _queue_residuals(
         sums, lags, series, coeffs[:, fitted], 1, K)))
     # One entry per criterion: (stage, k, index of its residual sum per
@@ -473,8 +482,14 @@ def _criteria(series, h, K, penalties, orders, methods):
     entries = [(0, k, one_at[k], 1, np.full(R, float(k)))
                for k in orders if k in one_at]
     if h_step:
-        entries += _h_step_entries(series, lags, h, K, h_step, methods,
-                                   coeffs, sums)
+        at = _queue_residuals(sums, lags, series,
+                              np.concatenate(list(fits.values()), axis=1),
+                              h, K)
+        stages = {DIRECT: 1, PLUG_IN: 2}
+        entries += [(stages[method], k, at[i * len(h_step) + j], h,
+                     traces[method][:, j])
+                    for i, method in enumerate(fits)
+                    for j, k in enumerate(h_step)]
     stage, ks, at, lag, trace = zip(*entries)
     totals = sums.totals()
     resid_ms = totals[np.array(at)] / (n - K - np.array(lag))[:, None]
@@ -513,18 +528,18 @@ def _one_step_fits(series, lags, K, fitted):
         if not singular:  # else only the gates of lower orders matter
             coeffs[:, ks] = np.linalg.solve(
                 grams, cross.take(ks) * inside[..., None])[..., 0]
+    if K not in singular:
+        _check_residual_window(K, n - 1)
     if singular:
-        k = K if K in singular else min(singular)
-        if k != K:
-            _check_residual_window(K, n - 1)
         raise SingularDesign("singular Gram, one-step rows j=%d..%d"
-                             % (k, n - 1))
+                             % (K if K in singular else min(singular), n - 1))
     return coeffs
 
 
-def _h_step_entries(series, lags, h, K, orders, methods, coeffs, sums):
-    """_criteria's entries of the h-step stages, h > 1, for the ascending
-    orders: one gated LU solve of each order's direct-window Gram W
+def _h_step_fits(series, lags, h, K, orders, methods, coeffs):
+    """The h-step fits, h > 1, of the ascending orders, zero-padded to K,
+    and their trace penalties, as {method: array} dicts indexed [series,
+    order]: one gated LU solve of each order's direct-window Gram W
     serves every series and method.  coeffs holds the one-step fits
     (_one_step_fits) of order K and, for PLUG_IN, of the orders."""
     R, n = series.shape
@@ -587,12 +602,7 @@ def _h_step_entries(series, lags, h, K, orders, methods, coeffs, sums):
                 axis=(-2, -1))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    at = _queue_residuals(sums, lags, series,
-                          np.concatenate(list(fits.values()), axis=1), h, K)
-    stages = {DIRECT: 1, PLUG_IN: 2}
-    return [(stages[method], k, at[i * len(orders) + j], h,
-             traces[method][:, j])
-            for i, method in enumerate(fits) for j, k in enumerate(orders)]
+    return fits, traces
 
 
 def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
