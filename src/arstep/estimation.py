@@ -7,9 +7,11 @@ usable regressor row is j = k — estimation windows never reach into the
 zero pre-sample.
 
 Every Gram matrix passes a reciprocal-condition gate on its eigenvalues
-before its LU solve (_gated_solve, or the padded passes of
-selection._criteria, which gate every order before one solve); a Gram
-below the threshold raises SingularDesign rather than silently
+before it is solved: by LU in _gated_solve and in the padded passes of
+selection._criteria, which gate every order before one solve, and by a
+factor shared by every order in the APE refits
+(selection._factor_prefix, LU where that factor is ill-conditioned).  A
+Gram below the threshold raises SingularDesign rather than silently
 pseudo-inverting (unit-root regressors make these matrices wildly
 scaled, and a corrupted solve would poison every sequential-prediction
 sum built on top of it).  A series enters the fits divided by a power of

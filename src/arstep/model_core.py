@@ -275,10 +275,18 @@ def companion_apply(coeffs, vec):
 def _companion_image(coeffs, h):
     """A^(h-1) coeffs, with A the companion matrix of the float array
     coeffs (coeffs itself at h = 1), by h - 1 companion_apply steps: a
-    stack of coefficient vectors, one per row, gives the image of each."""
+    stack of coefficient vectors, one per row, gives the image of each.
+
+    The steps run on a column-major copy, so that each elementwise
+    operation sweeps the stack instead of one short row at a time; the
+    image is returned row-major, with the values of row-major steps.
+    """
     v = coeffs
-    for _ in range(h - 1):
-        v = companion_apply(coeffs, v)
+    if h > 1:
+        coeffs = v = np.asfortranarray(coeffs)
+        for _ in range(h - 1):
+            v = companion_apply(coeffs, v)
+        v = np.ascontiguousarray(v)
     return v
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
-from .estimation import _require_finite
+from .estimation import _normalized, _require_finite, _unscaled
 from .model_core import _as_series
 
 
@@ -35,7 +35,11 @@ def predict(series, coeffs, origin=None):
     (x_origin, ..., x_{origin-k+1})'.  The origin defaults to the series
     end; regressors are never padded with pre-sample zeros at prediction
     time (InsufficientHistory is raised instead), and a regressor holding
-    NaN or inf raises NonFiniteSeries.
+    NaN or inf raises NonFiniteSeries.  The product is taken on the tail
+    divided by 2^e, e the math.frexp exponent of its largest entry, and
+    scaled back once, so a representable forecast does not overflow on
+    the way: under x -> 2^m x the forecast is 2^m times the unscaled one,
+    rounded once (inf past the float range).
 
     Parameters
     ----------
@@ -58,6 +62,8 @@ def predict(series, coeffs, origin=None):
             "origin %d has fewer than %d trailing observations" % (n, k))
     tail = series[n - k:n][::-1]
     _require_finite(tail)
-    value = float(np.dot(np.asarray(coeffs.coeffs, dtype=float), tail))
+    tail, e = _normalized(tail)
+    value = float(_unscaled(
+        np.dot(np.asarray(coeffs.coeffs, dtype=float), tail), e))
     return Forecast(value=value, origin=n, horizon=coeffs.h,
                     spec=PredictorSpec(k=k, method=coeffs.method, h=coeffs.h))

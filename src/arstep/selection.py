@@ -24,9 +24,9 @@ import numpy as np
 from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
 from .estimation import (SUM_BUFFER_BYTES, _SquareSums,
-                         _check_residual_window, _gated_solve, _lag_view,
-                         _normalized, _require_finite, _singular_grams,
-                         _singular_prefix, _unscaled, lag_matrix)
+                         _check_residual_window, _lag_view, _normalized,
+                         _require_finite, _singular_grams, _singular_prefix,
+                         _unscaled, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
                          _power_sum, companion_matrix, impulse_response)
 
@@ -182,51 +182,138 @@ def _start_index(n, K, h, bad):
     return int(ends[np.argmax(clear)])
 
 
-def _ape_sums(series, prefix, stages, sums):
-    """Accumulated prediction errors of one order k for several stages.
+#: Bound on the condition number of an APE Gram, tr(G) ||U||_F^2, above
+#: which its fit is an LU solve instead of a product with the shared
+#: factor (_factor_prefix).
+CHOLESKY_COND_MAX = 1e7
 
-    prefix is _order_prefix(shared, k).  Each stage (method, h, m) asks
-    for the h-step sum of that method over the sample ends i = m..n-h;
-    its prediction errors are queued on the _SquareSums sums, one row per
-    stage, in stage order, and the index of the first one is returned.
-    Every Gram those refits need is an entry of the prefix: the one-step
-    fit behind plug-in at sample end i reads entry i-1-k, the direct
-    h-step fit entry i-h-k (so direct at h = 1 is the one-step fit).
-    The first stage's entries, its window, must hold every later
+#: Prefix entries factored per chunk (_factor_prefix).
+FACTOR_CHUNK = 64
+
+
+def _lower_inverse(L):
+    """Inverse of each lower-triangular matrix of a stack, row by row by
+    forward substitution."""
+    M = np.zeros_like(L)
+    d = np.arange(L.shape[-1])
+    M[:, d, d] = 1.0 / L[:, d, d]
+    for i in range(1, L.shape[-1]):
+        M[:, i, :i] = (L[:, i, None, :i] @ M[:, :i, :i])[:, 0] \
+            * -M[:, i, i, None]
+    return M
+
+
+def _factor_prefix(grams, bad, first, last):
+    """Overwrite entries first..last-1 of an order-K Gram prefix with
+    factors that serve every order, and say which fits they cannot serve.
+
+    Write G = R R', R upper triangular (R = J L J, L the Cholesky factor
+    of J G J, J the order reversal).  Order k's Gram, the trailing k x k
+    block of G, is then R_k R_k' with R_k the trailing block of R, so
+    U = R^-1 holds every order's inverse factor as its trailing block U_k
+    and order k solves its Gram as U_k' (U_k c).  bad is order K's gate
+    mask (_order_prefix); the entries past it, which only lower orders
+    read, are gated here.  Each entry that clears the gate is overwritten
+    with U; the others keep their Gram.
+
+    Returns (exact, kept).  exact[r - first, k - 1] is True where order k
+    must solve entry r by LU instead: where the entry fails the gate, or
+    where tr(G_k) ||U_k||_F^2, a bound on the condition number of G_k,
+    exceeds CHOLESKY_COND_MAX.  kept holds copies of the Grams of the
+    entries some order solves by LU, in entry order.  Entries are
+    factored FACTOR_CHUNK at a time, and no entry's values depend on the
+    others.
+    """
+    bad = np.concatenate((bad, _singular_grams(grams[bad.size:last])))
+    exact = np.ones((last - first, grams.shape[-1]), dtype=bool)
+    kept = []
+    for a in range(first, last, FACTOR_CHUNK):
+        b = min(a + FACTOR_CHUNK, last)
+        good = a + np.flatnonzero(~bad[a:b])
+        flipped = grams[good, ::-1, ::-1]
+        inverse = _lower_inverse(np.linalg.cholesky(flipped))
+        with np.errstate(over="ignore"):  # inf sends the fit to LU
+            bound = (np.cumsum(np.einsum("bii->bi", flipped), axis=1)
+                     * np.cumsum(np.einsum("bij,bij->bi", inverse, inverse),
+                                 axis=1))
+        exact[good - first] = bound > CHOLESKY_COND_MAX
+        kept.append(grams[a:b][exact[a - first:b - first].any(axis=1)])
+        grams[good] = inverse[:, ::-1, ::-1]
+    return exact, np.concatenate(kept)
+
+
+def _ape_sums(series, shared, top_bad, orders, stages, sums):
+    """Accumulated prediction errors of several orders for several stages.
+
+    shared is the width-K prefix (_shared_prefix) and top_bad its gate
+    mask; the call overwrites its Grams (_factor_prefix).  Each stage
+    (method, h, m) asks for the h-step sum of that method over the sample
+    ends i = m..n-h; for each order, in the order given, its prediction
+    errors are queued on the _SquareSums sums, one row per stage, in
+    stage order, and {order: index of its first sum} is returned.  Every
+    Gram those refits need is an entry of the order's prefix: the
+    one-step fit behind plug-in at sample end i reads entry i-1-k, the
+    direct h-step fit entry i-h-k (so direct at h = 1 is the one-step
+    fit).  The first stage's entries, its window, must hold every later
     stage's (in select_by_ape the one-step window holds the direct one).
-    The stages use at most two fit lags, 1 and H, so one gated solve over
-    that window serves them all: column 0 of its right-hand side holds
-    the one-step cross-products, column 1 the lag-H ones (the one-step
-    ones again when H = 1).  A column's solution does not depend on the
-    other column, so a stage gets the same coefficients whatever stages
-    share the solve.  A singular entry raises SingularDesign naming the
-    first stage's sample end that reads it.
+    The stages use at most two fit lags, 1 and H, so one solve per entry
+    serves them all: column 0 of its right-hand side holds the one-step
+    cross-products, column 1 the lag-H ones (the one-step ones again when
+    H = 1).  A column's solution does not depend on the other column, so
+    a stage gets the same coefficients whatever stages share the solve.
+    The solve is a product with the entry's shared factor, or for the
+    fits that factor cannot serve an LU solve of the Gram; neither
+    depends on the other orders or entries asked for.  Before anything is
+    solved, a singular entry raises SingularDesign naming the first
+    stage's sample end that reads it, at the first order that has one.
     """
     n = series.size
-    rows, grams, bad = prefix
-    k = rows.shape[1]
+    rows, grams = shared
+    K = rows.shape[1]
     lags = [1 if method == PLUG_IN else h for method, h, _ in stages]
     m = stages[0][2]
-    lo, hi = m - lags[0] - k, n - stages[0][1] - lags[0] - k + 1
     H = max(lags)
-    cross = np.zeros((hi, k, 2))
-    np.multiply(rows[:hi], series[k:k + hi, None], out=cross[:, :, 0])
-    stop = min(hi, n - H - k + 1)
-    np.multiply(rows[:stop], series[k + H - 1:k + H - 1 + stop, None],
-                out=cross[:stop, :, 1])
-    np.cumsum(cross, axis=0, out=cross)
-    coeffs = _gated_solve(grams[lo:hi], cross[lo:], lambda j: (
-        "singular design at sample end i=%d" % (m + j)), bad[lo:hi])
-    queued = []
-    for (method, h, m), lag in zip(stages, lags):
-        first = m - lag - k - lo
-        fits = coeffs[first:first + n - h - m + 1, :, 0 if lag == 1 else 1]
-        if method == PLUG_IN:
-            fits = _companion_image(fits, h)
-        tails = rows[np.arange(m, n - h + 1) - k]
-        queued.append(sums.add(series[None, m + h - 1:n]
-                               - np.einsum("bk,bk->b", fits, tails)))
-    return queued[0]
+    windows = {}
+    for k in orders:
+        lo, hi = m - lags[0] - k, n - stages[0][1] - lags[0] - k + 1
+        bad = (top_bad if k == K else _order_prefix(shared, k)[2])[lo:hi]
+        if bad.any():
+            raise SingularDesign("singular design at sample end i=%d"
+                                 % (m + int(np.argmax(bad))))
+        windows[k] = lo, hi
+    first = min(lo for lo, _ in windows.values())
+    exact, kept = _factor_prefix(
+        grams, top_bad, first, max(hi for _, hi in windows.values()))
+    slot = np.cumsum(exact.any(axis=1)) - 1
+    at = {}
+    for k, (lo, hi) in windows.items():
+        c = K - k
+        rows_k = rows[:, c:]
+        cross = np.zeros((hi, k, 2))
+        np.multiply(rows_k[:hi], series[k:k + hi, None], out=cross[:, :, 0])
+        stop = min(hi, n - H - k + 1)
+        np.multiply(rows_k[:stop],
+                    series[k + H - 1:k + H - 1 + stop, None],
+                    out=cross[:stop, :, 1])
+        np.cumsum(cross, axis=0, out=cross)
+        factor = grams[lo:hi, c:, c:]
+        coeffs = factor.swapaxes(-1, -2) @ (factor @ cross[lo:])
+        lu = exact[lo - first:hi - first, k - 1]
+        if lu.any():
+            coeffs[lu] = np.linalg.solve(
+                kept[slot[lo - first:hi - first][lu], c:, c:], cross[lo:][lu])
+        queued = []
+        for (method, h, m), lag in zip(stages, lags):
+            start = m - lag - k - lo
+            fits = coeffs[start:start + n - h - m + 1, :,
+                          0 if lag == 1 else 1]
+            if method == PLUG_IN:
+                fits = _companion_image(fits, h)
+            tails = rows_k[np.arange(m, n - h + 1) - k]
+            queued.append(sums.add(series[None, m + h - 1:n]
+                                   - np.einsum("bk,bk->b", fits, tails)))
+        at[k] = queued[0]
+    return at
 
 
 def accumulated_prediction_error(series, k, h, method, K, start_index=None):
@@ -247,7 +334,8 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
         Horizon.
     method : {"plug-in", "direct"}
     K : int
-        Largest candidate order (fixes the start index).
+        Largest candidate order (fixes the start index, and the order-K
+        Gram prefix whose factors serve every order).
     start_index : int, optional
         Precomputed value of min_start_index(series, K, h); computed
         when omitted.
@@ -266,21 +354,19 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     if h < 1:
         raise ValueError("h must be at least 1")
     series, e = _normalized(series)
-    if start_index is None:  # min_start_index; its prefix serves every k
-        shared = _shared_prefix(series, K)
-        prefix = _order_prefix(shared, K)
-        m = _start_index(n, K, h, prefix[2])
-    else:
-        shared, prefix, m = None, None, int(start_index)
+    # Order K's prefix gives the start index, and its factors serve every
+    # k, as in select_by_ape.
+    shared = _shared_prefix(series, K)
+    top_bad = _order_prefix(shared, K)[2]
+    m = (_start_index(n, K, h, top_bad) if start_index is None
+         else int(start_index))
     if n - h < m:
         raise SeriesTooShort("no forecast origins between i=%d and n-h=%d"
                              % (m, n - h))
     if m - (1 if method == PLUG_IN else h) < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
-    if prefix is None or k < K:
-        prefix = _order_prefix(shared or _shared_prefix(series, k), k)
     sums = _SquareSums(n - h - m + 1, 1)
-    _ape_sums(series, prefix, ((method, h, m),), sums)
+    _ape_sums(series, shared, top_bad, (k,), ((method, h, m),), sums)
     return float(_unscaled(sums.totals()[0], 2 * e))
 
 
@@ -299,9 +385,9 @@ def select_by_ape(series, h, K):
     _require_finite(series)
     series, e = _normalized(series)
     shared = _shared_prefix(series, K)
-    top = _order_prefix(shared, K)
-    m1 = _start_index(series.size, K, 1, top[2])
-    mh = _start_index(series.size, K, h, top[2])
+    top_bad = _order_prefix(shared, K)[2]
+    m1 = _start_index(series.size, K, 1, top_bad)
+    mh = _start_index(series.size, K, h, top_bad)
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet.
     # The first stage's window holds the other two (mh >= m1, and
@@ -312,9 +398,7 @@ def select_by_ape(series, h, K):
     # orders fails on order K's sample end.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
     sums = _SquareSums(series.size - m1, 3 * K)
-    at = {k: _ape_sums(series, top if k == K else _order_prefix(shared, k),
-                       stages, sums)
-          for k in (K, *range(1, K))}
+    at = _ape_sums(series, shared, top_bad, (K, *range(1, K)), stages, sums)
     totals = sums.totals().tolist()
     first_stage, direct_vals, plug_all = (
         {k: totals[at[k] + stage] for k in range(1, K + 1)}

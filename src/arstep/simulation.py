@@ -499,10 +499,14 @@ def _block_sums(err, future, w):
     replications, u = err + eta with eta = future @ w, the part of
     x_{n+h} no predictor at n can see.
 
-    eta is one product per block on a column-major copy: BLAS rounds a
-    row of it differently depending on the layout and the row count.
+    eta is a multiply-add over the h columns of future, in column
+    order, so each row's rounding depends neither on the layout of future
+    nor on the rows beside it (a BLAS product's may).
     """
-    u = err + np.asfortranarray(future) @ w
+    eta = future[:, 0] * w[0]
+    for j in range(1, len(w)):
+        eta += future[:, j] * w[j]
+    u = err + eta
     err2, u2 = err * err, u * u
     return row_sums([err2, err2 * err2, u2, u2 * u2]).tolist()
 

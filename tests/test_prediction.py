@@ -1,7 +1,11 @@
 """Forecast evaluation: tail products, guards, iterated equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import arstep as a
 from oracles import iterated_forecast
@@ -66,3 +70,32 @@ def test_plug_in_forecast_equals_iterated_one_step():
         got = a.predict(series, multi).value
         want = iterated_forecast(series, one.coeffs, h)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_predict_does_not_overflow_on_a_representable_forecast():
+    # 2 * 1.6e308 overflows, but the forecast 2 x_1 - x_2 = 1.5e308 does
+    # not: the tail is scaled down before the product.
+    fit = a.FittedCoefficients((2.0, -1.0), 2, 1, a.DIRECT, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert a.predict(np.array([1.7e308, 1.6e308]), fit).value == 1.5e308
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(tail=st.lists(st.integers(-2 ** 23, 2 ** 23), min_size=1,
+                     max_size=6),
+       coeffs=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+       m=st.integers(-1000, 1000))
+@example(tail=[2 ** 23, 2 ** 23 - 1], coeffs=[4.0, -3.0, 0, 0, 0, 0],
+         m=1000)
+def test_predict_scales_by_powers_of_two(tail, coeffs, m):
+    # x -> 2^m x is exact on these tails, so the forecast is 2^m times
+    # the unscaled one, rounded once (0 or inf past the float range),
+    # even where a product of a coefficient with 2^m x would overflow.
+    series = np.array(tail, dtype=float)
+    k = len(tail)
+    fit = a.FittedCoefficients(tuple(coeffs[:k]), k, 1, a.DIRECT, k)
+    want = a.predict(series, fit).value
+    with np.errstate(over="ignore"):
+        want = float(np.ldexp(want, m))
+    assert a.predict(np.ldexp(series, m), fit).value == want

@@ -115,7 +115,8 @@ def test_ape_per_term_tracks_h_step_noise_variance():
 
 
 def test_ape_builds_the_order_K_prefix_once(monkeypatch):
-    # One shared prefix serves the start index and every order.
+    # One shared prefix serves the start index and every order, and its
+    # order-K factors serve a given start index too.
     series = _series("IX", 1000)
     m = a.min_start_index(series, 20, 10)
     want = {k: a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
@@ -129,7 +130,7 @@ def test_ape_builds_the_order_K_prefix_once(monkeypatch):
 
     monkeypatch.setattr(a.selection, "_shared_prefix", shared_prefix)
     for k, start_index, widths in ((20, None, [20]), (10, None, [20]),
-                                   (10, m, [10])):
+                                   (10, m, [20])):
         built.clear()
         assert a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
                                               start_index) == want[k]
@@ -159,22 +160,86 @@ def test_order_prefixes_are_views_of_the_shared_prefix():
             assert bad.tolist() == _singular_grams(prefix).tolist()
 
 
-def test_select_by_ape_solves_each_order_once(monkeypatch):
-    # Both fit lags of an order go through one batched solve with a
-    # two-column right-hand side; a single sum takes one solve too.
+def test_ape_factors_each_prefix_chunk_once(monkeypatch):
+    # One Cholesky factor per chunk of prefix entries serves every order,
+    # so the number of factorizations does not grow with K, and no fit of
+    # IX at n = 300 needs an LU solve.
     series = _series("IX", 300)
-    real, calls = np.linalg.solve, []
+    calls = {"cholesky": 0, "solve": 0}
 
-    def solve(grams, crosses):
-        calls.append((grams.shape[-1], crosses.shape[-1]))
-        return real(grams, crosses)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    counts = []
+    for K in (5, 10, 20):
+        for name in calls:
+            calls[name] = 0
+        a.select_by_ape(series, 10, K)
+        assert calls["solve"] == 0, K
+        counts.append(calls["cholesky"])
+    assert len(set(counts)) == 1 and counts[0] > 0
+    # A single sum factors only the entries its window reads.
+    calls["cholesky"] = 0
+    a.accumulated_prediction_error(series, 4, 10, a.PLUG_IN, 20)
+    assert calls["solve"] == 0 and 0 < calls["cholesky"] <= counts[0]
+
+
+def test_ape_lu_fits_equal_the_lu_solve_of_their_prefix_entries(monkeypatch):
+    # On VII at n = 1000 (K = 10) the order-10 one-step Gram at sample end
+    # 20, rows j = 10..19, is too ill-conditioned for the shared factor
+    # (condition number 5e7).  That one fit is the LU solve of its own
+    # prefix entry and cross-products, bit for bit; every other fit is a
+    # product with the entry's factor U, with G_k^-1 = U_k' U_k.
+    dgp = a.DGPS["VII"]
+    series = _series("VII", 1000)
+    real, solved = np.linalg.solve, []
+
+    def solve(grams, rhs):
+        solved.append((grams, rhs))
+        return real(grams, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    a.select_by_ape(series, 10, 20)
-    assert sorted(calls) == [(k, 2) for k in range(1, 21)]
-    calls.clear()
-    a.accumulated_prediction_error(series, 4, 10, a.PLUG_IN, 20)
-    assert calls == [(4, 2)]
+    a.select_by_ape(series, dgp.horizon, dgp.max_order)
+    [(grams, rhs)] = solved
+    x = a.estimation._normalized(series)[0]
+    rows = a.lag_matrix(x, 10, 10, 19)
+    assert np.array_equal(grams, np.cumsum(
+        rows[:, :, None] * rows[:, None, :], axis=0)[None, -1])
+    assert np.array_equal(rhs[:, :, 0],
+                          np.cumsum(rows * x[10:20, None], axis=0)[None, -1])
+    K, n = dgp.max_order, x.size
+    shared = a.selection._shared_prefix(x, K)
+    prefix = shared[1].copy()
+    exact, kept = a.selection._factor_prefix(
+        shared[1], a.selection._order_prefix(shared, K)[2], 0, n - 2)
+    assert exact.sum() > 1 and np.array_equal(
+        kept, prefix[np.flatnonzero(exact.any(axis=1))])
+    for r in range(K, n - 2, 97):
+        for k in (1, 4, K):
+            U = shared[1][r, K - k:, K - k:]
+            assert np.allclose(U.T @ U @ prefix[r, K - k:, K - k:],
+                               np.eye(k), atol=1e-6)
+
+
+def test_select_by_ape_memory_stays_bounded():
+    # The factors overwrite the 3.3 MB Gram prefix in place, and entries
+    # are factored a chunk at a time, so the peak (4.7 MB) stays near the
+    # 4.5 MB that per-order LU solves took.
+    dgp = a.DGPS["IX"]
+    series = _series("IX", 1000)
+    tracemalloc.start()
+    try:
+        a.select_by_ape(series, dgp.horizon, dgp.max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
 
 
 def test_singular_stretch_names_the_sample_end_of_its_window():

@@ -517,7 +517,8 @@ def test_estimate_mspe_scales_by_powers_of_four(spec):
 def _one_block_mspe(dgp, spec, n, R, seed):
     """estimate_mspe written longhand: every innovation in one draw, the
     fits and the future noise one block of 4096 rows at a time, as the
-    estimator once ran, and math.fsum for every sum."""
+    estimator once ran, the future noise summed over its h terms in
+    order, and math.fsum for every sum."""
     k, h, method = spec.k, spec.h, spec.method
     levels = np.asarray(dgp.levels, dtype=float)
     w = a.impulse_response(levels, h - 1)
@@ -542,7 +543,7 @@ def _one_block_mspe(dgp, spec, n, R, seed):
             coeffs = powered
         err = (np.einsum("bk,bk->b", coeffs, windows[:, n - k, :])
                - x[rows, n + h - 1])
-        u = err + eps[rows, n + h - 1 - np.arange(h)] @ w
+        u = err + sum(eps[rows, n + h - 1 - j] * w[j] for j in range(h))
         err2, u2 = err * err, u * u
         sums.append([math.fsum(t) for t in (err2, err2 * err2, u2, u2 * u2)])
     err2, err4, u2, u4 = (math.fsum(column) / R for column in zip(*sums))
@@ -667,3 +668,18 @@ def test_mspe_errors_match_the_fitted_predictors(monkeypatch):
                     fit = a.plug_in_multi(a.fit_one_step(series, k), h)
                 want = a.predict(series, fit).value - x[r, n + h - 1]
                 assert err == pytest.approx(want * unit, rel=1e-10, abs=0)
+
+
+def test_block_sums_do_not_depend_on_the_layout_of_future():
+    # The future-noise product is a fixed-order multiply-add, so a row's
+    # sums are the same for C- and F-ordered blocks, and for a block cut
+    # to its first rows.
+    rng = np.random.default_rng(8)
+    err, future = rng.normal(size=257), rng.normal(size=(257, 7))
+    w = a.impulse_response(np.array(a.DGPS["IX"].levels), 6)
+    want = simulation._block_sums(err, np.ascontiguousarray(future), w)
+    assert simulation._block_sums(err, np.asfortranarray(future), w) == want
+    for rows in (1, 3, 64):
+        assert simulation._block_sums(err[:rows], future[:rows], w) == \
+            simulation._block_sums(err[:rows], np.asfortranarray(
+                future[:rows]), w)
