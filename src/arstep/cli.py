@@ -78,11 +78,8 @@ def _emit(args, meta, records, text_fn):
     """Write the command result in the requested format, with the
     versions that produced it added to meta."""
     meta = dict(meta, versions=_versions())
-    stream = sys.stdout
-    close = False
-    if getattr(args, "out", None):
-        stream = open(args.out, "w")
-        close = True
+    stream = open(args.out, "w") if getattr(args, "out", None) \
+        else sys.stdout
     try:
         if args.format == "text":
             text = text_fn()
@@ -101,7 +98,7 @@ def _emit(args, meta, records, text_fn):
             for record in records:
                 stream.write(json.dumps(_plain(record)) + "\n")
     finally:
-        if close:
+        if stream is not sys.stdout:
             stream.close()
     return 0
 
@@ -178,8 +175,6 @@ def _cmd_theory(args):
         K = args.K if args.K is not None else dgp.max_order
         source = "dgp:%s" % dgp.id
     else:
-        if args.model is None:
-            raise ValueError("theory needs --model FILE or --dgp LABEL")
         if args.h is None or args.K is None:
             raise ValueError("--h and --K are required with --model")
         levels, sigma2 = _read_model_file(args.model)
@@ -374,9 +369,10 @@ def build_parser():
 
     theory = sub.add_parser(
         "theory", help="asymptotic losses and minimal orders of a model")
-    theory.add_argument("--model", help="key-value model file "
+    source = theory.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="key-value model file "
                                         "(levels = ..., sigma2 = ...)")
-    theory.add_argument("--dgp", choices=list(DGPS),
+    source.add_argument("--dgp", choices=list(DGPS),
                         help="use a built-in generator instead of --model")
     theory.add_argument("--h", type=int, default=None)
     theory.add_argument("--K", type=int, default=None)

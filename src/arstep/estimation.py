@@ -9,8 +9,8 @@ zero pre-sample.
 Every Gram matrix passes a reciprocal-condition gate on its eigenvalues
 before it is solved: by LU in _gated_solve and in the padded passes of
 selection._criteria, which gate every order before one solve, and by a
-factor shared by every order in the APE refits
-(selection._factor_prefix, LU where that factor is ill-conditioned).  A
+factor shared by every order in the APE refits (selection._factor_prefix,
+LU where it is ill-conditioned; _singular_prefix gates every order).  A
 Gram below the threshold raises SingularDesign rather than silently
 pseudo-inverting (unit-root regressors make these matrices wildly
 scaled, and a corrupted solve would poison every sequential-prediction
@@ -98,57 +98,60 @@ def _singular_grams(grams):
 
 
 def _singular_prefix(grams):
-    """_singular_grams of a Gram prefix, with eigvalsh on few entries.
+    """Gate masks of every order of a Gram prefix, from one eigvalsh sweep.
 
-    Entry i + 1 of the stack must be the rounded sum of entry i and an
-    outer product x x' (a cumsum of outer products).  Only the anchors,
-    a fixed geometric grid of about 4 log2(T) entries, are gated by
-    eigvalsh; the entries their smallest eigenvalues do not certify go
-    through _singular_grams.  The mask is the one _singular_grams gives.
+    Entry i + 1 of the order-K stack must be the rounded sum of entry i
+    and an outer product x x'.  Column k - 1 of the (T, K) mask is
+    _singular_grams of the trailing k x k blocks, order k's Grams.  Only
+    order K's anchors, a fixed geometric grid of about 4 log2(T) entries,
+    go through eigvalsh, and only the (entry, order) pairs they do not
+    certify through _singular_grams, one call per order that has any.
     """
-    # The certificate.  In exact arithmetic G_i = G_a + sum_j x_j x_j'
-    # for a < i, so lambda_min(G_i) >= lambda_min(G_a) (Weyl) and
-    # lambda_max(G_i) <= tr(G_i).  Entry i therefore clears the gate
-    # when an anchor a <= i has eigvalsh minimum lo_a > c tr(G_i), with
-    #     c = RCOND_MIN + 8 (T + k) k eps.
+    # The certificate.  In exact arithmetic G_i = G_a + sum_j x_j x_j' for
+    # a < i, so lambda_min(G_i) >= lambda_min(G_a) (Weyl), and order k's
+    # block G_i(k) has no smaller lambda_min (interlacing) and
+    # lambda_max(G_i(k)) <= tr(G_i).  So entry i clears the gate at every
+    # order when an anchor a <= i has eigvalsh minimum
+    #     lo_a > c tr(G_i),  c = RCOND_MIN + 8 (T + K) K eps.
     # The allowance covers, in units of eps tr(G_i): the cumsum rounding
-    # between a and i, at most (i - a + 1) k / 2 in 2-norm (each rounded
-    # partial-sum entry is at most tr(G_i) in size: Cauchy-Schwarz, and
-    # the diagonal only grows); eigvalsh's backward error p(k) at a and
-    # again at i, for any p(k) <= 4 k^2; and the rounding of the trace,
-    # which scales RCOND_MIN by 1 + O(k eps).  That is a safety factor of
-    # 16 on the cumsum term.  NaN or inf never certifies: a non-finite
-    # anchor's minimum is NaN and drops out of the running maximum (fmax),
-    # and an entry holding NaN or inf has a NaN or inf trace (in a prefix
-    # an off-diagonal entry is at most half the sum of two diagonal
-    # ones), so its comparison is False.
-    T, k = grams.shape[0], grams.shape[-1]
-    c = RCOND_MIN + 8 * (T + k) * k * np.finfo(float).eps
+    # between a and i, at most (i - a + 1) K / 2 in 2-norm, in G_i as in
+    # its blocks (each rounded partial-sum entry is at most tr(G_i):
+    # Cauchy-Schwarz, and the diagonal only grows); eigvalsh's backward
+    # error p(K) at a and p(k) <= p(K) at i, for any p(K) <= 4 K^2; and the
+    # trace's rounding, which scales RCOND_MIN by 1 + O(K eps): a safety
+    # factor of 16 on the cumsum term.  Order k's own trace would not
+    # cover lo_a's error, which scales with tr(G_a).  NaN or inf never
+    # certifies: a non-finite anchor's minimum is NaN, which fmax drops,
+    # and an entry holding NaN or inf has a NaN or infinite trace (in a
+    # prefix an off-diagonal entry is at most half the sum of two diagonal
+    # ones), so its test against |trace| is False.
+    T, K = grams.shape[0], grams.shape[-1]
+    c = RCOND_MIN + 8 * (T + K) * K * np.finfo(float).eps
     grid = np.floor(2.0 ** (np.arange(4 * T.bit_length() + 1) / 4)) - 1
     anchors = np.union1d(np.arange(8), grid.astype(int))
     anchors = anchors[anchors < T]
     evals = _finite_eigvalsh(grams[anchors])
     low = np.fmax.accumulate(evals[:, 0])
     last = np.searchsorted(anchors, np.arange(T), side="right") - 1
-    unsure = ~(low[last] > c * np.einsum("bii->b", grams))
-    unsure[anchors] = False
-    bad = np.zeros(T, dtype=bool)
-    bad[anchors] = ~_clears_gate(evals)
-    bad[unsure] = _singular_grams(grams[unsure])
+    unsure = ~(low[last] > c * np.abs(np.einsum("bii->b", grams)))
+    bad = np.zeros((T, K), dtype=bool)
+    bad[anchors, -1] = ~_clears_gate(evals)
+    for k in range(1, K + 1):
+        unsure[anchors] &= k < K  # order K's anchors are gated already
+        if unsure.any():
+            bad[unsure, k - 1] = _singular_grams(grams[unsure, K - k:, K - k:])
     return bad
 
 
-def _gated_solve(grams, rhs, where, bad=None):
+def _gated_solve(grams, rhs, where):
     """Solve grams @ x = rhs by LU for a Gram matrix, or for each Gram of
     a stack, rhs holding one right-hand side per column.
 
-    bad is the gate mask of grams (by default _singular_grams(grams); a
-    slice of the mask of a larger stack will do).  When any Gram fails,
+    When any Gram fails the condition gate (_singular_grams),
     SingularDesign is raised with message where(j), j the position of
     the first failing Gram.
     """
-    if bad is None:
-        bad = _singular_grams(grams)
+    bad = _singular_grams(grams)
     if bad.any():
         raise SingularDesign(where(int(np.argmax(bad))))
     return np.linalg.solve(grams, rhs)

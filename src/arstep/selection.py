@@ -134,17 +134,17 @@ def min_start_index(series, K, h):
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
     _require_finite(series)
-    shared = _shared_prefix(_normalized(series)[0], K)
-    return _start_index(series.size, K, h, _order_prefix(shared, K)[2])
+    grams = _shared_prefix(_normalized(series)[0], K)[1]
+    return _start_index(series.size, K, h, _prefix_gates(grams, K - 1))
 
 
 def _shared_prefix(series, K):
     """Rows x_j(K), j = K..K+n-2, of the series with K - 1 zeros appended,
     and their Gram prefix: entry r is the Gram over rows j = K..K+r.
 
-    Every order k <= K reads its own rows and Gram prefix from the last
-    k columns (_order_prefix): the same products, summed in the same
-    order, as a prefix built for order k alone.
+    Order k <= K reads its rows x_j(k), j = k..n-1, and Gram prefix from
+    the last k columns (rows[:n - k, K - k:], grams[:n - k, K - k:, K - k:]):
+    the same products, summed in the same order, as order k's own prefix.
     """
     padded = np.concatenate((series, np.zeros(K - 1)))
     rows = lag_matrix(padded, K, K, padded.size - 1)
@@ -153,28 +153,24 @@ def _shared_prefix(series, K):
     return rows, grams
 
 
-def _order_prefix(shared, k):
-    """Order k's rows x_j(k), j = k..n-1, and Gram prefix (entry i - 1 - k
-    is the Gram over rows j = k..i-1), as views of the shared prefix, and
-    the prefix's gate mask, True where an entry fails the condition gate
-    (_singular_prefix)."""
-    rows, grams = shared
-    c = rows.shape[1] - k
-    count = rows.shape[0] + 1 - k  # n - k
-    grams = grams[:count, c:, c:]
-    return rows[:count, c:], grams, _singular_prefix(grams)
+def _prefix_gates(grams, first):
+    """_singular_prefix of a shared Gram prefix from entry first on; the
+    earlier entries, which the caller does not read, are marked failing."""
+    bad = np.ones(grams.shape[:2], dtype=bool)
+    bad[first:] = _singular_prefix(grams[first:])
+    return bad
 
 
 def _start_index(n, K, h, bad):
-    """min_start_index of a series of length n, read from the gate mask
-    bad of its order-K Gram prefix."""
+    """min_start_index of a series of length n, read from order K's
+    column of the gate masks bad of its Gram prefix (_prefix_gates)."""
     first = 2 * K + h - 1
     if n - h < first:
         raise SeriesTooShort(
             "need at least %d observations for K=%d, h=%d (have %d)"
             % (first + h, K, h, n))
     ends = np.arange(first, n - h + 1)
-    clear = ~(bad[ends - 1 - K] | bad[ends - h - K])
+    clear = ~(bad[ends - 1 - K, -1] | bad[ends - h - K, -1])
     if not clear.any():
         raise SeriesTooShort(
             "no sample end up to %d yields invertible order-%d designs"
@@ -211,10 +207,9 @@ def _factor_prefix(grams, bad, first, last):
     of J G J, J the order reversal).  Order k's Gram, the trailing k x k
     block of G, is then R_k R_k' with R_k the trailing block of R, so
     U = R^-1 holds every order's inverse factor as its trailing block U_k
-    and order k solves its Gram as U_k' (U_k c).  bad is order K's gate
-    mask (_order_prefix); the entries past it, which only lower orders
-    read, are gated here.  Each entry that clears the gate is overwritten
-    with U; the others keep their Gram.
+    and order k solves its Gram as U_k' (U_k c).  bad holds the prefix's
+    gate masks (_prefix_gates); each entry that clears order K's gate is
+    overwritten with U, and the others keep their Gram.
 
     Returns (exact, kept).  exact[r - first, k - 1] is True where order k
     must solve entry r by LU instead: where the entry fails the gate, or
@@ -224,12 +219,11 @@ def _factor_prefix(grams, bad, first, last):
     factored FACTOR_CHUNK at a time, and no entry's values depend on the
     others.
     """
-    bad = np.concatenate((bad, _singular_grams(grams[bad.size:last])))
     exact = np.ones((last - first, grams.shape[-1]), dtype=bool)
     kept = []
     for a in range(first, last, FACTOR_CHUNK):
         b = min(a + FACTOR_CHUNK, last)
-        good = a + np.flatnonzero(~bad[a:b])
+        good = a + np.flatnonzero(~bad[a:b, -1])
         flipped = grams[good, ::-1, ::-1]
         inverse = _lower_inverse(np.linalg.cholesky(flipped))
         with np.errstate(over="ignore"):  # inf sends the fit to LU
@@ -242,11 +236,11 @@ def _factor_prefix(grams, bad, first, last):
     return exact, np.concatenate(kept)
 
 
-def _ape_sums(series, shared, top_bad, orders, stages, sums):
+def _ape_sums(series, shared, bad, orders, stages, sums):
     """Accumulated prediction errors of several orders for several stages.
 
-    shared is the width-K prefix (_shared_prefix) and top_bad its gate
-    mask; the call overwrites its Grams (_factor_prefix).  Each stage
+    shared is the width-K prefix (_shared_prefix) and bad its gate masks
+    (_prefix_gates); it overwrites the Grams (_factor_prefix).  Each stage
     (method, h, m) asks for the h-step sum of that method over the sample
     ends i = m..n-h; for each order, in the order given, its prediction
     errors are queued on the _SquareSums sums, one row per stage, in
@@ -276,14 +270,14 @@ def _ape_sums(series, shared, top_bad, orders, stages, sums):
     windows = {}
     for k in orders:
         lo, hi = m - lags[0] - k, n - stages[0][1] - lags[0] - k + 1
-        bad = (top_bad if k == K else _order_prefix(shared, k)[2])[lo:hi]
-        if bad.any():
+        failing = bad[lo:hi, k - 1]
+        if failing.any():
             raise SingularDesign("singular design at sample end i=%d"
-                                 % (m + int(np.argmax(bad))))
+                                 % (m + int(np.argmax(failing))))
         windows[k] = lo, hi
     first = min(lo for lo, _ in windows.values())
     exact, kept = _factor_prefix(
-        grams, top_bad, first, max(hi for _, hi in windows.values()))
+        grams, bad, first, max(hi for _, hi in windows.values()))
     slot = np.cumsum(exact.any(axis=1)) - 1
     at = {}
     for k, (lo, hi) in windows.items():
@@ -355,18 +349,21 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
         raise ValueError("h must be at least 1")
     series, e = _normalized(series)
     # Order K's prefix gives the start index, and its factors serve every
-    # k, as in select_by_ape.
+    # k, as in select_by_ape; m sets the first entry gated (2K + h - 1 is
+    # the smallest start index min_start_index returns).
+    lag = 1 if method == PLUG_IN else h
+    m = 2 * K + h - 1 if start_index is None else int(start_index)
     shared = _shared_prefix(series, K)
-    top_bad = _order_prefix(shared, K)[2]
-    m = (_start_index(n, K, h, top_bad) if start_index is None
-         else int(start_index))
+    bad = _prefix_gates(shared[1], max(0, min(K - 1, m - lag - k)))
+    if start_index is None:
+        m = _start_index(n, K, h, bad)
     if n - h < m:
         raise SeriesTooShort("no forecast origins between i=%d and n-h=%d"
                              % (m, n - h))
-    if m - (1 if method == PLUG_IN else h) < k:
+    if m - lag < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
     sums = _SquareSums(n - h - m + 1, 1)
-    _ape_sums(series, shared, top_bad, (k,), ((method, h, m),), sums)
+    _ape_sums(series, shared, bad, (k,), ((method, h, m),), sums)
     return float(_unscaled(sums.totals()[0], 2 * e))
 
 
@@ -385,9 +382,9 @@ def select_by_ape(series, h, K):
     _require_finite(series)
     series, e = _normalized(series)
     shared = _shared_prefix(series, K)
-    top_bad = _order_prefix(shared, K)[2]
-    m1 = _start_index(series.size, K, 1, top_bad)
-    mh = _start_index(series.size, K, h, top_bad)
+    bad = _prefix_gates(shared[1], K - 1)
+    m1 = _start_index(series.size, K, 1, bad)
+    mh = _start_index(series.size, K, h, bad)
     # One pass per order serves all three stages.  Plug-in sums are
     # taken for every order because the step-1 pick is not known yet.
     # The first stage's window holds the other two (mh >= m1, and
@@ -398,7 +395,7 @@ def select_by_ape(series, h, K):
     # orders fails on order K's sample end.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
     sums = _SquareSums(series.size - m1, 3 * K)
-    at = _ape_sums(series, shared, top_bad, (K, *range(1, K)), stages, sums)
+    at = _ape_sums(series, shared, bad, (K, *range(1, K)), stages, sums)
     totals = sums.totals().tolist()
     first_stage, direct_vals, plug_all = (
         {k: totals[at[k] + stage] for k in range(1, K + 1)}

@@ -338,7 +338,7 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     ns : iterable of int
     procedures : see _normalize_procedures; defaults to preset "B".
     R : int
-        Replications per (dgp, n) cell.
+        Replications per (dgp, n) cell, at least 1.
     K : int, optional
         Candidate-order cap; defaults to each generator's max_order.
     seed : int
@@ -352,8 +352,11 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
         _check_dgp(dgp)
     ns = [int(n) for n in ns]
     procedures = _normalize_procedures(procedures)
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    for name, value in {"R": R, "K": 1 if K is None else K}.items():
+        if value is True or not isinstance(value, (int, np.integer)) \
+                or value < 1:
+            raise ValueError("%s must be an integer of at least 1, not %r"
+                             % (name, value))
     if workers is not None and workers < 1:
         raise ValueError("workers must be at least 1, not %r" % workers)
     tallies = {}

@@ -86,6 +86,18 @@ def test_theory_model_file_requires_h_and_K(capsys, tmp_path):
     assert "--h" in record["message"]
 
 
+def test_theory_takes_exactly_one_of_dgp_and_model(capsys, tmp_path):
+    # Neither source silently wins: the model file is never read.
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["--dgp", "III", "--model", missing],
+                 ["--model", missing, "--dgp", "III", "--h", "2", "--K", "2"]):
+        assert main(["theory", *argv]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert main(["theory", "--h", "2", "--K", "2"]) == 2
+    assert "one of the arguments --model --dgp is required" in \
+        capsys.readouterr().err
+
+
 def test_theory_rejects_bad_model_file(capsys, tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("levels = 1.5, -0.5\nshape = 3\n")

@@ -143,7 +143,11 @@ def test_batched_gates_fail_non_finite_grams_without_raising():
                 or not gram_is_invertible(prefix[index])
                 for index in range(60)]
     assert _singular_grams(prefix).tolist() == expected
-    assert _singular_prefix(prefix).tolist() == expected
+    bad = _singular_prefix(prefix)
+    assert bad[:, -1].tolist() == expected
+    for k in (1, 2):
+        assert bad[:, k - 1].tolist() == \
+            _singular_grams(prefix[:, 3 - k:, 3 - k:]).tolist()
     assert sum(expected) == len(fills) + 1  # entry 1 has rank two
     mixed = np.array([np.eye(3), np.full((3, 3), -np.inf), np.eye(3)])
     assert _singular_grams(mixed).tolist() == [False, True, False]
@@ -151,13 +155,14 @@ def test_batched_gates_fail_non_finite_grams_without_raising():
         series = rows[:, 0].copy()
         series[40] = value
         with np.errstate(invalid="ignore"):
-            grams = a.selection._order_prefix(
-                a.selection._shared_prefix(series, 3), 3)[1]
-        assert _singular_prefix(grams).tolist() == \
-            _singular_grams(grams).tolist()
-        # x_41 enters at row j = 41, prefix entry 41 - k.
-        assert _singular_prefix(grams)[41 - 3:].all()
-        assert not _singular_prefix(grams)[2:41 - 3].any()
+            grams = a.selection._shared_prefix(series, 3)[1]
+        bad = _singular_prefix(grams)
+        for k in (1, 2, 3):
+            assert bad[:, k - 1].tolist() == \
+                _singular_grams(grams[:, 3 - k:, 3 - k:]).tolist()
+            # x_41 enters order k's rows at j = 41, prefix entry 41 - k.
+            assert bad[41 - k:, k - 1].all()
+            assert not bad[2:41 - k, k - 1].any()
 
 
 def test_scalar_gate_rejects_non_finite_grams():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import arstep as a
 from arstep.estimation import _singular_grams, _singular_prefix, row_sums
 from arstep.model_core import _companion_image
-from arstep.selection import _order_prefix, _shared_prefix
+from arstep.selection import _shared_prefix
 from oracles import gram_is_invertible
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
@@ -46,15 +46,21 @@ def _shaped_series(shape, n, seed):
 
 @BOUNDED
 @given(shape=st.sampled_from(SHAPES), n=st.integers(2, 150),
-       k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       K=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from((1.0, 1e150, 1e-150)),
        base=st.integers(0, 20))
-def test_prefix_gate_equals_batched_gate(shape, n, k, seed, scale, base):
+def test_prefix_gate_equals_batched_gate(shape, n, K, seed, scale, base):
+    # Column k - 1 of the one mask is order k's gate: the batched gate of
+    # every entry's trailing k x k block.  A period below K (repeated
+    # rows) leaves order K singular where lower orders clear the gate.
     series = scale * _shaped_series(shape, n, seed)
-    k = min(k, n - 1)
-    grams = _order_prefix(_shared_prefix(series, k), k)[1][base:]
-    assert _singular_prefix(grams).tolist() == \
-        _singular_grams(grams).tolist()
+    K = min(K, n - 1)
+    grams = _shared_prefix(series, K)[1][base:]
+    bad = _singular_prefix(grams)
+    assert bad.shape == grams.shape[:2]
+    for k in range(1, K + 1):
+        assert bad[:, k - 1].tolist() == \
+            _singular_grams(grams[:, K - k:, K - k:]).tolist()
 
 
 def _scanned_start_index(series, K, h):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import arstep as a
-from arstep.estimation import _lag_view, _singular_grams
+from arstep.estimation import _lag_view, _singular_grams, _singular_prefix
 from arstep.selection import (_SuffixSums, _argmin_smallest, _criteria,
                               _outcome, _padded_grams)
 from oracles import gram_is_invertible
@@ -146,18 +146,23 @@ def test_ape_builds_the_order_K_prefix_once(monkeypatch):
 
 def test_order_prefixes_are_views_of_the_shared_prefix():
     # Each order's rows, Gram prefix and gate mask equal those of a prefix
-    # built for that order alone, from its own lag matrix.
+    # built for that order alone, from its own lag matrix.  The callers'
+    # masks gate the entries from K - 1 on, where every start index reads.
     flat = np.concatenate([np.zeros(5), np.ones(20)])
     for series, K in ((_series("IX", 300), 20), (flat, 3)):
         n = len(series)
-        shared = a.selection._shared_prefix(series, K)
+        rows, grams = a.selection._shared_prefix(series, K)
+        every = _singular_prefix(grams)
+        read = a.selection._prefix_gates(grams, K - 1)
+        assert read[:K - 1].all()
         for k in range(1, K + 1):
-            rows, grams, bad = a.selection._order_prefix(shared, k)
             alone = a.lag_matrix(series, k, k, n - 1)
             prefix = np.cumsum(alone[:, :, None] * alone[:, None, :], axis=0)
-            assert np.array_equal(rows, alone)
-            assert np.array_equal(grams, prefix)
-            assert bad.tolist() == _singular_grams(prefix).tolist()
+            assert np.array_equal(rows[:n - k, K - k:], alone)
+            assert np.array_equal(grams[:n - k, K - k:, K - k:], prefix)
+            want = _singular_grams(prefix).tolist()
+            assert every[:n - k, k - 1].tolist() == want
+            assert read[K - 1:n - k, k - 1].tolist() == want[K - 1:]
 
 
 def test_ape_factors_each_prefix_chunk_once(monkeypatch):
@@ -190,6 +195,32 @@ def test_ape_factors_each_prefix_chunk_once(monkeypatch):
     assert calls["solve"] == 0 and 0 < calls["cholesky"] <= counts[0]
 
 
+def test_ape_gates_every_order_in_one_sweep(monkeypatch):
+    # One eigvalsh sweep over order K's anchors gates every order, so the
+    # number of calls does not grow with K, and a single sum or start
+    # index makes as many as a whole selection.
+    series = _series("IX", 300)
+    real, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(grams):
+        calls.append(len(grams))
+        return real(grams)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    counts = []
+    for K in (5, 10, 20):
+        calls.clear()
+        a.select_by_ape(series, 10, K)
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 3
+    for call in (lambda: a.min_start_index(series, 20, 10),
+                 lambda: a.accumulated_prediction_error(series, 4, 10,
+                                                        a.PLUG_IN, 20)):
+        calls.clear()
+        call()
+        assert len(calls) == counts[0]
+
+
 def test_ape_lu_fits_equal_the_lu_solve_of_their_prefix_entries(monkeypatch):
     # On VII at n = 1000 (K = 10) the order-10 one-step Gram at sample end
     # 20, rows j = 10..19, is too ill-conditioned for the shared factor
@@ -217,7 +248,7 @@ def test_ape_lu_fits_equal_the_lu_solve_of_their_prefix_entries(monkeypatch):
     shared = a.selection._shared_prefix(x, K)
     prefix = shared[1].copy()
     exact, kept = a.selection._factor_prefix(
-        shared[1], a.selection._order_prefix(shared, K)[2], 0, n - 2)
+        shared[1], _singular_prefix(shared[1]), 0, n - 2)
     assert exact.sum() > 1 and np.array_equal(
         kept, prefix[np.flatnonzero(exact.any(axis=1))])
     for r in range(K, n - 2, 97):

@@ -389,6 +389,20 @@ def test_one_worker_runs_serially(monkeypatch):
     assert got.rows == want.rows
 
 
+@pytest.mark.parametrize("argument, value", [
+    ("R", 2.5), ("R", True), ("R", 0), ("R", "3"),
+    ("K", 2.5), ("K", True), ("K", 0), ("K", -1), ("K", "3")])
+def test_bad_R_or_K_is_refused_before_simulating(monkeypatch, argument,
+                                                 value):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was simulated")
+
+    monkeypatch.setattr(a.simulation, "generate", no_series)
+    kwargs = {"R": 3, argument: value}
+    with pytest.raises(ValueError, match="^%s must be " % argument):
+        a.run_frequency_experiment(["I"], [100], ("I", "B"), **kwargs)
+
+
 def test_frequency_experiment_validates_arguments():
     with pytest.raises(ValueError):
         a.run_frequency_experiment(["I"], [100], R=0)
