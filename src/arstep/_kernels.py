@@ -10,7 +10,9 @@ first call imports scipy.signal.lfilter itself, with the same results.
 
 ``cho_factor`` and ``cho_solve`` are numpy's Cholesky factorization,
 kept as the inverse factor so that each later solve is two matrix
-products.
+products.  No arstep code calls them: they stay bound in
+``theory_losses`` only because ``perfbench/tracer.py`` looks them up
+there by name.
 """
 
 import functools

@@ -19,6 +19,7 @@ impulse response computed by scipy's compiled lfilter recursion
 (``_kernels.lfilter``), whose module the first response loads.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,13 +87,24 @@ def _as_floats(seq):
     return tuple(float(v) for v in seq)
 
 
+@functools.lru_cache(maxsize=16)
+def _circle_powers(p):
+    """z^1..z^p at the sampled points of |z| = 1, one row per point.
+
+    Built once per order and read-only, so every stability check of an
+    order shares one table with the values of a fresh computation.
+    """
+    theta = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_POINTS, endpoint=False)
+    z = np.exp(1j * theta)
+    powers = z[:, None] ** np.arange(1, p + 1)[None, :]
+    powers.flags.writeable = False
+    return powers
+
+
 def _poly_on_circle(coeffs):
     """Minimum of |1 - sum coeffs_i z^i| over sampled points of |z| = 1."""
     coeffs = np.asarray(coeffs, dtype=float)
-    theta = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_POINTS, endpoint=False)
-    z = np.exp(1j * theta)
-    powers = z[:, None] ** np.arange(1, len(coeffs) + 1)[None, :]
-    values = 1.0 - powers @ coeffs
+    values = 1.0 - _circle_powers(len(coeffs)) @ coeffs
     return float(np.min(np.abs(values)))
 
 

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cho_factor, cho_solve
+from ._kernels import cho_factor, cho_solve  # uncalled; perfbench/tracer.py wraps them
 from .errors import SingularGamma
 from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
-                         ar_coefficients, companion_matrix,
-                         direct_coefficients, impulse_response,
-                         level_ma_weights, unit_root_model, _auto_truncation,
-                         _power_sum)
+                         ar_coefficients, direct_coefficients,
+                         impulse_response, level_ma_weights, unit_root_model,
+                         _auto_truncation)
 
 #: Relative slack within which two losses count as tied.
 TIE_REL_TOL = 1e-10
@@ -49,6 +48,8 @@ class AutocovarianceTable:
 
     def matrix(self, dim):
         """Toeplitz autocovariance matrix of the given dimension."""
+        if dim < 0:
+            raise ValueError("dimension must be nonnegative, not %d" % dim)
         if dim > self.L + 1:
             raise ValueError("table holds lags up to %d, need %d"
                              % (self.L, dim - 1))
@@ -93,37 +94,65 @@ def autocovariances(model, L):
     return AutocovarianceTable(gamma=_gamma(model, L), L=int(L))
 
 
-def _costs(model, dim, gamma, w):
-    """(plug-in, direct) estimation costs at one trace dimension.
+def _costs(model, D, gamma, w):
+    """(plug-in, direct) estimation costs of every dimension 1..D.
 
-    gamma holds the autocovariances up to lag h + dim - 2 and w the level
-    MA weights w_0..w_{h-1} of the horizon; G is the dim x dim
-    autocovariance matrix, factored once for both traces:
+    gamma holds the autocovariances up to lag h + D - 2 and w the level
+    MA weights w_0..w_{h-1} of the horizon.  Entry d - 1 of each array is
+    the cost in dimension d, with G_d the d x d autocovariance matrix:
 
-    * plug-in: tr(G M G^{-1} M') * sigma^2, M = sum_j w_j S^(h-1-j) with
-      S the dim x dim companion matrix of the stationary coefficients
-      (padded with zeros, or truncated);
-    * direct: tr(G^{-1} V) * sigma^2, V the limiting direct covariance,
-      Toeplitz with entries g(d) = sum_{j,l < h} w_j w_l gamma(j-l+d),
-      evaluated exactly from the finite double sum.
+    * plug-in: tr(G_d M_d G_d^{-1} M_d') * sigma^2, M_d = sum_j w_j
+      S^(h-1-j) with S the d x d companion matrix of the stationary
+      coefficients, truncated to D and padded with zeros; an entry
+      below min(p, D), p the number of coefficients, is no cost;
+    * direct: tr(G_d^{-1} V_d) * sigma^2, V_d Toeplitz with entries
+      g(m) = sum_{j,l < h} w_j w_l gamma(|j - l + m|), evaluated exactly
+      from the finite double sum.
+
+    With F = L^{-1}, L L' = G_D, G_d^{-1} = sum_{i<d} f_i' f_i over the
+    leading d entries of the rows f_i of F, so each trace is a running
+    sum of one increment per row: (M f_i)' G (M f_i) and f_i' V f_i.
+    Row i of F is built from F[:i, :i] and G[:i+1, :i+1] alone.  At any
+    split s >= p, S is block upper triangular, so M's leading s x s
+    block is the dimension-s power sum and M f_i vanishes past
+    s = max(i + 1, p).
+
+    Prefix invariant: every operation behind entry d acts on operands of
+    the same shape here as in a call at D = d, and none spans D, so entry
+    d is == to that call's last entry (the plug-in one for d >= p, where
+    truncation to d leaves the coefficients whole; callers read no
+    plug-in entry below the levels order).
     """
-    G = _toeplitz(gamma[:dim])
-    try:
-        factor = cho_factor(G)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGamma("autocovariance matrix of dimension %d is not "
-                            "positive definite: %s" % (dim, exc)) from exc
-    ar = ar_coefficients(model)[1]
-    padded = np.zeros(dim)
-    padded[:min(dim, ar.size)] = ar[:dim]
-    M = _power_sum(companion_matrix(padded), w)
-    plugin = float(np.sum((G @ M) * cho_solve(factor, M.T).T) * model.sigma2)
-    h = len(w)
+    a = ar_coefficients(model)[1][:D]
+    p, h = a.size, len(w)
+    G = _toeplitz(gamma[:D])
+    # M by Horner: column 0 of X S is the row sums of X[:, :p] * a, the
+    # rest is X shifted one column right.
+    M = np.diag(np.full(D, w[0]))
+    for weight in w[1:]:
+        first = np.sum(M[:, :p] * a, axis=1)
+        M = np.concatenate((first[:, None], M[:, :-1]), axis=1)
+        M.reshape(-1)[::D + 1] += weight
     offsets = np.subtract.outer(np.arange(h), np.arange(h))
-    lags = np.abs(offsets + np.arange(dim)[:, None, None])
-    g = gamma[lags].reshape(dim, h * h) @ np.outer(w, w).ravel()
-    direct = float(np.trace(cho_solve(factor, _toeplitz(g))) * model.sigma2)
-    return plugin, direct
+    lags = np.abs(offsets + np.arange(D)[:, None, None])
+    V = _toeplitz(np.sum(gamma[lags].reshape(D, h * h)
+                         * np.outer(w, w).ravel(), axis=1))
+    F = np.zeros((D, D))
+    plugin, direct = np.empty(D), np.empty(D)
+    for i in range(D):
+        li = F[:i, :i] @ G[i, :i]  # row i of L, left of the diagonal
+        pivot = G[i, i] - li @ li
+        if not pivot > 0.0:  # NaN fails too
+            raise SingularGamma("autocovariance matrix of dimension %d is "
+                                "not positive definite" % (i + 1))
+        root = math.sqrt(pivot)
+        F[i, :i] = -(li @ F[:i, :i]) / root
+        F[i, i] = 1.0 / root
+        f, s = F[i, :i + 1], max(i + 1, p)
+        y = M[:s, :i + 1] @ f
+        plugin[i] = y @ (G[:s, :s] @ y)
+        direct[i] = f @ (V[:i + 1, :i + 1] @ f)
+    return np.cumsum(plugin) * model.sigma2, np.cumsum(direct) * model.sigma2
 
 
 def _unit_root_costs(name, model, h, k):
@@ -137,8 +166,9 @@ def _unit_root_costs(name, model, h, k):
         raise ValueError("order must be at least 1")
     if k == 1:
         return 0.0, 0.0
-    return _costs(model, k - 1, _gamma(model, h + k - 3),
-                  level_ma_weights(model, h - 1))
+    plugin, direct = _costs(model, k - 1, _gamma(model, h + k - 3),
+                            level_ma_weights(model, h - 1))
+    return float(plugin[-1]), float(direct[-1])
 
 
 def plugin_cost(model, h, k):
@@ -206,29 +236,31 @@ class TheoreticalLoss:
 def _losses(model, h, K, keys):
     """TheoreticalLoss of each (k, method) key, all k <= K, in one pass.
 
-    Each order's two costs come from one _costs call at dimension
-    k - shift, with shift = 1 for a unit-root model (whose differences
-    are stationary) and 0 for a stable one: the length the levels
-    polynomial has beyond the stationary one.  The plug-in minimal order
-    is the levels order.
+    Order k's two costs are entry k - shift of one _costs call at
+    dimension K - shift, made only if some key needs a cost, with
+    shift = 1 for a unit-root model (whose differences are stationary)
+    and 0 for a stable one: the length the levels polynomial has beyond
+    the stationary one.  The plug-in minimal order is the levels order,
+    so every plug-in entry read lies at or above the stationary order,
+    where the prefix invariant of _costs makes it == to the call at
+    D = k - shift that a stand-alone loss makes.
     """
     levels, stationary = ar_coefficients(model)
     shift = len(levels) - len(stationary)
     minimal = {PLUG_IN: len(levels), DIRECT: direct_coefficients(model, h).p_h}
     w = level_ma_weights(model, h - 1)
     common = 2.0 * model.sigma2 * float(np.sum(w)) ** 2 if shift else 0.0
-    gamma, costs, out = None, {}, {}
+    costs, out = None, {}
     for k, method in keys:
         if k < minimal[method]:
             value = math.inf
         elif k == shift:
             value = common  # unit root, k = 1: no estimation cost
         else:
-            if gamma is None:  # lags of the largest dimension, K - shift
-                gamma = _gamma(model, h + K - shift - 2)
-            if k not in costs:
-                costs[k] = _costs(model, k - shift, gamma, w)
-            value = common + costs[k][method == DIRECT]
+            if costs is None:  # every dimension up to K - shift
+                costs = _costs(model, K - shift,
+                               _gamma(model, h + K - shift - 2), w)
+            value = common + float(costs[method == DIRECT][k - shift - 1])
         out[k, method] = TheoreticalLoss(value=value, k=k, method=method, h=h)
     return out
 
@@ -270,8 +302,11 @@ def loss_stationary(model, h, k, method):
 def loss_table(model, h, K):
     """All candidate losses for k = 1..K, keyed by (k, method).
 
-    Each entry equals loss (or loss_stationary) of its key: both go
-    through the same per-dimension cost kernel.
+    Every cost comes from one _costs pass at dimension K - shift whose
+    entry for each dimension depends only on that dimension's leading
+    blocks (the prefix invariant), so each entry is == to loss (or
+    loss_stationary) of its key, which makes the pass at its own
+    dimension.
     """
     return _losses(model, h, K, [(k, method) for k in range(1, K + 1)
                                  for method in (PLUG_IN, DIRECT)])
@@ -328,5 +363,6 @@ def minimal_order_cost_gap(a1):
     estimate it by the difference of their scaled excesses.
     """
     model = quartic_family(a1)
-    gamma, w = _gamma(model, 4), level_ma_weights(model, 2)
-    return _costs(model, 2, gamma, w)[1] - _costs(model, 3, gamma, w)[0]
+    plugin, direct = _costs(model, 3, _gamma(model, 4),
+                            level_ma_weights(model, 2))
+    return float(direct[1] - plugin[2])

@@ -238,6 +238,32 @@ def _plugin_cost(alpha, h, dim):
     return _trace_of_inverse_times(gram, dgd)
 
 
+def trace_costs(alpha, gamma, w, dim):
+    """(plug-in, direct) costs in dimension dim, unit noise variance.
+
+    With G the dim x dim Toeplitz matrix of gamma, S the dim x dim
+    companion matrix of alpha (truncated or zero-padded to dim) and
+    h = len(w): plug-in tr(G M G^{-1} M'), M = sum_{j<h} w_j S^(h-1-j)
+    by explicit matrix powers, and direct tr(G^{-1} V), V[r][c] =
+    sum_{j,l<h} w_j w_l gamma(|j - l + c - r|).  Every inverse is an
+    np.linalg.solve, one dimension at a time.
+    """
+    h = len(w)
+    gram = np.array([[gamma[abs(r - c)] for c in range(dim)]
+                     for r in range(dim)])
+    companion = np.eye(dim, k=1)
+    column = list(alpha)[:dim]
+    companion[:len(column), 0] = column
+    power_sum = sum(w[j] * np.linalg.matrix_power(companion, h - 1 - j)
+                    for j in range(h))
+    plugin = np.trace(gram @ power_sum
+                      @ np.linalg.solve(gram, power_sum.T))
+    omega = np.array([[sum(w[j] * w[l] * gamma[abs(j - l + c - r)]
+                           for j in range(h) for l in range(h))
+                       for c in range(dim)] for r in range(dim)])
+    return float(plugin), float(np.trace(np.linalg.solve(gram, omega)))
+
+
 def quartic_gap_oracle(a1):
     """Quartic-family three-step gap: direct order 3 minus plug-in order 4.
 

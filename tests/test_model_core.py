@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import arstep as a
+from arstep import model_core
 from arstep.model_core import ar_coefficients
 from oracles import hand_impulse, levels_from_stationary, substitution_coefficients
 from sampling import random_stable_coeffs, sample_unit_root_models
@@ -196,3 +197,19 @@ def test_difference_roundtrip_and_presample_zero():
     dx = a.difference(x)
     assert dx[0] == x[0]
     np.testing.assert_allclose(np.cumsum(dx), x, rtol=1e-12, atol=1e-14)
+
+
+def test_circle_powers_are_cached_read_only_and_equal_the_formula():
+    theta = np.linspace(0.0, 2.0 * np.pi, model_core._CIRCLE_POINTS,
+                        endpoint=False)
+    z = np.exp(1j * theta)
+    rng = np.random.default_rng(8)
+    for p in range(13):
+        want = z[:, None] ** np.arange(1, p + 1)[None, :]
+        got = model_core._circle_powers(p)
+        assert got is model_core._circle_powers(p)
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+        coeffs = rng.uniform(-0.5, 0.5, p)
+        assert model_core._poly_on_circle(coeffs) \
+            == float(np.min(np.abs(1.0 - want @ coeffs)))

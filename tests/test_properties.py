@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arstep as a
 from arstep.estimation import _singular_grams, _singular_prefix, row_sums
 from arstep.model_core import _companion_image
 from arstep.selection import _shared_prefix
-from oracles import gram_is_invertible
+from arstep.theory_losses import _costs, _gamma
+from oracles import gram_is_invertible, levels_from_stationary
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -235,3 +236,40 @@ def test_row_sums_at_the_edges():
     # Non-finite entries sum as in np.sum.
     assert row_sums([[np.inf, 1.0], [np.inf, -np.inf]])[0] == math.inf
     assert math.isnan(row_sums([[np.inf, -np.inf]])[0])
+
+
+def _stable_factor(real, pairs):
+    """alpha_1..alpha_p of prod (1 - r z) over the real roots and the
+    conjugate pairs (radius, angle) given."""
+    roots = list(real) + [radius * np.exp(sign * 1j * angle)
+                          for radius, angle in pairs for sign in (1, -1)]
+    if not roots:
+        return ()
+    return tuple(-float(c) for c in np.real(np.poly(roots))[1:])
+
+
+@BOUNDED
+@given(real=st.lists(st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
+                     max_size=3),
+       pairs=st.lists(st.tuples(st.floats(0.05, 0.9), st.floats(0.1, 3.0)),
+                      max_size=2),
+       unit_root=st.booleans(), sigma2=st.floats(0.25, 9.0),
+       h=st.integers(1, 6), D=st.integers(1, 12))
+def test_cost_pass_dimension_prefix_equals_the_pass_at_that_dimension(
+        real, pairs, unit_root, sigma2, h, D):
+    # Entry d of the pass at D is the pass at D = d, bit for bit: the
+    # direct cost everywhere, the plug-in cost from the stationary order
+    # up (below it the pass at d truncates the coefficients).
+    alpha = _stable_factor(real, pairs)
+    if unit_root:
+        model = a.unit_root_model(levels_from_stationary(alpha), sigma2)
+    else:
+        assume(alpha)
+        model = a.stationary_model(alpha, sigma2)
+    w = a.level_ma_weights(model, h - 1)
+    plugin, direct = _costs(model, D, _gamma(model, h + D - 2), w)
+    for d in range(1, D + 1):
+        own_plugin, own_direct = _costs(model, d, _gamma(model, h + d - 2), w)
+        assert direct[d - 1] == own_direct[-1]
+        if d >= len(alpha):
+            assert plugin[d - 1] == own_plugin[-1]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import arstep as a
-from oracles import yule_walker_autocovariances
+from arstep import theory_losses
+from oracles import hand_impulse, trace_costs, yule_walker_autocovariances
 from sampling import sample_stationary_models, sample_unit_root_models
 
 X_MODEL = a.unit_root_model((1.5, -0.5), 1.0)
@@ -30,6 +31,57 @@ def test_autocovariance_matrix_is_toeplitz():
     for i in range(4):
         for j in range(4):
             assert mat[i, j] == table.gamma[abs(i - j)]
+
+
+def test_autocovariance_matrix_rejects_negative_dimensions():
+    table = a.autocovariances(a.model_for(a.DGPS["III"]), 4)
+    assert table.matrix(0).shape == (0, 0)
+    for dim in (-1, -4, -6):
+        with pytest.raises(ValueError, match="nonnegative"):
+            table.matrix(dim)
+
+
+def test_costs_match_the_per_dimension_trace_oracle():
+    # Every dimension of every generator's table, plug-in costs below
+    # the stationary order included, against solve-based traces on
+    # Yule-Walker autocovariances.
+    for dgp in a.DGPS.values():
+        model = a.model_for(dgp)
+        unit = isinstance(model, a.UnitRootArModel)
+        alpha = model.stationary if unit else model.coeffs
+        levels = model.levels if unit else model.coeffs
+        dims = dgp.max_order - unit
+        for h in range(1, dgp.horizon + 1):
+            w = hand_impulse(levels, h)
+            gamma = yule_walker_autocovariances(alpha, 1.0, h + dims)
+            table = a.loss_table(model, h, dgp.max_order)
+            for d in range(1, dims + 1):
+                want = trace_costs(alpha, gamma, w, d)
+                if unit:
+                    got = (a.plugin_cost(model, h, d + 1),
+                           a.direct_cost(model, h, d + 1))
+                else:
+                    got = (table[d, a.PLUG_IN].value,
+                           table[d, a.DIRECT].value)
+                for value, trace in zip(got, want):
+                    if unit or math.isfinite(value):
+                        assert value == pytest.approx(
+                            trace * model.sigma2, rel=1e-12), (dgp.id, h, d)
+
+
+@pytest.mark.parametrize("gamma, dim", [
+    (lambda L: np.ones(L + 1), 2),
+    (lambda L: np.r_[1.0, 0.9, np.zeros(L - 1)], 3),
+    (lambda L: np.full(L + 1, np.nan), 1),
+])
+def test_singular_gamma_names_the_first_dimension_not_positive_definite(
+        monkeypatch, gamma, dim):
+    monkeypatch.setattr(theory_losses, "_gamma", lambda model, L: gamma(L))
+    message = "dimension %d is not positive definite" % dim
+    with pytest.raises(a.SingularGamma, match=message):
+        a.loss_table(CUBIC_MODEL, 2, 8)
+    with pytest.raises(a.SingularGamma, match=message):
+        a.direct_cost(CUBIC_MODEL, 2, 5)
 
 
 def test_cost_fixture_values():
