@@ -44,7 +44,7 @@ _CIRCLE_POINTS = 720
 #: Tail size at which the MA weight recursion is truncated.
 _MA_TAIL = 1e-14
 
-#: Hard cap on automatic MA truncation lengths.
+#: Largest automatic MA truncation length; a longer one is an error.
 _MA_CAP = 100_000
 
 
@@ -368,7 +368,10 @@ def impulse_response(coeffs, length):
 
 
 def _auto_truncation(alpha):
-    """Truncation length making the neglected MA tail < 1e-14."""
+    """Truncation length making the neglected MA tail < 1e-14.
+
+    A length beyond _MA_CAP is a ValueError that names it.
+    """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size == 0:
         return 0
@@ -377,7 +380,11 @@ def _auto_truncation(alpha):
         return alpha.size
     scale = max(1.0, float(np.sum(np.abs(alpha))))
     length = int(math.ceil(math.log(_MA_TAIL / scale) / math.log(rho)))
-    return min(max(length, alpha.size), _MA_CAP)
+    if length > _MA_CAP:
+        raise ValueError(
+            "a tail below %.0e needs J = %d, beyond the default's cap of "
+            "%d; pass J explicitly" % (_MA_TAIL, length, _MA_CAP))
+    return max(length, alpha.size)
 
 
 @dataclass(frozen=True)
@@ -400,7 +407,9 @@ def ma_weights(model, J=None):
     c solves c_0 = 1, c_j = sum_{l=1}^{min(j,p)} alpha_l c_{j-l}; b is the
     cumulative sum of c.  J defaults to a length at which the neglected
     tail of c is below 1e-14 (the weights decay geometrically because the
-    deflated polynomial is stable).
+    deflated polynomial is stable).  Where that length exceeds 100,000
+    (a spectral radius above about 0.9997) the default is a ValueError
+    naming the length, and J must be given.
     """
     if not isinstance(model, UnitRootArModel):
         raise TypeError("ma_weights needs a UnitRootArModel")

@@ -12,9 +12,9 @@ combinations, and the analogous quantities for stable models without a
 unit root.
 
 All quantities are exact population values: autocovariances come from
-truncated MA expansions with geometric tail control, and the limiting
-covariance of the direct predictor is evaluated as a finite double sum,
-never by simulation.
+one Yule-Walker solve and the AR recursion, and the limiting covariance
+of the direct predictor is evaluated as a finite double sum, never by
+simulation.
 """
 
 import math
@@ -26,8 +26,7 @@ from ._kernels import cho_factor, cho_solve  # uncalled; perfbench/tracer.py wra
 from .errors import SingularGamma
 from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
                          ar_coefficients, direct_coefficients,
-                         impulse_response, level_ma_weights, unit_root_model,
-                         _auto_truncation)
+                         level_ma_weights, unit_root_model)
 
 #: Relative slack within which two losses count as tied.
 TIE_REL_TOL = 1e-10
@@ -59,25 +58,35 @@ class AutocovarianceTable:
 def _gamma(model, L):
     """gamma(0)..gamma(L) of the model's stationary representation.
 
-    The truncation length T (one eigvals) and the MA weights
-    c_0..c_{T+L} give gamma(m) = sigma^2 * sum_{i<=T} c_i c_{i+m}.  Every
-    lag sums the same T + 1 products and no weight depends on L, so
-    gamma(m) is the same for every L >= m.
+    With a_1..a_p its coefficients, gamma(0..p) solve the p + 1
+    Yule-Walker equations gamma(m) - sum_i a_i gamma(|m - i|) =
+    sigma^2 [m == 0], m = 0..p, and every later lag is the recursion
+    gamma(m) = sum_i a_i gamma(m - i) (Brockwell and Davis 1991, section
+    3.3).  Neither step depends on L, so gamma(m) is the same for every
+    L >= m.
     """
-    ar = ar_coefficients(model)[1]
-    T = _auto_truncation(ar)
-    c = impulse_response(ar, T + L)
-    return np.array([model.sigma2 * float(np.dot(c[:T + 1], c[m:m + T + 1]))
-                     for m in range(L + 1)])
+    a = ar_coefficients(model)[1]
+    p = a.size
+    m = np.arange(p + 1)[:, None]
+    system = np.eye(p + 1)
+    np.subtract.at(system, (m, np.abs(m - np.arange(1, p + 1))), a)
+    rhs = np.zeros(p + 1)
+    rhs[0] = model.sigma2
+    gamma = np.empty(max(L, p) + 1)
+    gamma[:p + 1] = np.linalg.solve(system, rhs)
+    backward = a[::-1]
+    for lag in range(p + 1, L + 1):
+        gamma[lag] = np.dot(backward, gamma[lag - p:lag])
+    return gamma[:L + 1]
 
 
 def autocovariances(model, L):
     """Autocovariances of the model's stationary representation.
 
-    gamma(m) = sigma^2 * sum_{i=0}^{T} c_i c_{i+m}, with c the MA weights
-    of the stationary representation (the differenced series for a
-    unit-root model, the series itself for a stable one) and T the
-    length at which their geometric tail drops below 1e-14.
+    The stationary representation is the differenced series for a
+    unit-root model and the series itself for a stable one; its
+    autocovariances are exact, from one Yule-Walker solve for lags 0..p
+    and the AR recursion beyond.
 
     Parameters
     ----------

@@ -3,9 +3,9 @@
 Everything here recomputes a quantity from first principles by a method
 deliberately different from the package's own: symbolic substitution
 instead of companion powers, textbook Gaussian elimination instead of
-eigendecompositions, the Yule-Walker equations instead of MA-weight
-summation, literal polynomial convolution, and step-by-step forecast
-iteration.  Tests compare the package against these.
+eigendecompositions, the companion-state Lyapunov equation instead of
+the Yule-Walker equations, literal polynomial convolution, and
+step-by-step forecast iteration.  Tests compare the package against these.
 """
 
 import numpy as np
@@ -88,31 +88,35 @@ def least_squares_by_elimination(design, target):
     return gaussian_elimination_solve(design.T @ design, design.T @ target)
 
 
-def yule_walker_autocovariances(coeffs, sigma2, L):
-    """gamma(0..L) of a stable AR by solving the Yule-Walker system.
+def lyapunov_autocovariances(coeffs, sigma2, L):
+    """gamma(0..L) of a stable AR from the covariance of its state.
 
-    Builds the (p+1)-equation linear system
-    gamma(m) - sum_i coeffs_i gamma(|m - i|) = sigma2 * [m == 0]
-    for m = 0..p, solves it by elimination, and extends by the recursion.
+    The state X_t = (x_t, ..., x_{t-p+1})' follows X_t = A X_{t-1} +
+    e_1 eps_t, A the companion matrix, so its covariance solves the
+    Lyapunov equation Sigma = A Sigma A' + sigma2 e_1 e_1'.  Row-major
+    vectorized that is the p^2-equation Kronecker system
+    (I - A (x) A) vec(Sigma) = sigma2 vec(e_1 e_1'), solved by
+    elimination.  Then Cov(X_{t+m}, X_t) = A^m Sigma, whose top-left
+    entry is gamma(m).
     """
-    coeffs = [float(c) for c in coeffs]
     p = len(coeffs)
     if p == 0:
         gamma = np.zeros(L + 1)
         gamma[0] = sigma2
         return gamma
-    system = np.zeros((p + 1, p + 1))
-    rhs = np.zeros(p + 1)
-    for m in range(p + 1):
-        system[m, m] += 1.0
-        for i, coef in enumerate(coeffs, start=1):
-            system[m, abs(m - i)] -= coef
-        rhs[m] = sigma2 if m == 0 else 0.0
-    gamma = list(gaussian_elimination_solve(system, rhs))
-    for m in range(p + 1, L + 1):
-        gamma.append(sum(coef * gamma[m - i]
-                         for i, coef in enumerate(coeffs, start=1)))
-    return np.asarray(gamma[:L + 1])
+    companion = np.zeros((p, p))
+    companion[0] = [float(c) for c in coeffs]
+    for i in range(1, p):
+        companion[i, i - 1] = 1.0
+    rhs = np.zeros(p * p)
+    rhs[0] = sigma2
+    state = gaussian_elimination_solve(
+        np.eye(p * p) - np.kron(companion, companion), rhs).reshape(p, p)
+    gamma = []
+    for _ in range(L + 1):
+        gamma.append(state[0, 0])
+        state = companion @ state
+    return np.asarray(gamma)
 
 
 def polynomial_multiply(p, q):
@@ -203,7 +207,7 @@ def _direct_cost(alpha, w, dim):
     tr(G^{-1} Omega), G the autocovariance matrix of z_t.
     """
     h = len(w)
-    gamma = yule_walker_autocovariances(alpha, 1.0, dim + h - 2)
+    gamma = lyapunov_autocovariances(alpha, 1.0, dim + h - 2)
     gram = [[gamma[abs(r - c)] for c in range(dim)] for r in range(dim)]
     omega = [[sum(w[j] * w[l] * gamma[abs(l - j + c - r)]
                   for j in range(h) for l in range(h))
@@ -220,7 +224,7 @@ def _plugin_cost(alpha, h, dim):
     gradient at z_t = e_a.  A coefficient error of covariance G^{-1} / n
     then costs tr(G^{-1} D G D').
     """
-    gamma = yule_walker_autocovariances(alpha, 1.0, dim)
+    gamma = lyapunov_autocovariances(alpha, 1.0, dim)
     gram = [[gamma[abs(r - c)] for c in range(dim)] for r in range(dim)]
     padded = list(alpha) + [0.0] * (dim - len(alpha))
     coeffs = [_Dual(value, [1.0 if i == j else 0.0 for j in range(dim)])

@@ -50,3 +50,23 @@ def sample_stationary_models(count, seed, max_p=4):
         sigma2 = float(rng.uniform(0.25, 9.0))
         out.append(stationary_model(coeffs, sigma2))
     return out
+
+
+def stable_factor(real, pairs=()):
+    """alpha_1..alpha_p of prod (1 - r z) over the real inverse roots and
+    the conjugate pairs (radius, angle) given."""
+    roots = list(real) + [radius * np.exp(sign * 1j * angle)
+                          for radius, angle in pairs for sign in (1, -1)]
+    if not roots:
+        return ()
+    return tuple(-float(c) for c in np.real(np.poly(roots))[1:])
+
+
+#: Real inverse roots of stationary parts 1e-5 inside the unit circle.
+NEAR_UNIT_ROOTS = ((0.99999, 0.5), (0.99999, 0.9, -0.5))
+
+
+def unit_root_model_with_roots(roots):
+    """Unit-root model, sigma2 = 1, whose stationary part has the given
+    real inverse roots."""
+    return unit_root_model(levels_from_stationary(stable_factor(roots)))

@@ -12,7 +12,8 @@ from scipy.signal import lfilter
 
 import arstep as a
 from arstep.model_core import _auto_truncation, ar_coefficients
-from sampling import sample_stationary_models, sample_unit_root_models
+from sampling import (NEAR_UNIT_ROOTS, sample_stationary_models,
+                      sample_unit_root_models, unit_root_model_with_roots)
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -96,6 +97,7 @@ def _models():
     yield from (a.model_for(a.DGPS[key]) for key in ("III", "VII", "IX", "V"))
     yield from sample_unit_root_models(4, seed=21)
     yield from sample_stationary_models(4, seed=22)
+    yield from (unit_root_model_with_roots(roots) for roots in NEAR_UNIT_ROOTS)
 
 
 def test_loss_table_entries_equal_stand_alone_losses():

@@ -160,6 +160,18 @@ def test_ma_weights_auto_truncation_tail_is_negligible():
     assert abs(w.c[-1]) < 1e-13
 
 
+def test_ma_weights_default_length_beyond_the_cap_is_a_value_error():
+    # A stationary root 1e-5 inside the unit circle needs millions of
+    # weights for a 1e-14 tail: the default names that length instead of
+    # returning an expansion capped at 100,000 weights, where c_J = 0.37.
+    model = a.unit_root_model((1.99999, -0.99999))
+    with pytest.raises(ValueError, match="pass J explicitly") as info:
+        a.ma_weights(model)
+    needed = int(str(info.value).split("J = ")[1].split(",")[0])
+    assert needed > math.log(1e-14) / math.log(0.99999)  # 3.2 million
+    assert a.ma_weights(model, 50).J == 50
+
+
 def test_sigma_h_squared_examples():
     rw = a.unit_root_model((1.0,), sigma2=2.0)
     for h in (1, 2, 4):

@@ -16,6 +16,7 @@ from arstep.model_core import _companion_image
 from arstep.selection import _shared_prefix
 from arstep.theory_losses import _costs, _gamma
 from oracles import gram_is_invertible, levels_from_stationary
+from sampling import stable_factor
 
 # Bounded and derandomized, so the suite's runtime and outcome are fixed.
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -238,16 +239,6 @@ def test_row_sums_at_the_edges():
     assert math.isnan(row_sums([[np.inf, -np.inf]])[0])
 
 
-def _stable_factor(real, pairs):
-    """alpha_1..alpha_p of prod (1 - r z) over the real roots and the
-    conjugate pairs (radius, angle) given."""
-    roots = list(real) + [radius * np.exp(sign * 1j * angle)
-                          for radius, angle in pairs for sign in (1, -1)]
-    if not roots:
-        return ()
-    return tuple(-float(c) for c in np.real(np.poly(roots))[1:])
-
-
 @BOUNDED
 @given(real=st.lists(st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
                      max_size=3),
@@ -260,7 +251,7 @@ def test_cost_pass_dimension_prefix_equals_the_pass_at_that_dimension(
     # Entry d of the pass at D is the pass at D = d, bit for bit: the
     # direct cost everywhere, the plug-in cost from the stationary order
     # up (below it the pass at d truncates the coefficients).
-    alpha = _stable_factor(real, pairs)
+    alpha = stable_factor(real, pairs)
     if unit_root:
         model = a.unit_root_model(levels_from_stationary(alpha), sigma2)
     else:

@@ -12,7 +12,7 @@ from scipy.signal import lfilter as scipy_lfilter
 
 import arstep as a
 from arstep import _kernels, simulation
-from oracles import yule_walker_autocovariances
+from oracles import lyapunov_autocovariances
 
 
 def test_generate_is_deterministic_per_replication_seed():
@@ -141,11 +141,11 @@ def test_generate_uniform_noise_bounds_and_variance():
 
 def test_differenced_series_matches_stationary_autocovariance():
     # After differencing, a unit-root generator leaves its stationary
-    # part, whose variance solves the Yule-Walker system.
+    # part, whose variance is that of the oracle's Lyapunov solution.
     dgp = a.DGPS["III"]
     model = a.model_for(dgp)
-    gamma = yule_walker_autocovariances(model.stationary, model.sigma2,
-                                        len(model.stationary))
+    gamma = lyapunov_autocovariances(model.stationary, model.sigma2,
+                                     len(model.stationary))
     series = a.generate(dgp, 100000, seed=0, burn_in=500)
     assert np.diff(series).var() == pytest.approx(gamma[0], rel=0.03)
 

@@ -7,22 +7,33 @@ import pytest
 
 import arstep as a
 from arstep import theory_losses
-from oracles import hand_impulse, trace_costs, yule_walker_autocovariances
-from sampling import sample_stationary_models, sample_unit_root_models
+from oracles import hand_impulse, lyapunov_autocovariances, trace_costs
+from sampling import (NEAR_UNIT_ROOTS, sample_stationary_models,
+                      sample_unit_root_models, unit_root_model_with_roots)
 
 X_MODEL = a.unit_root_model((1.5, -0.5), 1.0)
 CUBIC_MODEL = a.unit_root_model((0.9, -0.81, 0.91), 1.0)
 
 
-def test_autocovariances_match_yule_walker_oracle():
+def test_autocovariances_match_lyapunov_oracle():
     for model in sample_unit_root_models(30, seed=101):
         got = a.autocovariances(model, 8).gamma
-        want = yule_walker_autocovariances(model.stationary, model.sigma2, 8)
+        want = lyapunov_autocovariances(model.stationary, model.sigma2, 8)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
     for model in sample_stationary_models(30, seed=102):
         got = a.autocovariances(model, 8).gamma
-        want = yule_walker_autocovariances(model.coeffs, model.sigma2, 8)
+        want = lyapunov_autocovariances(model.coeffs, model.sigma2, 8)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_near_unit_ar1_autocovariances_match_the_closed_form():
+    # gamma(m) = sigma^2 rho^m / (1 - rho^2), with 1 - rho^2 formed as
+    # (1 - rho)(1 + rho) so that the reference is exact to rounding.
+    lags = np.arange(61)
+    for rho in (0.5, -0.9, 0.99, 0.9999, 0.99999, 0.999999, -0.999999):
+        got = a.autocovariances(a.stationary_model((rho,), 2.5), 60).gamma
+        want = 2.5 * rho ** lags / ((1.0 - rho) * (1.0 + rho))
+        np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=str(rho))
 
 
 def test_autocovariance_matrix_is_toeplitz():
@@ -44,16 +55,16 @@ def test_autocovariance_matrix_rejects_negative_dimensions():
 def test_costs_match_the_per_dimension_trace_oracle():
     # Every dimension of every generator's table, plug-in costs below
     # the stationary order included, against solve-based traces on
-    # Yule-Walker autocovariances.
+    # Lyapunov autocovariances.
     for dgp in a.DGPS.values():
         model = a.model_for(dgp)
         unit = isinstance(model, a.UnitRootArModel)
         alpha = model.stationary if unit else model.coeffs
         levels = model.levels if unit else model.coeffs
         dims = dgp.max_order - unit
+        gamma = lyapunov_autocovariances(alpha, 1.0, dgp.horizon + dims)
         for h in range(1, dgp.horizon + 1):
             w = hand_impulse(levels, h)
-            gamma = yule_walker_autocovariances(alpha, 1.0, h + dims)
             table = a.loss_table(model, h, dgp.max_order)
             for d in range(1, dims + 1):
                 want = trace_costs(alpha, gamma, w, d)
@@ -67,6 +78,29 @@ def test_costs_match_the_per_dimension_trace_oracle():
                     if unit or math.isfinite(value):
                         assert value == pytest.approx(
                             trace * model.sigma2, rel=1e-12), (dgp.id, h, d)
+
+
+@pytest.mark.parametrize("roots", NEAR_UNIT_ROOTS)
+def test_near_unit_loss_tables_match_the_trace_oracle(roots):
+    # A stationary root 1e-5 inside the unit circle: every finite loss
+    # of the table is the common term plus a cost that matches the
+    # solve-based traces on Lyapunov autocovariances.
+    model = unit_root_model_with_roots(roots)
+    h, K = 3, 8
+    w = hand_impulse(model.levels, h)
+    common = 2.0 * model.sigma2 * float(np.sum(w)) ** 2
+    gamma = lyapunov_autocovariances(model.stationary, 1.0, h + K)
+    table = a.loss_table(model, h, K)
+    checked = 0
+    for k in range(2, K + 1):
+        costs = trace_costs(model.stationary, gamma, w, k - 1)
+        for method, cost in zip((a.PLUG_IN, a.DIRECT), costs):
+            value = table[k, method].value
+            if math.isfinite(value):
+                assert value - common == pytest.approx(
+                    cost * model.sigma2, rel=1e-8), (k, method)
+                checked += 1
+    assert checked >= K
 
 
 @pytest.mark.parametrize("gamma, dim", [
