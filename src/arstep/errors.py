@@ -19,7 +19,8 @@ class UnstableStationaryPart(ArstepError):
 
 
 class SingularGamma(ArstepError):
-    """An autocovariance (Toeplitz) matrix failed positive-definiteness."""
+    """An autocovariance (Toeplitz) matrix failed positive-definiteness,
+    or the Yule-Walker equations have no stationary solution."""
 
 
 class SingularDesign(ArstepError):

@@ -266,20 +266,13 @@ def residual_mse(series, coeffs, h, K):
     if n > series.size:
         raise ValueError("sample end %d exceeds series length %d"
                          % (n, series.size))
-    series, e = _normalized(series)
-    resid = _residuals(_lag_view(series, coeffs.k), series,
-                       np.asarray(coeffs.coeffs), h, K, n)
-    return float(_unscaled(row_sums([resid * resid])[0] / (n - h - K),
-                           2 * e))
-
-
-def _residuals(lags, series, coeffs, h, K, n):
-    """Residuals x_{j+h} - coeffs' x_j(k), j = K..n-h, of a coefficient
-    vector; lags is _lag_view(series, m) for some m >= k.  Stacks of
-    series, lag views and coefficient vectors give one row per series."""
     _check_residual_window(K, n - h)
-    fitted = lags[..., K - 1:n - h, :coeffs.shape[-1]] @ coeffs[..., None]
-    return series[..., K + h - 1:n] - fitted[..., 0]
+    series, e = _normalized(series)
+    series = series[None, :n]
+    padded = np.zeros((1, 1, K))
+    padded[0, 0, :coeffs.k] = coeffs.coeffs
+    total = _residual_sums(_lag_view(series, K), series, padded, h)[0, 0]
+    return float(_unscaled(total / (n - h - K), 2 * e))
 
 
 def _check_residual_window(K, last):
@@ -290,7 +283,37 @@ def _check_residual_window(K, last):
                              "divisor" % (K, last))
 
 
-#: Working memory of a _SquareSums buffer, in bytes.
+def _residual_sums(lags, series, coeffs, h):
+    """Exact sums of squared residuals x_{j+h} - b' x_j(K), j = K..n-h
+    (a window the caller has checked), as a [fit, series] array, of every
+    zero-padded coefficient vector b of coeffs[series, fit]; lags is
+    _lag_view(series, K).
+
+    The fitted values are products of a series' fits with its order-K
+    lag window, in blocks that keep their residuals within
+    SUM_BUFFER_BYTES: as many fits as fit the budget, and the fits of as
+    many series.  Each block is squared and summed as it is made, and a
+    series' blocks, so its sums, do not depend on the series beside it.
+    """
+    R, G, K = coeffs.shape
+    n = series.shape[1]
+    window = lags[:, K - 1:n - h].swapaxes(1, 2)
+    width = n - h - K + 1
+    fits = max(1, SUM_BUFFER_BYTES // (8 * width))
+    chunk = max(1, fits // G)
+    sums = np.empty((G, R))
+    for r in range(0, R, chunk):
+        for g in range(0, G, fits):
+            s, f = slice(r, r + chunk), slice(g, g + fits)
+            block = coeffs[s, f] @ window[s]
+            np.subtract(series[s, None, K + h - 1:], block, out=block)
+            np.square(block, out=block)
+            sums[f, s] = _sum_rows(block.reshape(-1, width)).reshape(
+                block.shape[:2]).T
+    return sums
+
+
+#: Working memory, in bytes, of one block of squares or of padded Grams.
 SUM_BUFFER_BYTES = 1 << 18
 
 
@@ -362,57 +385,6 @@ def _sum_special_row(row):
         return float(exact)
     except OverflowError:
         return math.inf if exact > 0 else -math.inf
-
-
-class _SquareSums:
-    """Exact sums of squares of many vectors through one fixed buffer.
-
-    add(vectors) queues the squares of each row of a 2-D array of at
-    most width columns and returns the index of the first one's sum;
-    totals() returns every sum, in the order queued, each equal to
-    math.fsum of its squares.  The buffer (at most SUM_BUFFER_BYTES, and
-    no more rows than will be queued) is summed by _sum_rows whenever
-    it fills, so memory does not grow with the number of vectors.
-    """
-
-    def __init__(self, width, rows):
-        fits = SUM_BUFFER_BYTES // (8 * max(width, 1))
-        self._buffer = np.empty((max(1, min(rows, fits)), width))
-        self._fill = 0
-        self._queued = 0
-        self._done = []
-
-    def add(self, vectors):
-        first = self._queued
-        width = vectors.shape[1]
-        start = 0
-        while start < len(vectors):
-            if self._fill == len(self._buffer):
-                self._flush()
-            stop = min(len(vectors), start + len(self._buffer) - self._fill)
-            rows = self._buffer[self._fill:self._fill + stop - start]
-            np.multiply(vectors[start:stop], vectors[start:stop],
-                        out=rows[:, :width])
-            rows[:, width:] = 0.0
-            self._fill += stop - start
-            start = stop
-        self._queued += len(vectors)
-        return first
-
-    def reserve(self, count):
-        """Sum the buffer now unless count more rows fit in it, so that a
-        caller can make its next count vectors after the sum's working
-        copy of the buffer is freed, not beside it."""
-        if self._fill + count > len(self._buffer):
-            self._flush()
-
-    def _flush(self):
-        self._done.append(_sum_rows(self._buffer[:self._fill]))
-        self._fill = 0
-
-    def totals(self):
-        self._flush()
-        return np.concatenate(self._done)
 
 
 def fitted_ma_weights(one_step, J):

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
-from .estimation import (SUM_BUFFER_BYTES, _SquareSums,
-                         _check_residual_window, _lag_view, _normalized,
-                         _require_finite, _singular_grams, _singular_prefix,
-                         _unscaled, lag_matrix)
+from .estimation import (SUM_BUFFER_BYTES, _check_residual_window,
+                         _lag_view, _normalized, _require_finite,
+                         _residual_sums, _singular_grams, _singular_prefix,
+                         _sum_rows, _unscaled, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
                          _power_sum, companion_matrix, impulse_response)
 
@@ -236,30 +236,32 @@ def _factor_prefix(grams, bad, first, last):
     return exact, np.concatenate(kept)
 
 
-def _ape_sums(series, shared, bad, orders, stages, sums):
+def _ape_sums(series, shared, bad, orders, stages):
     """Accumulated prediction errors of several orders for several stages.
 
     shared is the width-K prefix (_shared_prefix) and bad its gate masks
     (_prefix_gates); it overwrites the Grams (_factor_prefix).  Each stage
     (method, h, m) asks for the h-step sum of that method over the sample
-    ends i = m..n-h; for each order, in the order given, its prediction
-    errors are queued on the _SquareSums sums, one row per stage, in
-    stage order, and {order: index of its first sum} is returned.  Every
-    Gram those refits need is an entry of the order's prefix: the
-    one-step fit behind plug-in at sample end i reads entry i-1-k, the
-    direct h-step fit entry i-h-k (so direct at h = 1 is the one-step
-    fit).  The first stage's entries, its window, must hold every later
-    stage's (in select_by_ape the one-step window holds the direct one).
-    The stages use at most two fit lags, 1 and H, so one solve per entry
-    serves them all: column 0 of its right-hand side holds the one-step
-    cross-products, column 1 the lag-H ones (the one-step ones again when
-    H = 1).  A column's solution does not depend on the other column, so
-    a stage gets the same coefficients whatever stages share the solve.
-    The solve is a product with the entry's shared factor, or for the
-    fits that factor cannot serve an LU solve of the Gram; neither
-    depends on the other orders or entries asked for.  Before anything is
-    solved, a singular entry raises SingularDesign naming the first
-    stage's sample end that reads it, at the first order that has one.
+    ends i = m..n-h, and {order: [its sum per stage]} is returned.  The
+    orders are taken in the order given, in blocks whose squared errors,
+    one row per stage, fit SUM_BUFFER_BYTES; each block is summed
+    exactly (_sum_rows) as soon as it is made, and a sum does not depend
+    on the block.  Every Gram those refits need is an entry of the
+    order's prefix: the one-step fit behind plug-in at sample end i reads
+    entry i-1-k, the direct h-step fit entry i-h-k (so direct at h = 1 is
+    the one-step fit).  The first stage's entries, its window, must hold
+    every later stage's (in select_by_ape the one-step window holds the
+    direct one).  The stages use at most two fit lags, 1 and H, so one
+    solve per entry serves them all: column 0 of its right-hand side
+    holds the one-step cross-products, column 1 the lag-H ones (the
+    one-step ones again when H = 1).  A column's solution does not depend
+    on the other column, so a stage gets the same coefficients whatever
+    stages share the solve.  The solve is a product with the entry's
+    shared factor, or for the fits that factor cannot serve an LU solve
+    of the Gram; neither depends on the other orders or entries asked
+    for.  Before anything is solved, a singular entry raises
+    SingularDesign naming the first stage's sample end that reads it, at
+    the first order that has one.
     """
     n = series.size
     rows, grams = shared
@@ -279,35 +281,45 @@ def _ape_sums(series, shared, bad, orders, stages, sums):
     exact, kept = _factor_prefix(
         grams, bad, first, max(hi for _, hi in windows.values()))
     slot = np.cumsum(exact.any(axis=1)) - 1
-    at = {}
-    for k, (lo, hi) in windows.items():
-        c = K - k
-        rows_k = rows[:, c:]
-        cross = np.zeros((hi, k, 2))
-        np.multiply(rows_k[:hi], series[k:k + hi, None], out=cross[:, :, 0])
-        stop = min(hi, n - H - k + 1)
-        np.multiply(rows_k[:stop],
-                    series[k + H - 1:k + H - 1 + stop, None],
-                    out=cross[:stop, :, 1])
-        np.cumsum(cross, axis=0, out=cross)
-        factor = grams[lo:hi, c:, c:]
-        coeffs = factor.swapaxes(-1, -2) @ (factor @ cross[lo:])
-        lu = exact[lo - first:hi - first, k - 1]
-        if lu.any():
-            coeffs[lu] = np.linalg.solve(
-                kept[slot[lo - first:hi - first][lu], c:, c:], cross[lo:][lu])
-        queued = []
-        for (method, h, m), lag in zip(stages, lags):
-            start = m - lag - k - lo
-            fits = coeffs[start:start + n - h - m + 1, :,
-                          0 if lag == 1 else 1]
-            if method == PLUG_IN:
-                fits = _companion_image(fits, h)
-            tails = rows_k[np.arange(m, n - h + 1) - k]
-            queued.append(sums.add(series[None, m + h - 1:n]
-                                   - np.einsum("bk,bk->b", fits, tails)))
-        at[k] = queued[0]
-    return at
+    width = n - stages[0][1] - m + 1  # the first stage's errors are longest
+    size = max(1, SUM_BUFFER_BYTES // (8 * width * len(stages)))
+    sums = {}
+    for b in range(0, len(orders), size):
+        ks = orders[b:b + size]
+        errors = np.zeros((len(ks), len(stages), width))
+        for k, order_errors in zip(ks, errors):
+            lo, hi = windows[k]
+            c = K - k
+            rows_k = rows[:, c:]
+            cross = np.zeros((hi, k, 2))
+            np.multiply(rows_k[:hi], series[k:k + hi, None],
+                        out=cross[:, :, 0])
+            stop = min(hi, n - H - k + 1)
+            np.multiply(rows_k[:stop],
+                        series[k + H - 1:k + H - 1 + stop, None],
+                        out=cross[:stop, :, 1])
+            np.cumsum(cross, axis=0, out=cross)
+            factor = grams[lo:hi, c:, c:]
+            coeffs = factor.swapaxes(-1, -2) @ (factor @ cross[lo:])
+            lu = exact[lo - first:hi - first, k - 1]
+            if lu.any():
+                coeffs[lu] = np.linalg.solve(
+                    kept[slot[lo - first:hi - first][lu], c:, c:],
+                    cross[lo:][lu])
+            for row, (method, h, m), lag in zip(order_errors, stages, lags):
+                start = m - lag - k - lo
+                fits = coeffs[start:start + n - h - m + 1, :,
+                              0 if lag == 1 else 1]
+                if method == PLUG_IN:
+                    fits = _companion_image(fits, h)
+                tails = rows_k[np.arange(m, n - h + 1) - k]
+                np.subtract(series[m + h - 1:n],
+                            np.einsum("bk,bk->b", fits, tails),
+                            out=row[:n - h - m + 1])
+        np.square(errors, out=errors)
+        totals = _sum_rows(errors.reshape(-1, width))
+        sums.update(zip(ks, totals.reshape(len(ks), -1).tolist()))
+    return sums
 
 
 def accumulated_prediction_error(series, k, h, method, K, start_index=None):
@@ -362,9 +374,8 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
                              % (m, n - h))
     if m - lag < k:
         raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
-    sums = _SquareSums(n - h - m + 1, 1)
-    _ape_sums(series, shared, bad, (k,), ((method, h, m),), sums)
-    return float(_unscaled(sums.totals()[0], 2 * e))
+    total = _ape_sums(series, shared, bad, (k,), ((method, h, m),))[k][0]
+    return float(_unscaled(total, 2 * e))
 
 
 def select_by_ape(series, h, K):
@@ -389,17 +400,13 @@ def select_by_ape(series, h, K):
     # taken for every order because the step-1 pick is not known yet.
     # The first stage's window holds the other two (mh >= m1, and
     # mh - h >= m1 - 1 since sample end mh - h + 1 >= 2K clears the
-    # one-step gate), and its error rows are the longest and fix the
-    # sum buffer's width.
+    # one-step gate), and its error rows are the longest.
     # Order K's pass runs first, so that a series singular at several
     # orders fails on order K's sample end.
     stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
-    sums = _SquareSums(series.size - m1, 3 * K)
-    at = _ape_sums(series, shared, bad, (K, *range(1, K)), stages, sums)
-    totals = sums.totals().tolist()
+    sums = _ape_sums(series, shared, bad, (K, *range(1, K)), stages)
     first_stage, direct_vals, plug_all = (
-        {k: totals[at[k] + stage] for k in range(1, K + 1)}
-        for stage in range(3))
+        {k: sums[k][stage] for k in range(1, K + 1)} for stage in range(3))
     k_first = _argmin_smallest(first_stage, "first-stage")
     return _outcome(first_stage, direct_vals,
                     {k: v for k, v in plug_all.items() if k >= k_first},
@@ -464,42 +471,6 @@ def _order_groups(ks, R, K):
     return [np.array(ks[i:i + size]) for i in range(0, len(ks), size)]
 
 
-def _queue_residuals(sums, lags, series, coeffs, h, K):
-    """Queue on sums the residuals x_{j+h} - b' x_j(K), j = K..n-h, of
-    every zero-padded coefficient vector b of coeffs[series, fit], and
-    return the index of each one's sum as a [fit, series] array.
-
-    The fitted values are products of a series' fits with its order-K
-    lag window, in blocks that keep their residuals within
-    SUM_BUFFER_BYTES: as many fits as fit the budget, and the fits of as
-    many series.  A block is made after any sum its rows would set off
-    (_SquareSums.reserve), so that it never lies beside the sum's working
-    copy.  A series' blocks, and so its values, do not depend on the
-    series beside it.
-    """
-    R, G, K = coeffs.shape
-    n = series.shape[1]
-    _check_residual_window(K, n - h)
-    window = lags[:, K - 1:n - h].swapaxes(1, 2)
-    width = n - h - K + 1
-    fits = max(1, SUM_BUFFER_BYTES // (8 * width))
-    chunk = max(1, fits // G)
-    at = np.empty((G, R), dtype=int)
-    for r in range(0, R, chunk):
-        for g in range(0, G, fits):
-            s, f = slice(r, r + chunk), slice(g, g + fits)
-            block = coeffs[s, f]
-            rows, cols = block.shape[:2]
-            sums.reserve(rows * cols)
-            residuals = block @ window[s]
-            np.subtract(series[s, None, K + h - 1:], residuals,
-                        out=residuals)
-            at[f, s] = sums.add(residuals.reshape(-1, width)) \
-                + np.arange(cols)[:, None] + cols * np.arange(rows)
-            del residuals  # freed before the next reserve
-    return at
-
-
 def _criteria(series, h, K, penalties, orders, methods):
     """Criteria of orders for a stack of series, one series per row.
 
@@ -520,11 +491,15 @@ def _criteria(series, h, K, penalties, orders, methods):
     direct coefficients and W^-1, whose products with Z'Z and with L give
     the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
     powers of the padded companion matrix, cut to its order's block.
-    Each residual sum is math.fsum's (one _SquareSums buffer,
-    _queue_residuals).  Memory stays bounded: a stage takes its orders in
-    groups (_order_groups), largest first, and its residuals in chunks of
-    series; no value depends on the grouping, so a stack's values are
-    those of its series one at a time.
+    Each residual sum is math.fsum's: each block of residuals is summed
+    as it is made (_residual_sums).  Memory stays bounded: a stage takes
+    its orders in groups (_order_groups), largest first, and its
+    residuals in blocks of fits and series, both within
+    SUM_BUFFER_BYTES.  At a fixed budget no value depends on how the
+    series are split into blocks, so a stack's values are those of its
+    series one at a time; the budget itself sets the shapes of the
+    residual products, and changing it moves criteria by rounding (up to
+    2.5e-16 relative between 64 KiB and 16 MiB).
 
     The first-stage penalty tr(G^-1 G) is k; so is the plug-in one at
     h = 1 (L = I), where every h-step fit is the one-step fit.  Order K's
@@ -553,28 +528,23 @@ def _criteria(series, h, K, penalties, orders, methods):
     if h_step:
         fits, traces = _h_step_fits(series, lags, h, K, h_step, methods,
                                     coeffs)
-    # The residuals are queued after every fit, so the sum buffer is
-    # never held beside a pass's padded arrays.
-    sums = _SquareSums(n - K, R * (len(fitted) + len(h_step) * len(methods)))
-    one_at = dict(zip(fitted, _queue_residuals(
-        sums, lags, series, coeffs[:, fitted], 1, K)))
-    # One entry per criterion: (stage, k, index of its residual sum per
-    # series, the horizon of those residuals, trace penalty per series).
-    entries = [(0, k, one_at[k], 1, np.full(R, float(k)))
-               for k in orders if k in one_at]
+    one_step = dict(zip(fitted, _residual_sums(lags, series,
+                                               coeffs[:, fitted], 1)))
+    # One entry per criterion: (stage, k, its residual sum per series,
+    # the horizon of those residuals, trace penalty per series).
+    entries = [(0, k, one_step[k], 1, np.full(R, float(k)))
+               for k in orders if k in one_step]
     if h_step:
-        at = _queue_residuals(sums, lags, series,
-                              np.concatenate(list(fits.values()), axis=1),
-                              h, K)
+        sums = _residual_sums(lags, series,
+                              np.concatenate(list(fits.values()), axis=1), h)
         stages = {DIRECT: 1, PLUG_IN: 2}
-        entries += [(stages[method], k, at[i * len(h_step) + j], h,
+        entries += [(stages[method], k, sums[i * len(h_step) + j], h,
                      traces[method][:, j])
                     for i, method in enumerate(fits)
                     for j, k in enumerate(h_step)]
-    stage, ks, at, lag, trace = zip(*entries)
-    totals = sums.totals()
-    resid_ms = totals[np.array(at)] / (n - K - np.array(lag))[:, None]
-    sigma_tilde = totals[one_at[K]] / (n - 1 - K)
+    stage, ks, sums, lag, trace = zip(*entries)
+    resid_ms = np.array(sums) / (n - K - np.array(lag))[:, None]
+    sigma_tilde = one_step[K] / (n - 1 - K)
     trace = np.array(trace)
     scales = (2 * e).tolist()
     out = []

@@ -63,7 +63,8 @@ def _gamma(model, L):
     sigma^2 [m == 0], m = 0..p, and every later lag is the recursion
     gamma(m) = sum_i a_i gamma(m - i) (Brockwell and Davis 1991, section
     3.3).  Neither step depends on L, so gamma(m) is the same for every
-    L >= m.
+    L >= m.  A model built without its constructor's checks raises
+    SingularGamma where the system is singular or gamma(0) <= 0.
     """
     a = ar_coefficients(model)[1]
     p = a.size
@@ -73,7 +74,13 @@ def _gamma(model, L):
     rhs = np.zeros(p + 1)
     rhs[0] = model.sigma2
     gamma = np.empty(max(L, p) + 1)
-    gamma[:p + 1] = np.linalg.solve(system, rhs)
+    try:
+        gamma[:p + 1] = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        gamma[0] = math.nan
+    if not 0.0 < gamma[0] < math.inf:  # NaN fails too
+        raise SingularGamma("the Yule-Walker equations have no solution "
+                            "with finite positive gamma(0)")
     backward = a[::-1]
     for lag in range(p + 1, L + 1):
         gamma[lag] = np.dot(backward, gamma[lag - p:lag])

@@ -1,5 +1,7 @@
 """Least-squares machinery against longhand elimination and exact algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,20 @@ def test_residual_mse_window_and_divisor():
         longhand(3), rel=1e-12)
     assert a.residual_mse(series, fit, 1, 5) == pytest.approx(
         longhand(5), rel=1e-12)
+
+
+def test_residual_mse_sums_its_squares_exactly():
+    # Zero coefficients leave the targets x_2..x_n as residuals: 998 unit
+    # squares and one of 2^54.  Their exact sum rounds to 2^54 + 1000;
+    # pairwise summation adds the units in groups and reads 2^54 + 988.
+    # The criteria sum their residuals through the same kernel.
+    series = np.ones(1000)
+    series[500] = 2.0 ** 27
+    zero = a.FittedCoefficients(coeffs=(0.0,), k=1, h=1, method=a.DIRECT,
+                                sample_end=1000)
+    squares = series[1:] ** 2
+    assert np.sum(squares) != math.fsum(squares)
+    assert a.residual_mse(series, zero, 1, 1) == math.fsum(squares) / 998
 
 
 def test_residual_mse_validations():

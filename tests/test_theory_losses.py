@@ -118,6 +118,23 @@ def test_singular_gamma_names_the_first_dimension_not_positive_definite(
         a.direct_cost(CUBIC_MODEL, 2, 5)
 
 
+def test_models_built_without_their_constructor_raise_singular_gamma():
+    # Both models skip the constructors' checks: the first keeps the unit
+    # root in its stationary part (a singular Yule-Walker system), the
+    # second is explosive (its system solves to gamma(0) = -0.8).
+    unit = a.UnitRootArModel(levels=(2.0, -1.0), stationary=(1.0,),
+                             sigma2=1.0, p=1)
+    explosive = a.StationaryArModel(coeffs=(1.5,), sigma2=1.0, p=1)
+    message = "no solution with finite positive gamma"
+    for model in (unit, explosive):
+        with pytest.raises(a.SingularGamma, match=message):
+            a.autocovariances(model, 3)
+    with pytest.raises(a.SingularGamma, match=message):
+        a.loss_table(unit, 2, 4)
+    with pytest.raises(a.SingularGamma, match=message):
+        a.loss_stationary(explosive, 2, 1, a.DIRECT)
+
+
 def test_cost_fixture_values():
     assert a.plugin_cost(X_MODEL, 2, 2) == pytest.approx(4.0, abs=1e-12)
     assert a.direct_cost(X_MODEL, 2, 2) == pytest.approx(4.75, abs=1e-12)
