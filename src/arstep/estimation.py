@@ -188,6 +188,16 @@ class FittedCoefficients:
     sample_end: int
 
 
+def _coefficients(fitted):
+    """The coefficients of a FittedCoefficients as a float array; a NaN
+    or infinite coefficient, possible only in one built by hand, is a
+    ValueError."""
+    coeffs = np.asarray(fitted.coeffs, dtype=float)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients hold NaN or infinite values")
+    return coeffs
+
+
 def fit_one_step(series, k, i=None):
     """One-step-ahead least squares of x_{j+1} on x_j(k).
 
@@ -205,12 +215,13 @@ def plug_in_multi(one_step, h):
     Applies the (h-1)-th companion power of the fitted coefficients to
     themselves, which is algebraically the same as iterating one-step
     forecasts h - 1 times; at h = 1 the coefficients are the input's.
+    Coefficients holding NaN or inf are a ValueError.
     """
     if one_step.method != PLUG_IN or one_step.h != 1:
         raise ValueError("plug_in_multi needs a one-step plug-in fit")
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    v = _companion_image(np.asarray(one_step.coeffs, dtype=float), h)
+    v = _companion_image(_coefficients(one_step), h)
     return FittedCoefficients(coeffs=tuple(float(c) for c in v),
                               k=one_step.k, h=int(h), method=PLUG_IN,
                               sample_end=one_step.sample_end)
@@ -253,7 +264,8 @@ def residual_mse(series, coeffs, h, K):
     deliberate and pinned by tests), where n is the fit's sample end.
     Using K rather than k keeps the window identical across candidate
     orders, so residual sums are comparable.  A series holding NaN or
-    inf raises NonFiniteSeries.
+    inf raises NonFiniteSeries, and coefficients holding them ValueError;
+    a sum past the float range is inf.
     """
     series = _as_series(series)
     _require_finite(series)
@@ -270,8 +282,9 @@ def residual_mse(series, coeffs, h, K):
     series, e = _normalized(series)
     series = series[None, :n]
     padded = np.zeros((1, 1, K))
-    padded[0, 0, :coeffs.k] = coeffs.coeffs
-    total = _residual_sums(_lag_view(series, K), series, padded, h)[0, 0]
+    padded[0, 0, :coeffs.k] = _coefficients(coeffs)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        total = _residual_sums(_lag_view(series, K), series, padded, h)[0, 0]
     return float(_unscaled(total / (n - h - K), 2 * e))
 
 
@@ -313,7 +326,8 @@ def _residual_sums(lags, series, coeffs, h):
     return sums
 
 
-#: Working memory, in bytes, of one block of squares or of padded Grams.
+#: Working memory, in bytes, of one block of squares, or of one solve
+#: array per order for each series of a criteria chunk.
 SUM_BUFFER_BYTES = 1 << 18
 
 
@@ -391,8 +405,9 @@ def fitted_ma_weights(one_step, J):
     """Fitted MA weights b_0..b_J implied by a one-step fit.
 
     b_0 = 1 and b_j = sum_{l=1}^{min(j,K)} b_{j-l} * a_l — the impulse
-    response of the fitted levels recursion.
+    response of the fitted levels recursion.  Coefficients holding NaN
+    or inf are a ValueError.
     """
     if one_step.h != 1:
         raise ValueError("fitted_ma_weights needs a one-step fit")
-    return impulse_response(np.asarray(one_step.coeffs, dtype=float), J)
+    return impulse_response(_coefficients(one_step), J)

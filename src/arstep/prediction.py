@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
-from .estimation import _normalized, _require_finite, _unscaled
+from .estimation import (_coefficients, _normalized, _require_finite,
+                         _unscaled)
 from .model_core import _as_series
 
 
@@ -34,11 +35,12 @@ def predict(series, coeffs, origin=None):
     Forecasts x_{origin+h} as coeffs' x_origin(k) with x_origin(k) =
     (x_origin, ..., x_{origin-k+1})'.  The origin defaults to the series
     end; regressors are never padded with pre-sample zeros at prediction
-    time (InsufficientHistory is raised instead), and a regressor holding
-    NaN or inf raises NonFiniteSeries.  The product is taken on the tail
-    divided by 2^e, e the math.frexp exponent of its largest entry, and
-    scaled back once, so a representable forecast does not overflow on
-    the way: under x -> 2^m x the forecast is 2^m times the unscaled one,
+    time (InsufficientHistory is raised instead), a regressor holding
+    NaN or inf raises NonFiniteSeries, and coefficients holding them
+    ValueError.  The product is taken on the tail divided by 2^e, e the
+    math.frexp exponent of its largest entry, and scaled back once, so a
+    representable forecast does not overflow on the way: under
+    x -> 2^m x the forecast is 2^m times the unscaled one,
     rounded once (inf past the float range).
 
     Parameters
@@ -63,7 +65,6 @@ def predict(series, coeffs, origin=None):
     tail = series[n - k:n][::-1]
     _require_finite(tail)
     tail, e = _normalized(tail)
-    value = float(_unscaled(
-        np.dot(np.asarray(coeffs.coeffs, dtype=float), tail), e))
+    value = float(_unscaled(np.dot(_coefficients(coeffs), tail), e))
     return Forecast(value=value, origin=n, horizon=coeffs.h,
                     spec=PredictorSpec(k=k, method=coeffs.method, h=coeffs.h))

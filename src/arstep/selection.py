@@ -413,37 +413,25 @@ def select_by_ape(series, h, K):
                     2 * int(e), mh)
 
 
-class _SuffixSums:
-    """Sums over the rows j = k..last of u_j v_j', for orders k taken in
-    descending order.
+def _suffix_sums(U, V, last, K):
+    """Sums over the rows j = k..last of u_j v_j' of every order k = 1..K,
+    order k at index k - 1 of axis 1.
 
     u_j and v_j are row j - 1 of U and V, stacks of row arrays (one per
     series); a row past last counts as zero.  The sum of order K is one
     strided product over the rows j = K..last, and order k's is order
-    k + 1's plus row k's rank-one term (a cumsum), so no sum depends on
-    which orders are taken or in what groups.
+    k + 1's plus row k's rank-one term: one cumsum down the orders, so
+    no sum depends on which orders a caller reads.
     """
-
-    def __init__(self, U, V, last, K):
-        self._U, self._V, self._last, self._at = U, V, last, K
-        top = slice(K - 1, max(last, K - 1))
-        self._sum = U[:, top].swapaxes(1, 2) @ V[:, top]
-
-    def take(self, ks):
-        """The sums of orders ks, descending and none above the lowest
-        order taken before, stacked on axis 1."""
-        at, low = self._at, int(ks[-1])
-        chain = np.empty(self._sum.shape[:1] + (at - low + 1,)
-                         + self._sum.shape[1:])
-        chain[:, 0] = self._sum
-        stop = max(low - 1, min(at - 1, self._last))  # rows j = low..stop
-        chain[:, 1:at - stop] = 0.0
-        np.multiply(self._U[:, low - 1:stop, :, None][:, ::-1],
-                    self._V[:, low - 1:stop, None, :][:, ::-1],
-                    out=chain[:, at - stop:])
-        np.cumsum(chain, axis=1, out=chain)
-        self._sum, self._at = chain[:, -1].copy(), low
-        return chain[:, at - ks]
+    top = slice(K - 1, max(last, K - 1))
+    stop = max(0, min(K - 1, last))  # rows j = 1..stop, below order K's
+    chain = np.empty(U.shape[:1] + (K, U.shape[-1], V.shape[-1]))
+    chain[:, 0] = U[:, top].swapaxes(1, 2) @ V[:, top]
+    chain[:, 1:K - stop] = 0.0
+    np.multiply(U[:, :stop, :, None][:, ::-1], V[:, :stop, None, :][:, ::-1],
+                out=chain[:, K - stop:])
+    np.cumsum(chain, axis=1, out=chain)
+    return chain[:, ::-1]
 
 
 def _padded_grams(grams, inside):
@@ -462,15 +450,6 @@ def _padded_grams(grams, inside):
     return out
 
 
-def _order_groups(ks, R, K):
-    """The orders ks, largest first, in arrays of as many orders as keep
-    a group's padded Grams and right-hand sides, R K (2K + 1) values per
-    order, within SUM_BUFFER_BYTES."""
-    ks = sorted(ks, reverse=True)
-    size = max(1, SUM_BUFFER_BYTES // (8 * R * K * (2 * K + 1)))
-    return [np.array(ks[i:i + size]) for i in range(0, len(ks), size)]
-
-
 def _criteria(series, h, K, penalties, orders, methods):
     """Criteria of orders for a stack of series, one series per row.
 
@@ -482,24 +461,27 @@ def _criteria(series, h, K, penalties, orders, methods):
     h = 1.
 
     Each stage, the one-step fits (rows j = k..n-1) and at h > 1 the
-    direct window (rows j = k..n-h), is one padded pass over its orders:
-    every array carries an order axis, and order k's K x K Gram holds its
-    k x k Gram, padded by _padded_grams, so one eigvalsh gates and one LU
-    solve fits every order of every series.  The Grams and
-    cross-products of all orders come from _SuffixSums.  The direct
+    direct window (rows j = k..n-h), is one padded pass over its orders
+    per chunk of series: every array carries an order axis, and order
+    k's K x K Gram holds its k x k Gram, padded by _padded_grams, so one
+    eigvalsh gates and one LU solve fits every order of every series of
+    the chunk.  The Grams and
+    cross-products of all orders come from _suffix_sums.  The direct
     window's right-hand side is [X'y | I] ([I] for PLUG_IN alone): the
     direct coefficients and W^-1, whose products with Z'Z and with L give
     the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
     powers of the padded companion matrix, cut to its order's block.
     Each residual sum is math.fsum's: each block of residuals is summed
-    as it is made (_residual_sums).  Memory stays bounded: a stage takes
-    its orders in groups (_order_groups), largest first, and its
-    residuals in blocks of fits and series, both within
-    SUM_BUFFER_BYTES.  At a fixed budget no value depends on how the
-    series are split into blocks, so a stack's values are those of its
-    series one at a time; the budget itself sets the shapes of the
-    residual products, and changing it moves criteria by rounding (up to
-    2.5e-16 relative between 64 KiB and 16 MiB).
+    as it is made (_residual_sums).  Memory stays bounded: a stack is
+    taken in chunks of as many series as keep one K x (K + 1) solve
+    array per order, 8 K^2 (K + 1) bytes a series, within
+    SUM_BUFFER_BYTES (at least one series, so one series' arrays grow as
+    K^3), and each chunk's residuals in blocks of fits and series within
+    the same budget.  At a fixed budget no value depends on how the
+    series are split into chunks or blocks, so a stack's values are
+    those of its series one at a time; the budget itself sets the shapes
+    of the residual products, and changing it moves criteria by rounding
+    (up to 2.5e-16 relative between 64 KiB and 16 MiB).
 
     The first-stage penalty tr(G^-1 G) is k; so is the plug-in one at
     h = 1 (L = I), where every h-step fit is the one-step fit.  Order K's
@@ -507,8 +489,8 @@ def _criteria(series, h, K, penalties, orders, methods):
     if candidate by candidate: the one-step gates of orders K, 1, ...,
     K - 1 (the residual window checked after order K's), then per
     ascending order its direct and weighted-average window lengths and
-    the gate of W; a Gram of any series that fails the gate fails the
-    whole stack.
+    the gate of W.  A Gram of any series that fails the gate fails the
+    whole stack, with the error of the first chunk that fails.
     """
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
@@ -518,6 +500,11 @@ def _criteria(series, h, K, penalties, orders, methods):
     if n < 2 * K:
         raise SingularDesign(
             "sample end %d leaves fewer than %d regressor rows" % (n, K))
+    size = max(1, SUM_BUFFER_BYTES // (8 * K * K * (K + 1)))
+    if R > size:
+        chunks = [_criteria(series[r:r + size], h, K, penalties, orders,
+                            methods) for r in range(0, R, size)]
+        return [sum(per_series, []) for per_series in zip(*chunks)]
     series, e = _normalized(series)
     lags = _lag_view(series, K)
     orders = sorted(set(orders))
@@ -568,22 +555,19 @@ def _one_step_fits(series, lags, K, fitted):
     Order K's gate fails first, then the residual window, then the
     smallest order whose gate fails."""
     R, n = series.shape
-    coeffs = np.zeros((R, K + 1, K))
-    gram = _SuffixSums(lags, lags, n - 1, K)
-    cross = _SuffixSums(lags, series[:, 1:, None], n - 1, K)
-    singular = []
-    for ks in _order_groups(fitted, R, K):
-        inside = np.arange(K) < ks[:, None]
-        grams = _padded_grams(gram.take(ks), inside)
-        singular += ks[_singular_grams(grams).any(axis=0)].tolist()
-        if not singular:  # else only the gates of lower orders matter
-            coeffs[:, ks] = np.linalg.solve(
-                grams, cross.take(ks) * inside[..., None])[..., 0]
+    ks = np.array(fitted)
+    inside = np.arange(K) < ks[:, None]
+    grams = _padded_grams(_suffix_sums(lags, lags, n - 1, K)[:, ks - 1],
+                          inside)
+    singular = ks[_singular_grams(grams).any(axis=0)]
     if K not in singular:
         _check_residual_window(K, n - 1)
-    if singular:
+    if singular.size:
         raise SingularDesign("singular Gram, one-step rows j=%d..%d"
-                             % (K if K in singular else min(singular), n - 1))
+                             % (K if K in singular else singular[0], n - 1))
+    cross = _suffix_sums(lags, series[:, 1:, None], n - 1, K)[:, ks - 1]
+    coeffs = np.zeros((R, K + 1, K))
+    coeffs[:, ks] = np.linalg.solve(grams, cross * inside[..., None])[..., 0]
     return coeffs
 
 
@@ -596,7 +580,7 @@ def _h_step_fits(series, lags, h, K, orders, methods, coeffs):
     R, n = series.shape
     # Window errors, keyed as if raised candidate by candidate: per order,
     # the direct and weighted-average rows, the plug-in residual window,
-    # the gate of W (added in the pass), and the direct residual window.
+    # the gate of W, and the direct residual window.
     errors = []
     for k in orders if DIRECT in methods else ():
         if n - h < 2 * k - 1:
@@ -612,47 +596,39 @@ def _h_step_fits(series, lags, h, K, orders, methods, coeffs):
     except WindowTooShort as exc:
         errors.append(((orders[0], 2 if PLUG_IN in methods else 4), exc))
     bhat = impulse_response(coeffs[:, K], h - 1)
-    gram = _SuffixSums(lags, lags, n - h, K)
-    if not errors and DIRECT in methods:
-        cross = _SuffixSums(lags, series[:, h:, None], n - h, K)
+    ks = np.array(orders)
+    inside = np.arange(K) < ks[:, None]
+    W = _padded_grams(_suffix_sums(lags, lags, n - h, K)[:, ks - 1], inside)
+    bad = ks[_singular_grams(W).any(axis=0)]
+    if bad.size:
+        k = int(bad[0])
+        errors.append(((k, 3), SingularDesign(
+            "singular Gram, direct rows j=%d..%d, h=%d" % (k, n - h, h))))
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    block = inside[:, :, None] & inside[:, None, :]
+    rhs = np.broadcast_to(np.eye(K), W.shape)
+    if DIRECT in methods:
+        cross = _suffix_sums(lags, series[:, h:, None], n - h, K)[:, ks - 1]
+        rhs = np.concatenate((cross * inside[..., None], rhs), axis=-1)
+    solved = np.linalg.solve(W, rhs)
+    inverse = solved[..., -K:]
+    fits, traces = {}, {}
+    if DIRECT in methods:
         # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving combination
         # whose lag vectors drive the direct penalty.
         z_lags = _lag_view(sum(bhat[:, i, None] * series[:, i:n - h + 1 + i]
                                for i in range(h)), K)
-        zz = _SuffixSums(z_lags, z_lags, n - 2 * h + 1, K)
-    fits = {method: np.zeros((R, len(orders), K)) for method in methods}
-    traces = {method: np.zeros((R, len(orders))) for method in methods}
-    for ks in _order_groups(orders, R, K):
-        inside = np.arange(K) < ks[:, None]
-        W = _padded_grams(gram.take(ks), inside)
-        bad = _singular_grams(W).any(axis=0)
-        if bad.any():
-            k = int(ks[bad][-1])
-            errors.append(((k, 3), SingularDesign(
-                "singular Gram, direct rows j=%d..%d, h=%d" % (k, n - h, h))))
-        if errors:  # only the gates of lower orders matter
-            continue
-        at = np.searchsorted(orders, ks)
-        block = inside[:, :, None] & inside[:, None, :]
-        rhs = np.broadcast_to(np.eye(K), W.shape)
-        if DIRECT in methods:
-            rhs = np.concatenate((cross.take(ks) * inside[..., None], rhs),
-                                 axis=-1)
-        solved = np.linalg.solve(W, rhs)
-        inverse = solved[..., -K:]
-        if DIRECT in methods:
-            fits[DIRECT][:, at] = solved[..., 0]
-            traces[DIRECT][:, at] = np.sum(inverse * zz.take(ks) * block,
-                                           axis=(-2, -1))
-        if PLUG_IN in methods:
-            one_step = coeffs[:, ks]
-            fits[PLUG_IN][:, at] = _companion_image(one_step, h)
-            L = _power_sum(companion_matrix(one_step), bhat[:, None]) * block
-            traces[PLUG_IN][:, at] = np.sum(
-                (W @ L) * (inverse @ L.swapaxes(-1, -2)).swapaxes(-1, -2),
-                axis=(-2, -1))
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
+        zz = _suffix_sums(z_lags, z_lags, n - 2 * h + 1, K)[:, ks - 1]
+        fits[DIRECT] = solved[..., 0]
+        traces[DIRECT] = np.sum(inverse * zz * block, axis=(-2, -1))
+    if PLUG_IN in methods:
+        one_step = coeffs[:, ks]
+        fits[PLUG_IN] = _companion_image(one_step, h)
+        L = _power_sum(companion_matrix(one_step), bhat[:, None]) * block
+        traces[PLUG_IN] = np.sum(
+            (W @ L) * (inverse @ L.swapaxes(-1, -2)).swapaxes(-1, -2),
+            axis=(-2, -1))
     return fits, traces
 
 

@@ -1,6 +1,7 @@
 """Least-squares machinery against longhand elimination and exact algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,31 @@ def test_residual_mse_sums_its_squares_exactly():
     squares = series[1:] ** 2
     assert np.sum(squares) != math.fsum(squares)
     assert a.residual_mse(series, zero, 1, 1) == math.fsum(squares) / 998
+
+
+def test_hand_built_coefficients_must_be_finite():
+    # A NaN or infinite coefficient is a ValueError, like the other
+    # mismatches of a hand-built FittedCoefficients, not a NaN result.
+    series = np.random.default_rng(3).normal(size=50).cumsum()
+    for value in (np.nan, np.inf, -np.inf):
+        fit = a.FittedCoefficients(coeffs=(value,), k=1, h=1,
+                                   method=a.PLUG_IN, sample_end=50)
+        for call in (lambda: a.residual_mse(series, fit, 1, 2),
+                     lambda: a.plug_in_multi(fit, 3),
+                     lambda: a.fitted_ma_weights(fit, 3)):
+            with pytest.raises(ValueError, match="^coefficients hold NaN "
+                               "or infinite values$") as caught:
+                call()
+            assert type(caught.value) is ValueError
+
+
+def test_residual_mse_overflows_to_inf_without_a_warning():
+    series = np.random.default_rng(3).normal(size=50).cumsum()
+    huge = a.FittedCoefficients(coeffs=(1e308,), k=1, h=1, method=a.DIRECT,
+                                sample_end=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert a.residual_mse(series, huge, 1, 2) == math.inf
 
 
 def test_residual_mse_validations():

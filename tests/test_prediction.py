@@ -48,6 +48,18 @@ def test_predict_guards():
         a.predict(np.array([1.0, 2.0, 3.0]), fit, origin=9)
 
 
+def test_predict_rejects_non_finite_coefficients():
+    # A hand-built fit with a NaN or infinite coefficient would forecast
+    # NaN or inf; it is a ValueError instead.
+    series = np.random.default_rng(6).normal(size=50).cumsum()
+    for value in (np.nan, np.inf, -np.inf):
+        fit = a.FittedCoefficients(coeffs=(value,), k=1, h=1,
+                                   method=a.DIRECT, sample_end=50)
+        with pytest.raises(ValueError, match="^coefficients hold NaN or "
+                           "infinite values$"):
+            a.predict(series, fit)
+
+
 def test_predict_rejects_a_non_finite_regressor():
     series = np.random.default_rng(6).normal(size=60).cumsum()
     fit = a.fit_direct(series, 2, 2)

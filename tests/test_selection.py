@@ -8,8 +8,8 @@ import pytest
 
 import arstep as a
 from arstep.estimation import _lag_view, _singular_grams, _singular_prefix
-from arstep.selection import (_SuffixSums, _argmin_smallest, _criteria,
-                              _outcome, _padded_grams)
+from arstep.selection import (_argmin_smallest, _criteria, _outcome,
+                              _padded_grams, _suffix_sums)
 from oracles import gram_is_invertible
 
 
@@ -586,11 +586,13 @@ def test_underfitting_inflates_the_direct_criterion():
 def test_stacked_criteria_equal_one_series_at_a_time():
     # The stack goes through batched Grams, gates, LU solves and one
     # residual sum buffer; every value must still be the single-series
-    # one.
+    # one.  31 series at K = 10 and 4 at K = 20 cross a chunk boundary
+    # (chunks of 29 and of 3 series).
     penalties = list(a.PENALTY_PRESETS.values())
-    for label, h in (("I", 1), ("III", 2), ("VII", 3), ("IX", 10)):
+    for label, h, R in (("I", 1, 4), ("III", 2, 4), ("VII", 3, 4),
+                        ("IX", 10, 4), ("III", 2, 31)):
         K = a.DGPS[label].max_order
-        stack = np.array([_series(label, 300, r=r, seed=8) for r in range(4)])
+        stack = np.array([_series(label, 300, r=r, seed=8) for r in range(R)])
         block = _criteria(stack, h, K, penalties, range(1, K + 1),
                           (a.DIRECT, a.PLUG_IN))
         for penalty, per_series in zip(penalties, block):
@@ -615,7 +617,7 @@ def test_padded_gate_agrees_with_the_scalar_gate():
     lags = _lag_view(x[None], K)
     ks = np.arange(K, 0, -1)
     for last in (n - 1, n - 2):
-        grams = _padded_grams(_SuffixSums(lags, lags, last, K).take(ks),
+        grams = _padded_grams(_suffix_sums(lags, lags, last, K)[:, ks - 1],
                               np.arange(K) < ks[:, None])
         scalar = [gram_is_invertible(X.T @ X) for X in
                   (a.lag_matrix(x, k, k, last) for k in ks)]
@@ -657,7 +659,8 @@ def test_singular_orders_fail_and_pass_as_candidate_by_candidate():
 
 def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
     # One padded pass per stage: one eigvalsh and one LU solve for the
-    # one-step fits and one each for the direct window, whatever K.
+    # one-step fits and one each for the direct window, whatever K (a
+    # single series is one chunk however large K is).
     calls = {"eigvalsh": 0, "solve": 0}
 
     def counted(name, real):
@@ -670,7 +673,7 @@ def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
         monkeypatch.setattr(np.linalg, name,
                             counted(name, getattr(np.linalg, name)))
     series = _series("X", 300)
-    for K in (5, 20):
+    for K in (5, 20, 30, 40):
         for name in calls:
             calls[name] = 0
         a.select_by_criterion(series, 2, K)
@@ -679,8 +682,9 @@ def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
 
 def test_criteria_memory_stays_bounded_on_a_large_stack():
     # 32 series of 1000 values at K = 20: every order's padded Grams and
-    # residuals at once would take tens of megabytes; groups of orders
-    # and chunks of series keep the peak near the parent's 2.1 MB.
+    # residuals at once would take tens of megabytes; chunks of 3 series
+    # with every order, and blocks of residuals, keep the peak near
+    # 1.8 MB.
     dgp = a.DGPS["IX"]
     stack = np.array([_series("IX", 1000, r=r) for r in range(32)])
     tracemalloc.start()
@@ -691,6 +695,20 @@ def test_criteria_memory_stays_bounded_on_a_large_stack():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+def test_criteria_memory_of_one_series_grows_as_k_cubed():
+    # A chunk holds at least one series, and one series' padded arrays
+    # hold every order's K x K matrices: at K = 40 the peak is about
+    # 4.2 MB, against 0.6 MB at K = 20.
+    series = _series("IX", 2000)
+    tracemalloc.start()
+    try:
+        a.select_by_criterion(series, a.DGPS["IX"].horizon, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_select_by_criterion_outcome_structure():
