@@ -1,6 +1,7 @@
 """Numeric kernels bound under scipy's names, without importing scipy.
 
-``lfilter`` runs scipy.signal.lfilter's compiled recursion,
+``lfilter`` is the all-pole filter 1 / a(z) of every AR recursion in
+arstep, run by scipy.signal.lfilter's compiled recursion,
 ``scipy.signal._sigtools._linear_filter``, which this module loads on
 its own on the first call.  The ``scipy.signal`` package (about 530
 modules, a second of start-up and 75 MB of memory) is never imported,
@@ -62,23 +63,14 @@ def load_filter():
     return module._linear_filter
 
 
-def lfilter(b, a, x, axis=-1):
-    """scipy.signal.lfilter(b, a, x, axis), bit for bit.
+def lfilter(a, x, axis=-1):
+    """scipy.signal.lfilter([1.0], a, x, axis), bit for bit, for a monic
+    denominator a of two or more coefficients: the compiled recursion.
 
-    Takes scipy's two paths: a convolution when a has one coefficient,
-    else the compiled recursion.
+    With one coefficient scipy convolves instead, and the recursion
+    differs from that only in the sign of zero of a -0 input.
     """
-    b, a, x = np.atleast_1d(b), np.atleast_1d(a), np.asarray(x)
-    if len(a) != 1:
-        return load_filter()(b, a, x, axis)
-    dtype = np.result_type(b, a, x)
-    b = np.array(b, dtype=dtype)
-    b /= np.asarray(a, dtype=dtype)[0]
-    full = np.apply_along_axis(lambda y: np.convolve(b, y), axis,
-                               np.asarray(x, dtype=dtype))
-    keep = [slice(None)] * full.ndim
-    keep[axis] = slice(full.shape[axis] - len(b) + 1)
-    return full[tuple(keep)]
+    return load_filter()([1.0], a, x, axis)
 
 
 def cho_factor(matrix):

@@ -127,9 +127,11 @@ def _singular_prefix(grams):
     # ones), so its test against |trace| is False.
     T, K = grams.shape[0], grams.shape[-1]
     c = RCOND_MIN + 8 * (T + K) * K * np.finfo(float).eps
-    grid = np.floor(2.0 ** (np.arange(4 * T.bit_length() + 1) / 4)) - 1
-    anchors = np.union1d(np.arange(8), grid.astype(int))
-    anchors = anchors[anchors < T]
+    grid = np.floor(2.0 ** (np.arange(4 * T.bit_length() + 1) / 4)).astype(int)
+    marked = np.zeros(T, dtype=bool)  # np.union1d would import numpy.ma
+    marked[:8] = True
+    marked[grid[grid <= T] - 1] = True
+    anchors = np.flatnonzero(marked)
     evals = _finite_eigvalsh(grams[anchors])
     low = np.fmax.accumulate(evals[:, 0])
     last = np.searchsorted(anchors, np.arange(T), side="right") - 1

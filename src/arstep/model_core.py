@@ -110,8 +110,6 @@ def _poly_on_circle(coeffs):
 
 def _spectral_radius(coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size == 0:
-        return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(coeffs)))))
 
 
@@ -363,7 +361,7 @@ def impulse_response(coeffs, length):
     pulse[0] = 1.0
     w = np.empty((rows.shape[0], length + 1))
     for row, out in zip(rows, w):
-        out[:] = lfilter([1.0], np.concatenate(([1.0], -row)), pulse)
+        out[:] = lfilter(np.concatenate(([1.0], -row)), pulse)
     return w.reshape(coeffs.shape[:-1] + (length + 1,))
 
 

@@ -130,12 +130,8 @@ def min_start_index(series, K, h):
     are skipped rather than fatal; if no i up to n - h works, the series
     is too short (or too degenerate) to select on.
     """
-    series = _as_series(series)
-    if K < 1 or h < 1:
-        raise ValueError("K and h must be at least 1")
-    _require_finite(series)
-    grams = _shared_prefix(_normalized(series)[0], K)[1]
-    return _start_index(series.size, K, h, _prefix_gates(grams, K - 1))
+    series, _, _, bad = _ape_prefix(series, K, h)
+    return _start_index(series.size, K, h, bad)
 
 
 def _shared_prefix(series, K):
@@ -153,17 +149,31 @@ def _shared_prefix(series, K):
     return rows, grams
 
 
-def _prefix_gates(grams, first):
-    """_singular_prefix of a shared Gram prefix from entry first on; the
-    earlier entries, which the caller does not read, are marked failing."""
-    bad = np.ones(grams.shape[:2], dtype=bool)
-    bad[first:] = _singular_prefix(grams[first:])
-    return bad
+def _ape_prefix(series, K, h):
+    """The set-up of the three APE entry points: (normalized series, its
+    exponent e (_normalized), order K's shared prefix (_shared_prefix),
+    the prefix's gate masks).
+
+    K and h below 1 are a ValueError, then a series holding NaN or inf
+    is NonFiniteSeries.  The masks are _singular_prefix of the entries
+    from K - 1 on, where every start index and sum reads (a start index
+    is at least 2K + h - 1, and a fit at sample end i reads entry
+    i - lag - k, lag <= h); the earlier entries are marked failing.
+    """
+    series = _as_series(series)
+    if K < 1 or h < 1:
+        raise ValueError("K and h must be at least 1")
+    _require_finite(series)
+    series, e = _normalized(series)
+    shared = _shared_prefix(series, K)
+    bad = np.ones(shared[1].shape[:2], dtype=bool)
+    bad[K - 1:] = _singular_prefix(shared[1][K - 1:])
+    return series, e, shared, bad
 
 
 def _start_index(n, K, h, bad):
     """min_start_index of a series of length n, read from order K's
-    column of the gate masks bad of its Gram prefix (_prefix_gates)."""
+    column of the gate masks bad of its Gram prefix (_ape_prefix)."""
     first = 2 * K + h - 1
     if n - h < first:
         raise SeriesTooShort(
@@ -208,7 +218,7 @@ def _factor_prefix(grams, bad, first, last):
     block of G, is then R_k R_k' with R_k the trailing block of R, so
     U = R^-1 holds every order's inverse factor as its trailing block U_k
     and order k solves its Gram as U_k' (U_k c).  bad holds the prefix's
-    gate masks (_prefix_gates); each entry that clears order K's gate is
+    gate masks (_ape_prefix); each entry that clears order K's gate is
     overwritten with U, and the others keep their Gram.
 
     Returns (exact, kept).  exact[r - first, k - 1] is True where order k
@@ -239,10 +249,10 @@ def _factor_prefix(grams, bad, first, last):
 def _ape_sums(series, shared, bad, orders, stages):
     """Accumulated prediction errors of several orders for several stages.
 
-    shared is the width-K prefix (_shared_prefix) and bad its gate masks
-    (_prefix_gates); it overwrites the Grams (_factor_prefix).  Each stage
-    (method, h, m) asks for the h-step sum of that method over the sample
-    ends i = m..n-h, and {order: [its sum per stage]} is returned.  The
+    shared is the width-K prefix and bad its gate masks (_ape_prefix);
+    it overwrites the Grams (_factor_prefix).  Each stage (method, h, m)
+    asks for the h-step sum of that method over the sample ends
+    i = m..n-h, and {order: [its sum per stage]} is returned.  The
     orders are taken in the order given, in blocks whose squared errors,
     one row per stage, fit SUM_BUFFER_BYTES; each block is summed
     exactly (_sum_rows) as soon as it is made, and a sum does not depend
@@ -322,14 +332,14 @@ def _ape_sums(series, shared, bad, orders, stages):
     return sums
 
 
-def accumulated_prediction_error(series, k, h, method, K, start_index=None):
+def accumulated_prediction_error(series, k, h, method, K):
     """Accumulated squared out-of-sample h-step prediction errors.
 
-    For each sample end i from the start index through n - h, the
-    candidate (k, method) is refitted on x_1..x_i (a Gram prefix entry
-    plus a fresh solve per step), x_{i+h} is forecast, and the squared
-    errors are summed exactly and rounded once (estimation.row_sums).
-    The window only ever expands.
+    For each sample end i from min_start_index(series, K, h) through
+    n - h, the candidate (k, method) is refitted on x_1..x_i (a Gram
+    prefix entry plus a fresh solve per step), x_{i+h} is forecast, and
+    the squared errors are summed exactly and rounded once
+    (estimation.row_sums).  The window only ever expands.
 
     Parameters
     ----------
@@ -342,38 +352,17 @@ def accumulated_prediction_error(series, k, h, method, K, start_index=None):
     K : int
         Largest candidate order (fixes the start index, and the order-K
         Gram prefix whose factors serve every order).
-    start_index : int, optional
-        Precomputed value of min_start_index(series, K, h); computed
-        when omitted.
 
     Returns
     -------
     float
     """
-    series = _as_series(series)
-    _require_finite(series)
-    n = series.size
     if not 1 <= k <= K:
         raise ValueError("candidate order must satisfy 1 <= k <= K")
     if method not in (PLUG_IN, DIRECT):
         raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
-    if h < 1:
-        raise ValueError("h must be at least 1")
-    series, e = _normalized(series)
-    # Order K's prefix gives the start index, and its factors serve every
-    # k, as in select_by_ape; m sets the first entry gated (2K + h - 1 is
-    # the smallest start index min_start_index returns).
-    lag = 1 if method == PLUG_IN else h
-    m = 2 * K + h - 1 if start_index is None else int(start_index)
-    shared = _shared_prefix(series, K)
-    bad = _prefix_gates(shared[1], max(0, min(K - 1, m - lag - k)))
-    if start_index is None:
-        m = _start_index(n, K, h, bad)
-    if n - h < m:
-        raise SeriesTooShort("no forecast origins between i=%d and n-h=%d"
-                             % (m, n - h))
-    if m - lag < k:
-        raise SingularDesign("sample end i=%d leaves no regressor rows" % m)
+    series, e, shared, bad = _ape_prefix(series, K, h)
+    m = _start_index(series.size, K, h, bad)
     total = _ape_sums(series, shared, bad, (k,), ((method, h, m),))[k][0]
     return float(_unscaled(total, 2 * e))
 
@@ -387,13 +376,7 @@ def select_by_ape(series, h, K):
     candidate only when it beats the direct one strictly (ties go to
     direct).  Argmin ties inside each step take the smallest order.
     """
-    series = _as_series(series)
-    if h < 1 or K < 1:
-        raise ValueError("h and K must be at least 1")
-    _require_finite(series)
-    series, e = _normalized(series)
-    shared = _shared_prefix(series, K)
-    bad = _prefix_gates(shared[1], K - 1)
+    series, e, shared, bad = _ape_prefix(series, K, h)
     m1 = _start_index(series.size, K, 1, bad)
     mh = _start_index(series.size, K, h, bad)
     # One pass per order serves all three stages.  Plug-in sums are

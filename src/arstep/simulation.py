@@ -171,7 +171,7 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
         raise ValueError("noise must be 'normal' or 'uniform'")
     if impulse is not None:
         eps[burn_in] += float(impulse)
-    series = lfilter([1.0], np.concatenate(([1.0], -levels)), eps)
+    series = lfilter(np.concatenate(([1.0], -levels)), eps)
     if return_innovations:
         return series[burn_in:], eps[burn_in:]
     return series[burn_in:]
@@ -532,7 +532,7 @@ def _prediction_errors(eps, first, k, h, method, filt):
     """
     n = eps.shape[1] - h
     lag = 1 if method == PLUG_IN else h  # the fit regresses x_{j+lag}
-    x = lfilter([1.0], filt, eps, axis=1)
+    x = lfilter(filt, eps, axis=1)
     windows = sliding_window_view(x[:, :n], k, axis=1)[:, :, ::-1]
     design = windows[:, :n - lag - k + 1, :]
     target = x[:, k + lag - 1:n]

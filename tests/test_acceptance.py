@@ -193,8 +193,7 @@ def test_criterion_09_sequential_error_per_term(capsys):
     for r in range(20):
         series = a.generate(dgp, 5000, a.replication_seed(909, dgp, 5000, r))
         m = a.min_start_index(series, 10, 3)
-        value = a.accumulated_prediction_error(series, 2, 3, a.DIRECT, 10,
-                                               start_index=m)
+        value = a.accumulated_prediction_error(series, 2, 3, a.DIRECT, 10)
         per_term.append(value / ((5000 - 3) - m + 1))
     mean = float(np.mean(per_term))
     ok = abs(mean - target) <= 0.05 * target

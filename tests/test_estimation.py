@@ -28,8 +28,11 @@ def test_lag_matrix_rows_are_reversed_windows():
     np.testing.assert_array_equal(rows[0], [3.0, 2.0, 1.0])
     np.testing.assert_array_equal(rows[-1], [9.0, 8.0, 7.0])
     assert a.lag_matrix(series, 3, 5, 4).shape == (0, 3)
-    with pytest.raises(ValueError):
-        a.lag_matrix(series, 3, 2, 9)
+    for k, first, last, message in ((3, 2, 9, "reach before the sample"),
+                                    (0, 3, 9, "order must be at least 1"),
+                                    (3, 3, 11, "exceeds the series length")):
+        with pytest.raises(ValueError, match=message):
+            a.lag_matrix(series, k, first, last)
 
 
 def test_fit_one_step_recovers_noiseless_recursion():
@@ -62,6 +65,10 @@ def test_plug_in_multi_requires_one_step_input():
                                   sample_end=50)
     with pytest.raises(ValueError):
         a.plug_in_multi(direct, 2)
+    one_step = a.FittedCoefficients(coeffs=(1.0,), k=1, h=1,
+                                    method=a.PLUG_IN, sample_end=50)
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        a.plug_in_multi(one_step, 0)
 
 
 def test_plug_in_power_matches_companion_matrix_power():
@@ -89,6 +96,10 @@ def test_fit_sample_size_preconditions():
         a.fit_one_step(series, 3, i=5)
     with pytest.raises(a.SingularDesign):
         a.fit_direct(series, 3, 2, i=6)
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        a.fit_direct(series, 2, 0)
+    with pytest.raises(ValueError, match="^sample end 11 exceeds"):
+        a.fit_direct(series, 2, 2, i=11)
 
 
 def test_fits_match_longhand_elimination():
@@ -282,6 +293,8 @@ def test_residual_mse_validations():
         a.residual_mse(series, fit, 2, 4)  # horizon mismatch
     with pytest.raises(ValueError):
         a.residual_mse(series, fit, 1, 1)  # cap below fitted order
+    with pytest.raises(ValueError, match="^sample end 8 exceeds"):
+        a.residual_mse(series[:6], fit, 1, 2)
 
 
 def test_fitted_ma_weights_examples():
@@ -295,3 +308,7 @@ def test_fitted_ma_weights_examples():
     flat = a.FittedCoefficients(coeffs=(0.0, 0.0), k=2, h=1,
                                 method=a.PLUG_IN, sample_end=50)
     np.testing.assert_array_equal(a.fitted_ma_weights(flat, 3), (1, 0, 0, 0))
+    direct = a.FittedCoefficients(coeffs=(1.0,), k=1, h=2, method=a.DIRECT,
+                                  sample_end=50)
+    with pytest.raises(ValueError, match="needs a one-step fit"):
+        a.fitted_ma_weights(direct, 3)

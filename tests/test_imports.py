@@ -2,7 +2,8 @@
 arstep or run the forecast subcommand load no scipy module; the theory
 and select subcommands and simulation, which run AR recursions, load
 only scipy's compiled filter module, never the scipy.signal package,
-and seeded series stay the same."""
+and seeded series stay the same.  An APE selection does not import
+numpy.ma either."""
 
 import json
 import os
@@ -99,3 +100,14 @@ def test_parallel_frequency_tables_load_only_the_compiled_filter():
     assert _after_cli(["simulate", "--mode", "frequency", "--dgp", "III",
                        "--n", "120", "--reps", "4", "--seed", "1",
                        "--workers", "2"]) == ["scipy.signal._sigtools"]
+
+
+def test_ape_selection_does_not_import_numpy_ma():
+    # numpy.ma costs about 13 ms of import, and np.unique (behind
+    # np.union1d) imports it.
+    _scipy_modules_after(
+        "import arstep as a\n"
+        "dgp = a.DGPS['IX']\n"
+        "x = a.generate(dgp, 300, a.replication_seed(0, dgp, 300, 0))\n"
+        "a.select_by_ape(x, dgp.horizon, dgp.max_order)\n"
+        "assert 'numpy.ma' not in sys.modules")

@@ -139,6 +139,9 @@ def test_ma_weights_fixtures():
     w = a.ma_weights(rw, 6)
     np.testing.assert_array_equal(w.c, [1, 0, 0, 0, 0, 0, 0])
     np.testing.assert_array_equal(w.b, np.ones(7))
+    # No stationary part: the default J keeps c_0 alone.
+    w = a.ma_weights(rw)
+    assert (w.J, w.c.tolist(), w.b.tolist()) == (0, [1.0], [1.0])
 
     cubic = a.unit_root_model(CUBIC)
     w = a.ma_weights(cubic, 8)
@@ -190,17 +193,52 @@ def test_ar_coefficients_dispatch_on_the_model_type():
     assert levels.tolist() == stationary.tolist() == [0.5, -0.2]
 
 
+STATIONARY = a.stationary_model((0.5,))
+
+
+# A levels tuple is not a model, and the unit-root functions take no
+# stationary model (nor loss_stationary a unit-root one).
 @pytest.mark.parametrize("call", [
-    lambda m: a.direct_coefficients(m, 2),
-    lambda m: a.level_ma_weights(m, 3),
-    lambda m: a.sigma_h_squared(m, 2),
-    lambda m: a.autocovariances(m, 3),
-    lambda m: a.loss_table(m, 2, 3),
+    lambda: a.direct_coefficients(CUBIC, 2),
+    lambda: a.level_ma_weights(CUBIC, 3),
+    lambda: a.sigma_h_squared(CUBIC, 2),
+    lambda: a.autocovariances(CUBIC, 3),
+    lambda: a.loss_table(CUBIC, 2, 3),
+    lambda: a.ma_weights(STATIONARY),
+    lambda: a.plugin_cost(STATIONARY, 2, 2),
+    lambda: a.direct_cost(STATIONARY, 2, 2),
+    lambda: a.closed_form_h2(STATIONARY, 2, a.PLUG_IN),
+    lambda: a.loss(STATIONARY, 2, 2, a.PLUG_IN),
+    lambda: a.loss_stationary(a.unit_root_model(CUBIC), 2, 2, a.PLUG_IN),
 ], ids=["direct_coefficients", "level_ma_weights", "sigma_h_squared",
-        "autocovariances", "loss_table"])
+        "autocovariances", "loss_table", "ma_weights", "plugin_cost",
+        "direct_cost", "closed_form_h2", "loss", "loss_stationary"])
 def test_model_functions_reject_other_types(call):
     with pytest.raises(TypeError):
-        call(CUBIC)  # a levels tuple is not a model
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: a.deflate_unit_root(np.ones((2, 2))), "nonempty 1-D"),
+    (lambda: a.companion_matrix(()), "nonempty"),
+    (lambda: a.direct_coefficients(STATIONARY, 0), "horizon"),
+    (lambda: a.autocovariances(STATIONARY, -1), "nonnegative"),
+    (lambda: a.autocovariances(STATIONARY, 3).matrix(5), "lags up to 3"),
+    (lambda: a.plugin_cost(a.unit_root_model(CUBIC), 2, 0), "order"),
+    (lambda: a.direct_cost(a.unit_root_model(CUBIC), 2, 0), "order"),
+    (lambda: a.closed_form_h2(a.unit_root_model(CUBIC), 1, a.PLUG_IN),
+     "k >= 2"),
+    (lambda: a.closed_form_h2(a.unit_root_model(CUBIC), 2, "other"),
+     "method"),
+    (lambda: a.loss(a.unit_root_model(CUBIC), 2, 0, a.PLUG_IN), "order"),
+    (lambda: a.loss(a.unit_root_model(CUBIC), 2, 2, "other"), "method"),
+], ids=["deflate_unit_root", "companion_matrix", "direct_coefficients",
+        "autocovariances", "autocovariance_matrix", "plugin_cost",
+        "direct_cost", "closed_form_h2_order", "closed_form_h2_method",
+        "loss_order", "loss_method"])
+def test_model_functions_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_difference_roundtrip_and_presample_zero():

@@ -30,7 +30,7 @@ def test_min_start_index_skips_degenerate_prefix():
     series = np.concatenate([np.zeros(5), np.ones(20)])
     m = a.min_start_index(series, 1, 1)
     assert m >= 6
-    a.accumulated_prediction_error(series, 1, 1, a.DIRECT, 1, start_index=m)
+    a.accumulated_prediction_error(series, 1, 1, a.DIRECT, 1)
 
 
 def test_min_start_index_degenerate_and_short_series():
@@ -47,6 +47,8 @@ def test_penalty_presets():
     assert a.PENALTY_PRESETS["B"].value(n) == pytest.approx(2 * base)
     assert a.PENALTY_PRESETS["C"].value(n) == pytest.approx(3 * base)
     assert a.DEFAULT_PENALTY is a.PENALTY_PRESETS["B"]
+    with pytest.raises(ValueError, match="n >= 2"):
+        a.PENALTY_PRESETS["A"].value(1)
 
 
 @pytest.mark.parametrize("multiplier", [np.nan, np.inf, -np.inf, 0.0, -2.0])
@@ -108,19 +110,15 @@ def test_ape_per_term_tracks_h_step_noise_variance():
     sigma2_2 = a.sigma_h_squared(a.model_for(dgp), 2)
     series = _series("III", 2000, r=1, seed=42)
     m = a.min_start_index(series, 10, 2)
-    value = a.accumulated_prediction_error(series, 2, 2, a.DIRECT, 10,
-                                           start_index=m)
+    value = a.accumulated_prediction_error(series, 2, 2, a.DIRECT, 10)
     terms = (2000 - 2) - m + 1
     assert value / terms == pytest.approx(sigma2_2, rel=0.10)
 
 
 def test_ape_builds_the_order_K_prefix_once(monkeypatch):
-    # One shared prefix serves the start index and every order, and its
-    # order-K factors serve a given start index too.
+    # One shared prefix serves the start index and every order.
     series = _series("IX", 1000)
-    m = a.min_start_index(series, 20, 10)
-    want = {k: a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
-                                              start_index=m)
+    want = {k: a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20)
             for k in (10, 20)}
     real, built = a.selection._shared_prefix, []
 
@@ -129,31 +127,27 @@ def test_ape_builds_the_order_K_prefix_once(monkeypatch):
         return real(series, K)
 
     monkeypatch.setattr(a.selection, "_shared_prefix", shared_prefix)
-    for k, start_index, widths in ((20, None, [20]), (10, None, [20]),
-                                   (10, m, [20])):
+    for k in (20, 10):
         built.clear()
-        assert a.accumulated_prediction_error(series, k, 10, a.DIRECT, 20,
-                                              start_index) == want[k]
-        assert built == widths
+        assert a.accumulated_prediction_error(series, k, 10, a.DIRECT,
+                                              20) == want[k]
+        assert built == [20]
     built.clear()
     a.select_by_ape(series, 10, 20)
     assert built == [20]
-    for start_index in (None, m):
-        with pytest.raises(ValueError, match="^h must be at least 1$"):
-            a.accumulated_prediction_error(series, 20, 0, a.PLUG_IN, 20,
-                                           start_index)
+    with pytest.raises(ValueError, match="^K and h must be at least 1$"):
+        a.accumulated_prediction_error(series, 20, 0, a.PLUG_IN, 20)
 
 
 def test_order_prefixes_are_views_of_the_shared_prefix():
     # Each order's rows, Gram prefix and gate mask equal those of a prefix
-    # built for that order alone, from its own lag matrix.  The callers'
-    # masks gate the entries from K - 1 on, where every start index reads.
+    # built for that order alone, from its own lag matrix.  The set-up's
+    # mask gates the entries from K - 1 on, where every start index reads.
     flat = np.concatenate([np.zeros(5), np.ones(20)])
-    for series, K in ((_series("IX", 300), 20), (flat, 3)):
+    for x, K in ((_series("IX", 300), 20), (flat, 3)):
+        series, _, (rows, grams), read = a.selection._ape_prefix(x, K, 1)
         n = len(series)
-        rows, grams = a.selection._shared_prefix(series, K)
         every = _singular_prefix(grams)
-        read = a.selection._prefix_gates(grams, K - 1)
         assert read[:K - 1].all()
         for k in range(1, K + 1):
             alone = a.lag_matrix(series, k, k, n - 1)
@@ -307,12 +301,11 @@ def test_ape_validates_candidate_order():
         a.accumulated_prediction_error(series, 1, 1, "other", 4)
 
 
-def test_ape_start_index_without_rows_is_singular():
-    # Sample end 3 leaves the direct 3-step fit no regressor rows.
-    series = _series("III", 100)
-    with pytest.raises(a.SingularDesign, match="i=3 leaves no regressor"):
-        a.accumulated_prediction_error(series, 1, 3, a.DIRECT, 2,
-                                       start_index=3)
+def test_criteria_validate_candidate_order():
+    series = _series("I", 100)
+    for criterion in (a.plugin_criterion, a.direct_criterion):
+        with pytest.raises(ValueError, match="1 <= k <= K"):
+            criterion(series, 5, 1, 4)
 
 
 def test_select_by_ape_outcome_structure():
@@ -344,19 +337,15 @@ def test_select_by_ape_equals_per_stage_sums_exactly():
                         ("III", 1, 5)):
         series = _series(label, 300, r=1)
         out = a.select_by_ape(series, h, K)
-        m1 = a.min_start_index(series, K, 1)
         assert out.m_h == a.min_start_index(series, K, h)
         assert out.first_stage == {
-            k: a.accumulated_prediction_error(series, k, 1, a.DIRECT, K,
-                                              start_index=m1)
+            k: a.accumulated_prediction_error(series, k, 1, a.DIRECT, K)
             for k in range(1, K + 1)}
         k_first = out.orders["first_stage"]
         want = {(k, a.DIRECT): a.accumulated_prediction_error(
-            series, k, h, a.DIRECT, K, start_index=out.m_h)
-            for k in range(1, K + 1)}
+            series, k, h, a.DIRECT, K) for k in range(1, K + 1)}
         want.update({(k, a.PLUG_IN): a.accumulated_prediction_error(
-            series, k, h, a.PLUG_IN, K, start_index=out.m_h)
-            for k in range(k_first, K + 1)})
+            series, k, h, a.PLUG_IN, K) for k in range(k_first, K + 1)})
         assert out.criteria == want, (label, h)
         firsts.append(k_first)
     assert max(firsts) > 1
@@ -375,6 +364,14 @@ def test_procedures_reject_non_finite_series():
             a.accumulated_prediction_error(broken, 2, 2, a.DIRECT, 4)
         with pytest.raises(a.NonFiniteSeries):
             a.min_start_index(broken, 4, 2)
+        # The APE entry points check K and h before the series.
+        for call in (lambda: a.select_by_ape(broken, 0, 4),
+                     lambda: a.accumulated_prediction_error(broken, 2, 0,
+                                                            a.DIRECT, 4),
+                     lambda: a.min_start_index(broken, 0, 2)):
+            with pytest.raises(ValueError,
+                               match="^K and h must be at least 1$"):
+                call()
 
 
 def _residual_mse_of(series):
@@ -421,7 +418,7 @@ def test_series_whose_squares_overflow_select_as_unscaled():
     fit = a.fit_direct(series, 2, 2)
     assert a.fit_direct(big, 2, 2) == fit
     assert a.residual_mse(big, fit, 2, 4) == math.inf
-    assert a.accumulated_prediction_error(big, 3, 2, a.DIRECT, 3, 7) \
+    assert a.accumulated_prediction_error(big, 3, 2, a.DIRECT, 3) \
         == math.inf
 
 

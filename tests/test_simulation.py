@@ -77,9 +77,9 @@ def _same_bits(got, want):
             and np.array_equal(got.view(np.int64), want.view(np.int64)))
 
 
-def _filters_agree(b, a_coeffs, x, axis=-1):
-    return _same_bits(_kernels.lfilter(b, a_coeffs, x, axis=axis),
-                      scipy_lfilter(b, a_coeffs, x, axis=axis))
+def _filters_agree(a_coeffs, x, axis=-1):
+    return _same_bits(_kernels.lfilter(a_coeffs, x, axis=axis),
+                      scipy_lfilter([1.0], a_coeffs, x, axis=axis))
 
 
 def test_filter_kernel_is_scipys_lfilter_bit_for_bit():
@@ -87,20 +87,15 @@ def test_filter_kernel_is_scipys_lfilter_bit_for_bit():
     for dgp in a.DGPS.values():
         filt = np.concatenate(([1.0], -np.asarray(dgp.levels)))
         for n in (1, 300, 2000):
-            assert _filters_agree([1.0], filt, rng.standard_normal(n) * 5.0)
+            assert _filters_agree(filt, rng.standard_normal(n) * 5.0)
         # A stack filtered row by row, as estimate_mspe filters its chunks.
-        assert _filters_agree([1.0], filt, rng.standard_normal((64, 310)),
-                              axis=1)
-    # One coefficient in a is scipy's convolution path, signed zeros kept.
-    x = np.array([-0.0, 0.0, 1.5, -2.0, -0.0])
-    assert _filters_agree([1.0], [1.0], x)
-    assert _filters_agree([1.0], [1.0], np.stack([x, -x]), axis=1)
+        assert _filters_agree(filt, rng.standard_normal((64, 310)), axis=1)
     # sigma2 = 0: the burn-in innovations are signed zeros, then a pulse.
     dgp = a.DgpSpec("quiet", a.DGPS["VII"].levels, True, 3, 10, sigma2=0.0)
     filt = np.concatenate(([1.0], -np.asarray(dgp.levels)))
     eps = np.random.default_rng(5).standard_normal(60) * 0.0
     eps[20] += 1.0
-    assert _filters_agree([1.0], filt, eps)
+    assert _filters_agree(filt, eps)
     assert _same_bits(a.generate(dgp, 40, seed=5, burn_in=20, impulse=1.0),
                       scipy_lfilter([1.0], filt, eps)[20:])
 
@@ -116,7 +111,7 @@ def test_filter_kernel_is_the_compiled_recursion_and_falls_back(monkeypatch):
     _kernels.load_filter.cache_clear()
     try:
         x = np.random.default_rng(2).standard_normal((3, 200))
-        assert _filters_agree([1.0], [1.0, -0.3, 0.8], x, axis=1)
+        assert _filters_agree([1.0, -0.3, 0.8], x, axis=1)
         assert _kernels.load_filter() is scipy_lfilter
         with_fallback = a.generate(dgp, 200, seed)
     finally:
@@ -460,6 +455,13 @@ def test_procedure_forms_give_equal_tables():
     assert reasons[("flat", 150, "I")] == {"SeriesTooShort": 5}
     assert reasons[("flat", 150, "B")] == {"SingularDesign": 5}
     assert sum(rows[("III", 150, "B")].values()) == 5
+    # The sequential procedure alone tallies its cells as beside "B".
+    alone = a.run_frequency_experiment(["III", flat], [60, 150], ("I",),
+                                       R=5, seed=2)
+    assert alone.rows == {key: cell for key, cell in rows.items()
+                          if key[2] == "I"}
+    assert alone.failure_reasons == {key: cell for key, cell in reasons.items()
+                                     if key[2] == "I"}
 
 
 def test_frequency_table_rendering():
@@ -640,6 +642,8 @@ def test_estimate_mspe_validates_inputs():
         a.estimate_mspe(dgp, a.PredictorSpec(5, a.DIRECT, 4), 12, 10)
     with pytest.raises(ValueError):
         a.estimate_mspe(dgp, a.PredictorSpec(1, a.PLUG_IN, 1), 100, 1)
+    with pytest.raises(ValueError, match="^method must be"):
+        a.estimate_mspe(dgp, a.PredictorSpec(2, "other", 2), 100, 10)
 
 
 @pytest.mark.parametrize("k, h", [(0, 1), (-1, 2), (1, 0), (2, -3)])
