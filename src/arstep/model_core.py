@@ -21,7 +21,7 @@ impulse response computed by scipy's compiled lfilter recursion
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,46 +41,80 @@ STABILITY_EPS = 1e-8
 #: Number of unit-circle sample points for the polynomial stability scan.
 _CIRCLE_POINTS = 720
 
-#: Tail size at which the MA weight recursion is truncated.
-_MA_TAIL = 1e-14
-
-#: Largest automatic MA truncation length; a longer one is an error.
-_MA_CAP = 100_000
-
 
 @dataclass(frozen=True)
 class UnitRootArModel:
     """AR(p+1) levels model with exactly one unit root.
 
+    Building one validates it: the checks of _validated, then
+    deflate_unit_root, so the levels polynomial vanishes at z = 1 and its
+    deflated factor is stable.  dataclasses.replace validates the same
+    way.
+
     Fields
     ------
     levels : tuple of float
         Coefficients a_1..a_{p+1} of the levels recursion.
-    stationary : tuple of float
-        Deflated coefficients alpha_1..alpha_p (empty when p = 0).
     sigma2 : float
         Innovation variance.
+    stationary : tuple of float
+        Deflated coefficients alpha_1..alpha_p (empty when p = 0),
+        derived from levels.
     p : int
         Order of the stationary factor; the levels order is p + 1.
     """
 
     levels: tuple
-    stationary: tuple
-    sigma2: float
-    p: int
+    sigma2: float = 1.0
+    stationary: tuple = field(init=False)
+    p: int = field(init=False)
+
+    def __post_init__(self):
+        levels, sigma2 = _validated(self.levels, self.sigma2)
+        alpha = deflate_unit_root(levels)
+        _set_fields(self, levels=levels, sigma2=sigma2,
+                    stationary=tuple(alpha.tolist()), p=alpha.size)
 
 
 @dataclass(frozen=True)
 class StationaryArModel:
-    """Stable AR(p) model in levels (no unit root).
+    """Stable AR(p) model in levels (no unit root), p >= 1.
 
-    Used by the stationary branch of the theoretical losses and by the
-    stationary data-generating processes of the simulation module.
+    Building one validates it: the checks of _validated, then a stable
+    levels polynomial.  p is derived from coeffs.  Used by the stationary
+    branch of the theoretical losses and by the stationary
+    data-generating processes of the simulation module.
     """
 
     coeffs: tuple
-    sigma2: float
-    p: int
+    sigma2: float = 1.0
+    p: int = field(init=False)
+
+    def __post_init__(self):
+        coeffs, sigma2 = _validated(self.coeffs, self.sigma2)
+        _check_stable(coeffs, "levels")
+        _set_fields(self, coeffs=coeffs, sigma2=sigma2, p=len(coeffs))
+
+
+def _validated(coeffs, sigma2):
+    """(coeffs, sigma2) as a tuple of floats and a float, after the
+    checks both models share: at least one coefficient, a nonzero
+    trailing one (it fixes the order), and sigma2 finite and positive."""
+    coeffs = _as_floats(coeffs)
+    if len(coeffs) == 0:
+        raise ValueError("levels must be nonempty")
+    if coeffs[-1] == 0.0:
+        raise ValueError("trailing coefficient must be nonzero")
+    if not 0.0 < sigma2 < math.inf:  # NaN fails too
+        raise ValueError("sigma2 must be finite and positive, not %r"
+                         % (sigma2,))
+    return coeffs, float(sigma2)
+
+
+def _set_fields(model, **values):
+    """Set fields of a frozen model from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(model, name, value)
 
 
 def _as_floats(seq):
@@ -152,6 +186,8 @@ def deflate_unit_root(levels):
 
     Raises
     ------
+    ValueError
+        If levels is not a nonempty 1-D sequence of finite values.
     NotUnitRoot
         If |A(1)| exceeds the tolerance 1e-9 * (1 + sum |a_i|).
     UnstableStationaryPart
@@ -160,6 +196,8 @@ def deflate_unit_root(levels):
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("levels must be a nonempty 1-D coefficient sequence")
+    if not np.isfinite(levels).all():
+        raise ValueError("levels hold a NaN or infinite coefficient")
     tol = 1e-9 * (1.0 + float(np.sum(np.abs(levels))))
     at_one = 1.0 - float(np.sum(levels))
     if not abs(at_one) <= tol:  # NaN fails too
@@ -181,38 +219,13 @@ def deflate_unit_root(levels):
 
 
 def unit_root_model(levels, sigma2=1.0):
-    """Validate levels coefficients and build a UnitRootArModel.
-
-    The trailing coefficient must be nonzero (it fixes the order), the
-    polynomial must vanish at z = 1 within tolerance, and the deflated
-    factor must be strictly stable.
-    """
-    levels = _as_floats(levels)
-    if len(levels) == 0:
-        raise ValueError("levels must be nonempty")
-    if levels[-1] == 0.0:
-        raise ValueError("trailing levels coefficient must be nonzero")
-    if not 0.0 < sigma2 < math.inf:  # NaN fails too
-        raise ValueError("sigma2 must be finite and positive, not %r"
-                         % (sigma2,))
-    alpha = deflate_unit_root(levels)
-    return UnitRootArModel(levels=levels, stationary=tuple(float(a) for a in alpha),
-                           sigma2=float(sigma2), p=len(levels) - 1)
+    """Validated UnitRootArModel of the levels coefficients."""
+    return UnitRootArModel(levels, sigma2)
 
 
 def stationary_model(coeffs, sigma2=1.0):
-    """Validate a stable AR(p) levels model (no unit root), p >= 1."""
-    coeffs = _as_floats(coeffs)
-    if len(coeffs) == 0:
-        raise ValueError("levels must be nonempty")
-    if coeffs[-1] == 0.0:
-        raise ValueError("trailing coefficient must be nonzero")
-    if not 0.0 < sigma2 < math.inf:  # NaN fails too
-        raise ValueError("sigma2 must be finite and positive, not %r"
-                         % (sigma2,))
-    _check_stable(coeffs, "levels")
-    return StationaryArModel(coeffs=coeffs, sigma2=float(sigma2),
-                             p=len(coeffs))
+    """Validated StationaryArModel of a stable AR(p), p >= 1."""
+    return StationaryArModel(coeffs, sigma2)
 
 
 def ar_coefficients(model):
@@ -365,26 +378,6 @@ def impulse_response(coeffs, length):
     return w.reshape(coeffs.shape[:-1] + (length + 1,))
 
 
-def _auto_truncation(alpha):
-    """Truncation length making the neglected MA tail < 1e-14.
-
-    A length beyond _MA_CAP is a ValueError that names it.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size == 0:
-        return 0
-    rho = _spectral_radius(alpha)
-    if rho <= 0.0:
-        return alpha.size
-    scale = max(1.0, float(np.sum(np.abs(alpha))))
-    length = int(math.ceil(math.log(_MA_TAIL / scale) / math.log(rho)))
-    if length > _MA_CAP:
-        raise ValueError(
-            "a tail below %.0e needs J = %d, beyond the default's cap of "
-            "%d; pass J explicitly" % (_MA_TAIL, length, _MA_CAP))
-    return max(length, alpha.size)
-
-
 @dataclass(frozen=True)
 class MaWeights:
     """Moving-average weights of the deflated and levels polynomials.
@@ -399,22 +392,15 @@ class MaWeights:
     J: int
 
 
-def ma_weights(model, J=None):
+def ma_weights(model, J):
     """MA weight sequences c_0..c_J and b_0..b_J of a unit-root model.
 
     c solves c_0 = 1, c_j = sum_{l=1}^{min(j,p)} alpha_l c_{j-l}; b is the
-    cumulative sum of c.  J defaults to a length at which the neglected
-    tail of c is below 1e-14 (the weights decay geometrically because the
-    deflated polynomial is stable).  Where that length exceeds 100,000
-    (a spectral radius above about 0.9997) the default is a ValueError
-    naming the length, and J must be given.
+    cumulative sum of c.
     """
     if not isinstance(model, UnitRootArModel):
         raise TypeError("ma_weights needs a UnitRootArModel")
-    alpha = np.asarray(model.stationary, dtype=float)
-    if J is None:
-        J = _auto_truncation(alpha)
-    c = impulse_response(alpha, J)
+    c = impulse_response(np.asarray(model.stationary, dtype=float), J)
     b = np.cumsum(c)
     return MaWeights(c=c, b=b, J=int(J))
 

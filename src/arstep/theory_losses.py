@@ -63,8 +63,9 @@ def _gamma(model, L):
     sigma^2 [m == 0], m = 0..p, and every later lag is the recursion
     gamma(m) = sum_i a_i gamma(m - i) (Brockwell and Davis 1991, section
     3.3).  Neither step depends on L, so gamma(m) is the same for every
-    L >= m.  A model built without its constructor's checks raises
-    SingularGamma where the system is singular or gamma(0) <= 0.
+    L >= m.  Where the solve fails or gives no finite positive gamma(0),
+    as it can for a valid model with stationary roots within about 1e-7
+    of the unit circle, SingularGamma is raised.
     """
     a = ar_coefficients(model)[1]
     p = a.size

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,47 @@ def test_theory_rejects_bad_model_file(capsys, tmp_path):
     assert main(["theory", "--model", str(model), "--h", "2",
                  "--K", "2"]) == 2
     assert "unknown key" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("levels = 1.5, -0.5\nsigma2\n", ":2: expected 'key = value'"),
+    ("# no levels\nsigma2 = 2\n", "must set 'levels'"),
+    ("levels =\n", "must set 'levels'"),
+], ids=["no-equals", "no-levels", "empty-levels"])
+def test_theory_model_file_format_errors_exit_two(capsys, tmp_path, text,
+                                                   message):
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    assert main(["theory", "--model", str(model), "--h", "2",
+                 "--K", "2"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert message in record["message"]
+
+
+@pytest.mark.parametrize("level", ["inf", "-inf"])
+def test_theory_infinite_level_exits_two(capsys, tmp_path, level):
+    # A(1) is infinite, and so is its tolerance: the level itself is
+    # refused, before any loss is formed.
+    model = tmp_path / "model.txt"
+    model.write_text("levels = %s\n" % level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["theory", "--model", str(model), "--h", "2",
+                     "--K", "3"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "levels hold a NaN or infinite coefficient"
+
+
+def test_series_file_without_numbers_exits_two(capsys, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("value\n\n# nothing else\n")
+    assert main(["select", "--input", str(path), "--h", "1",
+                 "--K", "2"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "holds no numeric data" in record["message"]
 
 
 def test_select_jsonl_structure(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Exact model algebra: deflation, companions, direct coefficients, weights."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +87,66 @@ def test_model_constructors_reject_bad_innovation_variances(sigma2):
             constructor(levels, sigma2)
 
 
+def test_models_check_their_own_fields():
+    # The classes validate: a constructor function only calls its class,
+    # stationary and p are derived, and dataclasses.replace builds anew.
+    unit = a.unit_root_model(CUBIC, 25.0)
+    stable = a.stationary_model((0.5, -0.2))
+    assert a.UnitRootArModel(CUBIC, 25.0) == unit
+    assert a.StationaryArModel((0.5, -0.2)) == stable
+    assert unit.stationary == tuple(a.deflate_unit_root(CUBIC)) and unit.p == 2
+    assert dataclasses.replace(unit, sigma2=4.0) == a.unit_root_model(CUBIC, 4.0)
+    with pytest.raises(TypeError):
+        a.UnitRootArModel(levels=(0.5,), stationary=(0.9, 0.9), sigma2=-1.0,
+                          p=7)
+    with pytest.raises(a.UnstableStationaryPart):
+        a.StationaryArModel((1.5,))
+    with pytest.raises(a.NotUnitRoot):
+        dataclasses.replace(unit, levels=(0.5,))
+    for model in (unit, stable):
+        with pytest.raises(ValueError, match="^sigma2 must be finite"):
+            dataclasses.replace(model, sigma2=-1.0)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(model, p=7)
+
+
+def test_models_survive_a_pickle_round_trip():
+    # run_frequency_experiment's pool sends models to its workers.
+    for model in (a.unit_root_model(CUBIC, 25.0), a.stationary_model((0.5,)),
+                  a.model_for(a.DGPS["IX"])):
+        assert pickle.loads(pickle.dumps(model)) == model
+
+
+def test_one_stability_check_per_construction(monkeypatch):
+    labels = []
+    check = model_core._check_stable
+
+    def counted(coeffs, label):
+        labels.append(label)
+        return check(coeffs, label)
+
+    monkeypatch.setattr(model_core, "_check_stable", counted)
+    for build in (lambda: a.unit_root_model(CUBIC),
+                  lambda: a.unit_root_model((1.0,)),
+                  lambda: a.stationary_model((0.5, -0.2)),
+                  lambda: a.model_for(a.DGPS["IX"]),
+                  lambda: a.model_for(a.DGPS["V"]),
+                  lambda: a.quartic_family(0.5)):
+        labels.clear()
+        build()
+        assert len(labels) == 1
+
+
+@pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan])
+def test_non_finite_levels_are_a_value_error(level):
+    # With an infinite level the A(1) tolerance is infinite too, so the
+    # unit-root test alone would accept it.
+    for levels in ((level,), (0.5, level, 0.5)):
+        for call in (a.deflate_unit_root, a.unit_root_model):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                call(levels)
+
+
 def test_companion_matrix_fixture():
     np.testing.assert_array_equal(a.companion_matrix(X2),
                                   [[1.5, 1.0], [-0.5, 0.0]])
@@ -139,8 +201,7 @@ def test_ma_weights_fixtures():
     w = a.ma_weights(rw, 6)
     np.testing.assert_array_equal(w.c, [1, 0, 0, 0, 0, 0, 0])
     np.testing.assert_array_equal(w.b, np.ones(7))
-    # No stationary part: the default J keeps c_0 alone.
-    w = a.ma_weights(rw)
+    w = a.ma_weights(rw, 0)
     assert (w.J, w.c.tolist(), w.b.tolist()) == (0, [1.0], [1.0])
 
     cubic = a.unit_root_model(CUBIC)
@@ -156,23 +217,9 @@ def test_ma_weights_running_sum_equals_levels_impulse():
                                    rtol=1e-11, atol=1e-12)
 
 
-def test_ma_weights_auto_truncation_tail_is_negligible():
-    model = a.unit_root_model(CUBIC)
-    w = a.ma_weights(model)
-    assert w.J >= model.p
-    assert abs(w.c[-1]) < 1e-13
-
-
-def test_ma_weights_default_length_beyond_the_cap_is_a_value_error():
-    # A stationary root 1e-5 inside the unit circle needs millions of
-    # weights for a 1e-14 tail: the default names that length instead of
-    # returning an expansion capped at 100,000 weights, where c_J = 0.37.
-    model = a.unit_root_model((1.99999, -0.99999))
-    with pytest.raises(ValueError, match="pass J explicitly") as info:
-        a.ma_weights(model)
-    needed = int(str(info.value).split("J = ")[1].split(",")[0])
-    assert needed > math.log(1e-14) / math.log(0.99999)  # 3.2 million
-    assert a.ma_weights(model, 50).J == 50
+def test_ma_weights_needs_a_length():
+    with pytest.raises(TypeError):
+        a.ma_weights(a.unit_root_model(CUBIC))
 
 
 def test_sigma_h_squared_examples():
@@ -204,7 +251,7 @@ STATIONARY = a.stationary_model((0.5,))
     lambda: a.sigma_h_squared(CUBIC, 2),
     lambda: a.autocovariances(CUBIC, 3),
     lambda: a.loss_table(CUBIC, 2, 3),
-    lambda: a.ma_weights(STATIONARY),
+    lambda: a.ma_weights(STATIONARY, 3),
     lambda: a.plugin_cost(STATIONARY, 2, 2),
     lambda: a.direct_cost(STATIONARY, 2, 2),
     lambda: a.closed_form_h2(STATIONARY, 2, a.PLUG_IN),

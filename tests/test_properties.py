@@ -264,3 +264,50 @@ def test_cost_pass_dimension_prefix_equals_the_pass_at_that_dimension(
         assert direct[d - 1] == own_direct[-1]
         if d >= len(alpha):
             assert plugin[d - 1] == own_plugin[-1]
+
+
+#: Model fields: mostly ordinary values (small coefficients give stable
+#: models often), then zeros of both signs, the unit value, and values
+#: no model may hold.
+MODEL_FIELD = st.one_of(
+    st.floats(-0.9, 0.9), st.floats(-2.5, 2.5),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf)))
+SIGMA2 = st.one_of(
+    st.floats(0.25, 9.0), st.floats(1e-6, 1e6),
+    st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, "1")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(MODEL_FIELD, max_size=5), unit_root=st.booleans(),
+       factored=st.booleans(), sigma2=SIGMA2, h=st.integers(1, 6))
+def test_hand_built_models_are_refused_or_give_finite_values(
+        coeffs, unit_root, factored, sigma2, h):
+    # A model built from any fields either is refused with a typed error
+    # or gives finite values from every model function.  Multiplying the
+    # drawn coefficients by (1 - z) makes many unit-root levels valid.
+    try:
+        if unit_root:
+            levels = levels_from_stationary(coeffs) if factored else coeffs
+            model = a.UnitRootArModel(levels, sigma2)
+        else:
+            model = a.StationaryArModel(coeffs, sigma2)
+    except (a.ArstepError, ValueError, TypeError):
+        return
+    levels = a.direct_coefficients(model, 1).coeffs
+    K = len(levels) + 1
+    assert np.isfinite(a.direct_coefficients(model, h).coeffs).all()
+    assert np.isfinite(a.level_ma_weights(model, h)).all()
+    assert 0.0 < a.sigma_h_squared(model, h) < math.inf
+    if unit_root:
+        weights = a.ma_weights(model, h)
+        assert np.isfinite(weights.c).all() and np.isfinite(weights.b).all()
+    try:
+        gamma = a.autocovariances(model, K).gamma
+        table = a.loss_table(model, h, K)
+    except a.SingularGamma:
+        return
+    assert np.isfinite(gamma).all() and gamma[0] > 0.0
+    # +inf below a method's minimal order, which K exceeds; NaN fails.
+    assert all(entry.value >= 0.0 for entry in table.values())
+    assert math.isfinite(table[K, a.PLUG_IN].value)
+    assert math.isfinite(table[K, a.DIRECT].value)

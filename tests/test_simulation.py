@@ -310,7 +310,7 @@ def test_dgp_levels_are_validated_before_simulating(monkeypatch):
     for levels in ((np.nan,), (1.0, np.nan), (np.inf, 0.5)):
         with pytest.raises(a.UnstableStationaryPart):
             a.generate(a.DgpSpec("Z", levels, False, 2, 5), 100, 0)
-        with pytest.raises((a.NotUnitRoot, a.UnstableStationaryPart)):
+        with pytest.raises(ValueError, match="NaN or infinite"):
             a.generate(a.DgpSpec("Z", levels, True, 2, 5), 100, 0)
 
     def no_replication(task):
@@ -338,9 +338,11 @@ def _entry_points(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("levels, unit_root", [
-    ((), False), ((), True), ((0.5, 0.0), False), ((1.0, 0.0), True)],
+    ((), False), ((), True), ((0.5, 0.0), False), ((1.0, 0.0), True),
+    ((np.inf,), True), ((-np.inf,), True)],
     ids=["empty", "empty-unit-root", "trailing-zero",
-         "trailing-zero-unit-root"])
+         "trailing-zero-unit-root", "infinite-unit-root",
+         "minus-infinite-unit-root"])
 def test_levels_model_for_rejects_are_refused_before_simulating(
         monkeypatch, levels, unit_root):
     spec = a.DgpSpec("Z", levels, unit_root, 2, 5)
