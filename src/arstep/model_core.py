@@ -100,7 +100,7 @@ def _validated(coeffs, sigma2):
     """(coeffs, sigma2) as a tuple of floats and a float, after the
     checks both models share: at least one coefficient, a nonzero
     trailing one (it fixes the order), and sigma2 finite and positive."""
-    coeffs = _as_floats(coeffs)
+    coeffs = tuple(float(v) for v in coeffs)
     if len(coeffs) == 0:
         raise ValueError("levels must be nonempty")
     if coeffs[-1] == 0.0:
@@ -115,10 +115,6 @@ def _set_fields(model, **values):
     """Set fields of a frozen model from its __post_init__."""
     for name, value in values.items():
         object.__setattr__(model, name, value)
-
-
-def _as_floats(seq):
-    return tuple(float(v) for v in seq)
 
 
 @functools.lru_cache(maxsize=16)
