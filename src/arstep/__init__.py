@@ -20,8 +20,7 @@ from .model_core import (DIRECT, PLUG_IN, DirectCoefficients, MaWeights,
                          StationaryArModel, UnitRootArModel, companion_apply,
                          companion_matrix, deflate_unit_root, difference,
                          direct_coefficients, impulse_response,
-                         level_ma_weights, ma_weights, sigma_h_squared,
-                         stationary_model, unit_root_model)
+                         level_ma_weights, ma_weights, sigma_h_squared)
 from .prediction import Forecast, PredictorSpec, predict
 from .selection import (DEFAULT_PENALTY, PENALTY_PRESETS, PenaltyWeight,
                         SelectionOutcome, accumulated_prediction_error,
@@ -32,8 +31,7 @@ from .simulation import (DGPS, DgpSpec, FrequencyTable, MspeEstimate,
                          replication_seed, run_frequency_experiment)
 from .theory_losses import (AutocovarianceTable, TheoreticalLoss,
                             autocovariances, best_combinations,
-                            closed_form_h2, direct_cost, loss,
-                            loss_stationary, loss_table,
+                            closed_form_h2, direct_cost, loss, loss_table,
                             minimal_order_cost_gap, plugin_cost,
                             quartic_family)
 
@@ -44,15 +42,13 @@ __all__ = [
     "SingularDesign", "WindowTooShort", "SeriesTooShort",
     "InsufficientHistory", "NonFiniteSeries", "NonFiniteCriterion",
     "PLUG_IN", "DIRECT", "UnitRootArModel", "StationaryArModel",
-    "DirectCoefficients", "MaWeights", "unit_root_model", "stationary_model",
-    "deflate_unit_root", "companion_matrix", "companion_apply",
-    "direct_coefficients",
+    "DirectCoefficients", "MaWeights", "deflate_unit_root",
+    "companion_matrix", "companion_apply", "direct_coefficients",
     "impulse_response", "ma_weights", "level_ma_weights", "sigma_h_squared",
     "difference",
     "AutocovarianceTable", "TheoreticalLoss", "autocovariances",
-    "plugin_cost", "direct_cost", "closed_form_h2", "loss",
-    "loss_stationary", "loss_table", "best_combinations", "quartic_family",
-    "minimal_order_cost_gap",
+    "plugin_cost", "direct_cost", "closed_form_h2", "loss", "loss_table",
+    "best_combinations", "quartic_family", "minimal_order_cost_gap",
     "FittedCoefficients", "lag_matrix", "fit_one_step",
     "plug_in_multi", "fit_direct", "residual_mse", "fitted_ma_weights",
     "PredictorSpec", "Forecast", "predict",

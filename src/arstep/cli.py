@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, NotUnitRoot
 from .estimation import fit_direct, fit_one_step, plug_in_multi
-from .model_core import (DIRECT, PLUG_IN, ar_coefficients,
-                         direct_coefficients, level_ma_weights,
-                         sigma_h_squared, stationary_model, unit_root_model)
+from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
+                         ar_coefficients, direct_coefficients,
+                         level_ma_weights, sigma_h_squared)
 from .prediction import PredictorSpec, predict
 from .selection import (PENALTY_PRESETS, PenaltyWeight, select_by_ape,
                         select_by_criterion)
@@ -161,9 +161,9 @@ def _build_model(levels, sigma2):
     accepts A(1) as zero; otherwise it must be stable outright.
     """
     try:
-        return unit_root_model(levels, sigma2), "unit-root"
+        return UnitRootArModel(levels, sigma2), "unit-root"
     except NotUnitRoot:
-        return stationary_model(levels, sigma2), "stationary"
+        return StationaryArModel(levels, sigma2), "stationary"
 
 
 def _cmd_theory(args):

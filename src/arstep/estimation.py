@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
-                         impulse_response)
+                         _unscaled, impulse_response)
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
 RCOND_MIN = 1e-13
@@ -166,12 +166,6 @@ def _normalized(series):
     do not depend on it; squares and their sums scale back by 2^(2e)."""
     e = np.frexp(np.abs(series).max(axis=-1, initial=0.0))[1]
     return np.ldexp(series, -e[..., None]), e
-
-
-def _unscaled(values, scale):
-    """values * 2^scale: 0 where that underflows, inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(values, scale)
 
 
 @dataclass(frozen=True)

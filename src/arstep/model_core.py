@@ -214,16 +214,6 @@ def deflate_unit_root(levels):
     return alpha
 
 
-def unit_root_model(levels, sigma2=1.0):
-    """Validated UnitRootArModel of the levels coefficients."""
-    return UnitRootArModel(levels, sigma2)
-
-
-def stationary_model(coeffs, sigma2=1.0):
-    """Validated StationaryArModel of a stable AR(p), p >= 1."""
-    return StationaryArModel(coeffs, sigma2)
-
-
 def ar_coefficients(model):
     """(levels, stationary) coefficient vectors of either model type.
 
@@ -414,12 +404,30 @@ def sigma_h_squared(model, h):
     """Variance of the h-step prediction error of the true model.
 
     Equals sigma^2 * sum_{j=0}^{h-1} w_j^2 with w the MA weights of the
-    levels polynomial.
+    levels polynomial, computed in units of 2^scale (_variance_units) and
+    scaled back once: inf where it exceeds the float range.
     """
     if h < 1:
         raise ValueError("horizon must be at least 1")
     w = level_ma_weights(model, h - 1)
-    return float(model.sigma2 * np.dot(w, w))
+    unit, scale = _variance_units(model.sigma2)
+    return float(_unscaled(unit * np.dot(w, w), scale))
+
+
+def _variance_units(sigma2):
+    """(unit, scale): unit = sigma2 * 2^-scale in [1/4, 1), scale = 2s
+    with s the math.frexp exponent of sqrt(sigma2).  Products, solves
+    and square roots scale exactly by an even power of two, so a
+    variance computed from the unit is, after _unscaled, the one at
+    sigma2, with neither overflow nor subnormal digits lost inside."""
+    scale = 2 * math.frexp(math.sqrt(sigma2))[1]
+    return math.ldexp(sigma2, -scale), scale
+
+
+def _unscaled(values, scale):
+    """values * 2^scale: 0 where that underflows, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, scale)
 
 
 def difference(series):

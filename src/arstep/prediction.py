@@ -5,9 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
-from .estimation import (_coefficients, _normalized, _require_finite,
-                         _unscaled)
-from .model_core import _as_series
+from .estimation import _coefficients, _normalized, _require_finite
+from .model_core import _as_series, _unscaled
 
 
 @dataclass(frozen=True)

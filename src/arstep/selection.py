@@ -26,9 +26,10 @@ from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
 from .estimation import (SUM_BUFFER_BYTES, _check_residual_window,
                          _lag_view, _normalized, _require_finite,
                          _residual_sums, _singular_grams, _singular_prefix,
-                         _sum_rows, _unscaled, lag_matrix)
+                         _sum_rows, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
-                         _power_sum, companion_matrix, impulse_response)
+                         _power_sum, _unscaled, companion_matrix,
+                         impulse_response)
 
 
 @dataclass(frozen=True)

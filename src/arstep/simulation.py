@@ -24,10 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
-from .estimation import _gated_solve, _unscaled, row_sums
-from .model_core import (DIRECT, PLUG_IN, _companion_image,
-                         impulse_response, stationary_model,
-                         unit_root_model)
+from .estimation import _gated_solve, row_sums
+from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
+                         _companion_image, _unscaled, impulse_response)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
                         select_by_ape)
 
@@ -86,8 +85,8 @@ DGPS = {
 def model_for(dgp):
     """Exact model object (with validation) behind a DgpSpec."""
     if dgp.unit_root:
-        return unit_root_model(dgp.levels, dgp.sigma2)
-    return stationary_model(dgp.levels, dgp.sigma2)
+        return UnitRootArModel(dgp.levels, dgp.sigma2)
+    return StationaryArModel(dgp.levels, dgp.sigma2)
 
 
 def _check_dgp(dgp):
@@ -108,9 +107,9 @@ def _check_dgp(dgp):
 @lru_cache(maxsize=None)
 def _levels_error(levels, unit_root):
     if unit_root:
-        unit_root_model(levels)
+        UnitRootArModel(levels)
     else:
-        stationary_model(levels)
+        StationaryArModel(levels)
 
 
 def _dgp_key(dgp_id):
@@ -263,16 +262,21 @@ class FrequencyTable:
     """Selection counts per (generator, sample size, procedure).
 
     rows maps (dgp_id, n, label) to a dict {(order, method): count};
-    failures maps the same keys to the number of replications that raised
-    instead of selecting, and failure_reasons to a dict {exception class
-    name: count} of those replications.  For every key, counts plus
-    failures add up to the number of replications.
+    failure_reasons maps the same keys to a dict {exception class name:
+    count} of the replications that raised instead of selecting.  For
+    every key, counts plus failures add up to the number of
+    replications.
     """
 
     rows: dict
     replications: int
-    failures: dict = field(default_factory=dict)
     failure_reasons: dict = field(default_factory=dict)
+
+    @property
+    def failures(self):
+        """Failed replications per key: the sum of its failure_reasons."""
+        return {key: sum(reasons.values())
+                for key, reasons in self.failure_reasons.items()}
 
     def counts(self, dgp_id, n, label):
         return dict(self.rows[(dgp_id, int(n), label)])
@@ -284,7 +288,7 @@ class FrequencyTable:
 
     def to_records(self):
         """Long-format rows; failed replications get method='failed'."""
-        records = []
+        records, failures = [], self.failures
         for key, cell in self.rows.items():
             dgp_id, n, label = key
             for (k, method), count in sorted(cell.items()):
@@ -292,7 +296,7 @@ class FrequencyTable:
                                 "order": k, "method": method,
                                 "count": count,
                                 "frequency": count / self.replications})
-            failed = self.failures.get(key, 0)
+            failed = failures.get(key, 0)
             if failed:
                 records.append({"dgp": dgp_id, "n": n, "procedure": label,
                                 "order": "", "method": "failed",
@@ -304,10 +308,10 @@ class FrequencyTable:
         lines = ["%d replications" % self.replications]
         for key, cell in self.rows.items():
             dgp_id, n, label = key
-            failed = self.failures.get(key, 0)
             reasons = sorted(self.failure_reasons.get(key, {}).items())
             lines.append("DGP %s  n=%d  procedure=%s  failures=%d%s"
-                         % (dgp_id, n, label, failed,
+                         % (dgp_id, n, label,
+                            sum(count for _, count in reasons),
                             "".join("  %s=%d" % kv for kv in reasons)))
             ordered = sorted(cell.items(), key=lambda kv: (-kv[1], kv[0]))
             for (k, method), count in ordered:
@@ -387,10 +391,7 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     for key, tally in tallies.items():
         rows[key] = {o: c for o, c in tally.items() if not isinstance(o, str)}
         reasons[key] = {o: c for o, c in tally.items() if isinstance(o, str)}
-    return FrequencyTable(rows=rows, replications=R,
-                          failures={key: sum(counts.values())
-                                    for key, counts in reasons.items()},
-                          failure_reasons=reasons)
+    return FrequencyTable(rows=rows, replications=R, failure_reasons=reasons)
 
 
 @dataclass(frozen=True)

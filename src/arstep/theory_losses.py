@@ -24,9 +24,9 @@ import numpy as np
 
 from ._kernels import cho_factor, cho_solve  # uncalled; perfbench/tracer.py wraps them
 from .errors import SingularGamma
-from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
-                         ar_coefficients, direct_coefficients,
-                         level_ma_weights, unit_root_model)
+from .model_core import (DIRECT, PLUG_IN, UnitRootArModel, _unscaled,
+                         _variance_units, ar_coefficients,
+                         direct_coefficients, level_ma_weights)
 
 #: Relative slack within which two losses count as tied.
 TIE_REL_TOL = 1e-10
@@ -56,11 +56,12 @@ class AutocovarianceTable:
 
 
 def _gamma(model, L):
-    """gamma(0)..gamma(L) of the model's stationary representation.
+    """gamma(0)..gamma(L) of the model's stationary representation, in
+    units of 2^scale, (unit, scale) = _variance_units(model.sigma2).
 
     With a_1..a_p its coefficients, gamma(0..p) solve the p + 1
     Yule-Walker equations gamma(m) - sum_i a_i gamma(|m - i|) =
-    sigma^2 [m == 0], m = 0..p, and every later lag is the recursion
+    unit [m == 0], m = 0..p, and every later lag is the recursion
     gamma(m) = sum_i a_i gamma(m - i) (Brockwell and Davis 1991, section
     3.3).  Neither step depends on L, so gamma(m) is the same for every
     L >= m.  Where the solve fails or gives no finite positive gamma(0),
@@ -73,7 +74,7 @@ def _gamma(model, L):
     system = np.eye(p + 1)
     np.subtract.at(system, (m, np.abs(m - np.arange(1, p + 1))), a)
     rhs = np.zeros(p + 1)
-    rhs[0] = model.sigma2
+    rhs[0] = _variance_units(model.sigma2)[0]
     gamma = np.empty(max(L, p) + 1)
     try:
         gamma[:p + 1] = np.linalg.solve(system, rhs)
@@ -94,7 +95,7 @@ def autocovariances(model, L):
     The stationary representation is the differenced series for a
     unit-root model and the series itself for a stable one; its
     autocovariances are exact, from one Yule-Walker solve for lags 0..p
-    and the AR recursion beyond.
+    and the AR recursion beyond, inf where they exceed the float range.
 
     Parameters
     ----------
@@ -108,15 +109,19 @@ def autocovariances(model, L):
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return AutocovarianceTable(gamma=_gamma(model, L), L=int(L))
+    gamma = _gamma(model, L)
+    scale = _variance_units(model.sigma2)[1]
+    return AutocovarianceTable(gamma=_unscaled(gamma, scale), L=int(L))
 
 
-def _costs(model, D, gamma, w):
-    """(plug-in, direct) estimation costs of every dimension 1..D.
+def _costs(model, D, w):
+    """(plug-in, direct) estimation costs of every dimension 1..D, in the
+    units of _gamma.
 
-    gamma holds the autocovariances up to lag h + D - 2 and w the level
-    MA weights w_0..w_{h-1} of the horizon.  Entry d - 1 of each array is
-    the cost in dimension d, with G_d the d x d autocovariance matrix:
+    w holds the level MA weights w_0..w_{h-1} of the horizon, and the
+    autocovariances come from _gamma up to lag h + D - 2.  Entry d - 1
+    of each array is the cost in dimension d, with G_d the d x d
+    autocovariance matrix:
 
     * plug-in: tr(G_d M_d G_d^{-1} M_d') * sigma^2, M_d = sum_j w_j
       S^(h-1-j) with S the d x d companion matrix of the stationary
@@ -142,6 +147,7 @@ def _costs(model, D, gamma, w):
     """
     a = ar_coefficients(model)[1][:D]
     p, h = a.size, len(w)
+    gamma = _gamma(model, h + D - 2)
     G = _toeplitz(gamma[:D])
     # M by Horner: column 0 of X S is the row sums of X[:, :p] * a, the
     # rest is X shifted one column right.
@@ -169,33 +175,35 @@ def _costs(model, D, gamma, w):
         y = M[:s, :i + 1] @ f
         plugin[i] = y @ (G[:s, :s] @ y)
         direct[i] = f @ (V[:i + 1, :i + 1] @ f)
-    return np.cumsum(plugin) * model.sigma2, np.cumsum(direct) * model.sigma2
+    unit = _variance_units(model.sigma2)[0]
+    return np.cumsum(plugin) * unit, np.cumsum(direct) * unit
 
 
-def _unit_root_costs(name, model, h, k):
-    """(plug-in, direct) costs of a unit-root model at working order k,
-    both zero at k = 1; name is the caller's, for the TypeError."""
-    if not isinstance(model, UnitRootArModel):
-        raise TypeError("%s needs a UnitRootArModel" % name)
+def _order_costs(model, h, k):
+    """(plug-in, direct) costs of either model kind at working order k:
+    the last entries of one _costs pass at dimension k - shift (see
+    _losses), both zero at k = shift."""
     if h < 1:
         raise ValueError("horizon must be at least 1")
     if k < 1:
         raise ValueError("order must be at least 1")
-    if k == 1:
+    levels, stationary = ar_coefficients(model)
+    shift = len(levels) - len(stationary)
+    if k == shift:
         return 0.0, 0.0
-    plugin, direct = _costs(model, k - 1, _gamma(model, h + k - 3),
-                            level_ma_weights(model, h - 1))
-    return float(plugin[-1]), float(direct[-1])
+    costs = _costs(model, k - shift, level_ma_weights(model, h - 1))
+    scale = _variance_units(model.sigma2)[1]
+    return _unscaled([costs[0][-1], costs[1][-1]], scale).tolist()
 
 
 def plugin_cost(model, h, k):
     """Estimation cost of the plug-in predictor at working order k.
 
     The trace-form constant from the scaled excess-MSPE limit of the
-    plug-in predictor for a unit-root model; zero at k = 1 (only the
-    nonstationarity term remains there).
+    plug-in predictor, for either model kind; zero at k = 1 for a
+    unit-root model (only the nonstationarity term remains there).
     """
-    return _unit_root_costs("plugin_cost", model, h, k)[0]
+    return _order_costs(model, h, k)[0]
 
 
 def direct_cost(model, h, k):
@@ -203,9 +211,10 @@ def direct_cost(model, h, k):
 
     Evaluates the limiting covariance of the h-step regression scores as
     an exact double sum over the MA weights and applies the inverse
-    autocovariance trace; zero at k = 1.
+    autocovariance trace, for either model kind; zero at k = 1 for a
+    unit-root model.
     """
-    return _unit_root_costs("direct_cost", model, h, k)[1]
+    return _order_costs(model, h, k)[1]
 
 
 def closed_form_h2(model, k, method):
@@ -260,26 +269,29 @@ def _losses(model, h, K, keys):
     the stationary one.  The plug-in minimal order is the levels order,
     so every plug-in entry read lies at or above the stationary order,
     where the prefix invariant of _costs makes it == to the call at
-    D = k - shift that a stand-alone loss makes.
+    D = k - shift that a stand-alone loss makes.  Each value is summed
+    in the units of _gamma and scaled back once.
     """
     levels, stationary = ar_coefficients(model)
     shift = len(levels) - len(stationary)
     minimal = {PLUG_IN: len(levels), DIRECT: direct_coefficients(model, h).p_h}
     w = level_ma_weights(model, h - 1)
-    common = 2.0 * model.sigma2 * float(np.sum(w)) ** 2 if shift else 0.0
-    costs, out = None, {}
+    unit, scale = _variance_units(model.sigma2)
+    common = 2.0 * unit * float(np.sum(w)) ** 2 if shift else 0.0
+    costs, values = None, {}
     for k, method in keys:
         if k < minimal[method]:
-            value = math.inf
+            values[k, method] = math.inf
         elif k == shift:
-            value = common  # unit root, k = 1: no estimation cost
+            values[k, method] = common  # unit root, k = 1: no cost
         else:
             if costs is None:  # every dimension up to K - shift
-                costs = _costs(model, K - shift,
-                               _gamma(model, h + K - shift - 2), w)
-            value = common + float(costs[method == DIRECT][k - shift - 1])
-        out[k, method] = TheoreticalLoss(value=value, k=k, method=method, h=h)
-    return out
+                costs = _costs(model, K - shift, w)
+            values[k, method] = common + float(
+                costs[method == DIRECT][k - shift - 1])
+    return {key: TheoreticalLoss(value=value, k=key[0], method=key[1], h=h)
+            for key, value in zip(values, _unscaled(list(values.values()),
+                                                    scale).tolist())}
 
 
 def _check_candidate(k, method):
@@ -290,28 +302,16 @@ def _check_candidate(k, method):
 
 
 def loss(model, h, k, method):
-    """Asymptotic loss of (k, method) for a unit-root model at horizon h.
+    """Asymptotic loss of (k, method) at horizon h, for either model kind.
 
-    Finite values are 2*sigma^2*(sum_{j<h} b_j)^2 plus the method's
-    estimation cost; below the minimal order (the full levels order for
-    plug-in, the minimal direct order for direct) the loss is +inf.
+    For a unit-root model, finite values are 2*sigma^2*(sum_{j<h} b_j)^2
+    plus the method's estimation cost.  A stable model has the same
+    trace structure in the full k dimensions of the level process (whose
+    autocovariances replace those of the differences) and no
+    nonstationarity term.  Below the minimal order (the full levels
+    order for plug-in, the minimal direct order for direct) the loss is
+    +inf.
     """
-    if not isinstance(model, UnitRootArModel):
-        raise TypeError("loss needs a UnitRootArModel; see loss_stationary")
-    _check_candidate(k, method)
-    return _losses(model, h, k, [(k, method)])[k, method]
-
-
-def loss_stationary(model, h, k, method):
-    """Asymptotic loss analog for a stable model without a unit root.
-
-    Same trace structure as the unit-root costs but in the full k
-    dimensions of the level process (whose autocovariances replace those
-    of the differences), and with no nonstationarity term.  Infinite
-    below the true order (plug-in) or the minimal direct order (direct).
-    """
-    if not isinstance(model, StationaryArModel):
-        raise TypeError("loss_stationary needs a StationaryArModel")
     _check_candidate(k, method)
     return _losses(model, h, k, [(k, method)])[k, method]
 
@@ -321,9 +321,8 @@ def loss_table(model, h, K):
 
     Every cost comes from one _costs pass at dimension K - shift whose
     entry for each dimension depends only on that dimension's leading
-    blocks (the prefix invariant), so each entry is == to loss (or
-    loss_stationary) of its key, which makes the pass at its own
-    dimension.
+    blocks (the prefix invariant), so each entry is == to loss of its
+    key, which makes the pass at its own dimension.
     """
     return _losses(model, h, K, [(k, method) for k in range(1, K + 1)
                                  for method in (PLUG_IN, DIRECT)])
@@ -361,7 +360,7 @@ def quartic_family(a1):
         raise ValueError("a1 must lie strictly between 0 and 1")
     a2 = a1 * a1 - a1 + 1.0
     levels = (1.0 - a1, a1 - a2, a2 * (1.0 - a1), a1 * a2)
-    return unit_root_model(levels, sigma2=1.0)
+    return UnitRootArModel(levels, sigma2=1.0)
 
 
 def minimal_order_cost_gap(a1):
@@ -380,6 +379,6 @@ def minimal_order_cost_gap(a1):
     estimate it by the difference of their scaled excesses.
     """
     model = quartic_family(a1)
-    plugin, direct = _costs(model, 3, _gamma(model, 4),
-                            level_ma_weights(model, 2))
-    return float(direct[1] - plugin[2])
+    plugin, direct = _costs(model, 3, level_ma_weights(model, 2))
+    return float(_unscaled(direct[1] - plugin[2],
+                           _variance_units(model.sigma2)[1]))

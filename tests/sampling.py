@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from arstep import stationary_model, unit_root_model
+from arstep import StationaryArModel, UnitRootArModel
 from oracles import levels_from_stationary
 
 
@@ -35,7 +35,7 @@ def sample_unit_root_models(count, seed, max_p=4):
     while len(out) < count:
         alpha = random_stable_coeffs(rng, max_p)
         sigma2 = float(rng.uniform(0.25, 9.0))
-        out.append(unit_root_model(levels_from_stationary(alpha), sigma2))
+        out.append(UnitRootArModel(levels_from_stationary(alpha), sigma2))
     return out
 
 
@@ -48,7 +48,7 @@ def sample_stationary_models(count, seed, max_p=4):
         if not coeffs:
             continue
         sigma2 = float(rng.uniform(0.25, 9.0))
-        out.append(stationary_model(coeffs, sigma2))
+        out.append(StationaryArModel(coeffs, sigma2))
     return out
 
 
@@ -69,4 +69,4 @@ NEAR_UNIT_ROOTS = ((0.99999, 0.5), (0.99999, 0.9, -0.5))
 def unit_root_model_with_roots(roots):
     """Unit-root model, sigma2 = 1, whose stationary part has the given
     real inverse roots."""
-    return unit_root_model(levels_from_stationary(stable_factor(roots)))
+    return UnitRootArModel(levels_from_stationary(stable_factor(roots)))

@@ -90,7 +90,7 @@ def test_criterion_01_quartic_family_gap_reference_row(capsys):
 def test_criterion_02_random_walk_one_step_constant(capsys):
     ok = True
     for sigma2 in (1.0, 2.0, 25.0, 0.5):
-        walk = a.unit_root_model((1.0,), sigma2)
+        walk = a.UnitRootArModel((1.0,), sigma2)
         value = a.loss(walk, 1, 1, a.PLUG_IN).value
         ok &= abs(value - 2.0 * sigma2) <= 1e-12 * (2.0 * sigma2)
     _report(capsys, 2, "random-walk-one-step-constant", ok)
@@ -151,7 +151,7 @@ def test_criterion_05_benchmark_loss_minimizers(capsys):
 
 
 def test_criterion_06_direct_coefficient_identity(capsys):
-    model = a.unit_root_model((0.9, -0.81, 0.91), 25.0)
+    model = a.UnitRootArModel((0.9, -0.81, 0.91), 25.0)
     fitted = a.direct_coefficients(model, 3)
     want = np.array([0.181, 0.819, 0.0])
     oracle = substitution_coefficients(model.levels, 3)

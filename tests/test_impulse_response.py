@@ -103,12 +103,10 @@ def _models():
 
 def test_loss_table_entries_equal_stand_alone_losses():
     for model in _models():
-        alone = a.loss if isinstance(model, a.UnitRootArModel) \
-            else a.loss_stationary
         for h in (1, 3):
             K = model.p + 4
             for (k, method), entry in a.loss_table(model, h, K).items():
-                assert entry == alone(model, h, k, method)
+                assert entry == a.loss(model, h, k, method)
 
 
 def test_cost_gap_equals_its_stand_alone_costs():

@@ -32,17 +32,17 @@ def test_deflate_inverts_polynomial_multiplication():
 
 
 def test_unit_root_model_round_trips_the_stationary_factor():
-    # alpha -> levels of (1 - z)(1 - alpha(z)) -> unit_root_model gives
+    # alpha -> levels of (1 - z)(1 - alpha(z)) -> UnitRootArModel gives
     # alpha back, through deflate_unit_root, and rebuilding the model from
     # its own levels gives the same model.
     rng = np.random.default_rng(20261019)
     for _ in range(60):
         alpha = random_stable_coeffs(rng)
-        model = a.unit_root_model(levels_from_stationary(alpha), 2.0)
+        model = a.UnitRootArModel(levels_from_stationary(alpha), 2.0)
         np.testing.assert_allclose(model.stationary, alpha, rtol=0,
                                    atol=1e-12)
         assert model.stationary == tuple(a.deflate_unit_root(model.levels))
-        assert a.unit_root_model(model.levels, model.sigma2) == model
+        assert a.UnitRootArModel(model.levels, model.sigma2) == model
 
 
 def test_deflate_rejects_non_unit_root():
@@ -59,43 +59,41 @@ def test_deflate_rejects_unstable_quotient():
 def test_deflate_rejects_seasonal_roots():
     # 1 - z^4 = (1 - z)(1 + z + z^2 + z^3) has roots on the unit circle.
     with pytest.raises(a.UnstableStationaryPart):
-        a.unit_root_model((0.0, 0.0, 0.0, 1.0))
+        a.UnitRootArModel((0.0, 0.0, 0.0, 1.0))
 
 
 def test_model_constructors_validate():
     with pytest.raises(ValueError):
-        a.unit_root_model((1.0, 0.0))
+        a.UnitRootArModel((1.0, 0.0))
     with pytest.raises(ValueError):
-        a.unit_root_model((1.0,), sigma2=0.0)
+        a.UnitRootArModel((1.0,), sigma2=0.0)
     with pytest.raises(a.UnstableStationaryPart):
-        a.stationary_model((1.0,))
+        a.StationaryArModel((1.0,))
     # White noise has no lag: both constructors reject it alike.
-    for constructor in (a.unit_root_model, a.stationary_model):
+    for constructor in (a.UnitRootArModel, a.StationaryArModel):
         with pytest.raises(ValueError, match="^levels must be nonempty$"):
             constructor(())
-    model = a.unit_root_model(CUBIC, sigma2=25.0)
+    model = a.UnitRootArModel(CUBIC, sigma2=25.0)
     assert model.p == 2 and model.sigma2 == 25.0
 
 
 @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf, 0.0,
                                     -1.0])
 def test_model_constructors_reject_bad_innovation_variances(sigma2):
-    for constructor, levels in ((a.unit_root_model, CUBIC),
-                                (a.stationary_model, (0.5,))):
+    for constructor, levels in ((a.UnitRootArModel, CUBIC),
+                                (a.StationaryArModel, (0.5,))):
         with pytest.raises(ValueError, match="^sigma2 must be finite and "
                                              "positive"):
             constructor(levels, sigma2)
 
 
 def test_models_check_their_own_fields():
-    # The classes validate: a constructor function only calls its class,
-    # stationary and p are derived, and dataclasses.replace builds anew.
-    unit = a.unit_root_model(CUBIC, 25.0)
-    stable = a.stationary_model((0.5, -0.2))
-    assert a.UnitRootArModel(CUBIC, 25.0) == unit
-    assert a.StationaryArModel((0.5, -0.2)) == stable
+    # The classes validate: stationary and p are derived, and
+    # dataclasses.replace builds anew.
+    unit = a.UnitRootArModel(CUBIC, 25.0)
+    stable = a.StationaryArModel((0.5, -0.2))
     assert unit.stationary == tuple(a.deflate_unit_root(CUBIC)) and unit.p == 2
-    assert dataclasses.replace(unit, sigma2=4.0) == a.unit_root_model(CUBIC, 4.0)
+    assert dataclasses.replace(unit, sigma2=4.0) == a.UnitRootArModel(CUBIC, 4.0)
     with pytest.raises(TypeError):
         a.UnitRootArModel(levels=(0.5,), stationary=(0.9, 0.9), sigma2=-1.0,
                           p=7)
@@ -112,12 +110,13 @@ def test_models_check_their_own_fields():
 
 def test_models_survive_a_pickle_round_trip():
     # run_frequency_experiment's pool sends models to its workers.
-    for model in (a.unit_root_model(CUBIC, 25.0), a.stationary_model((0.5,)),
+    for model in (a.UnitRootArModel(CUBIC, 25.0), a.StationaryArModel((0.5,)),
                   a.model_for(a.DGPS["IX"])):
         assert pickle.loads(pickle.dumps(model)) == model
 
 
 def test_one_stability_check_per_construction(monkeypatch):
+    # Each class, and the builders that call one, checks stability once.
     labels = []
     check = model_core._check_stable
 
@@ -126,9 +125,9 @@ def test_one_stability_check_per_construction(monkeypatch):
         return check(coeffs, label)
 
     monkeypatch.setattr(model_core, "_check_stable", counted)
-    for build in (lambda: a.unit_root_model(CUBIC),
-                  lambda: a.unit_root_model((1.0,)),
-                  lambda: a.stationary_model((0.5, -0.2)),
+    for build in (lambda: a.UnitRootArModel(CUBIC),
+                  lambda: a.UnitRootArModel((1.0,)),
+                  lambda: a.StationaryArModel((0.5, -0.2)),
                   lambda: a.model_for(a.DGPS["IX"]),
                   lambda: a.model_for(a.DGPS["V"]),
                   lambda: a.quartic_family(0.5)):
@@ -142,7 +141,7 @@ def test_non_finite_levels_are_a_value_error(level):
     # With an infinite level the A(1) tolerance is infinite too, so the
     # unit-root test alone would accept it.
     for levels in ((level,), (0.5, level, 0.5)):
-        for call in (a.deflate_unit_root, a.unit_root_model):
+        for call in (a.deflate_unit_root, a.UnitRootArModel):
             with pytest.raises(ValueError, match="NaN or infinite"):
                 call(levels)
 
@@ -164,7 +163,7 @@ def test_companion_apply_matches_matrix_product():
 
 
 def test_direct_coefficients_fixture():
-    model = a.unit_root_model(CUBIC)
+    model = a.UnitRootArModel(CUBIC)
     dc = a.direct_coefficients(model, 3)
     np.testing.assert_allclose(dc.coeffs, (0.181, 0.819, 0.0),
                                rtol=0, atol=1e-12)
@@ -174,7 +173,7 @@ def test_direct_coefficients_fixture():
 
 
 def test_direct_coefficients_x_two_step():
-    dc = a.direct_coefficients(a.unit_root_model(X2), 2)
+    dc = a.direct_coefficients(a.UnitRootArModel(X2), 2)
     np.testing.assert_allclose(dc.coeffs, (1.75, -0.75), rtol=0, atol=1e-14)
     assert dc.p_h == 2
 
@@ -197,14 +196,14 @@ def test_impulse_response_matches_hand_recursion():
 
 
 def test_ma_weights_fixtures():
-    rw = a.unit_root_model((1.0,))
+    rw = a.UnitRootArModel((1.0,))
     w = a.ma_weights(rw, 6)
     np.testing.assert_array_equal(w.c, [1, 0, 0, 0, 0, 0, 0])
     np.testing.assert_array_equal(w.b, np.ones(7))
     w = a.ma_weights(rw, 0)
     assert (w.J, w.c.tolist(), w.b.tolist()) == (0, [1.0], [1.0])
 
-    cubic = a.unit_root_model(CUBIC)
+    cubic = a.UnitRootArModel(CUBIC)
     w = a.ma_weights(cubic, 8)
     np.testing.assert_allclose(w.b[:3], (1.0, 0.9, 0.0), rtol=0, atol=1e-12)
 
@@ -219,32 +218,32 @@ def test_ma_weights_running_sum_equals_levels_impulse():
 
 def test_ma_weights_needs_a_length():
     with pytest.raises(TypeError):
-        a.ma_weights(a.unit_root_model(CUBIC))
+        a.ma_weights(a.UnitRootArModel(CUBIC))
 
 
 def test_sigma_h_squared_examples():
-    rw = a.unit_root_model((1.0,), sigma2=2.0)
+    rw = a.UnitRootArModel((1.0,), sigma2=2.0)
     for h in (1, 2, 4):
         assert a.sigma_h_squared(rw, h) == pytest.approx(2.0 * h, rel=1e-14)
-    cubic = a.unit_root_model(CUBIC, sigma2=25.0)
+    cubic = a.UnitRootArModel(CUBIC, sigma2=25.0)
     assert a.sigma_h_squared(cubic, 3) == pytest.approx(25.0 * 1.81, rel=1e-12)
     with pytest.raises(ValueError):
         a.sigma_h_squared(rw, 0)
 
 
 def test_ar_coefficients_dispatch_on_the_model_type():
-    levels, stationary = ar_coefficients(a.unit_root_model(CUBIC))
+    levels, stationary = ar_coefficients(a.UnitRootArModel(CUBIC))
     assert levels.tolist() == list(CUBIC)
     np.testing.assert_allclose(stationary, (-0.1, -0.91), rtol=0, atol=1e-12)
-    levels, stationary = ar_coefficients(a.stationary_model((0.5, -0.2)))
+    levels, stationary = ar_coefficients(a.StationaryArModel((0.5, -0.2)))
     assert levels.tolist() == stationary.tolist() == [0.5, -0.2]
 
 
-STATIONARY = a.stationary_model((0.5,))
+STATIONARY = a.StationaryArModel((0.5,))
 
 
 # A levels tuple is not a model, and the unit-root functions take no
-# stationary model (nor loss_stationary a unit-root one).
+# stationary model.
 @pytest.mark.parametrize("call", [
     lambda: a.direct_coefficients(CUBIC, 2),
     lambda: a.level_ma_weights(CUBIC, 3),
@@ -252,14 +251,13 @@ STATIONARY = a.stationary_model((0.5,))
     lambda: a.autocovariances(CUBIC, 3),
     lambda: a.loss_table(CUBIC, 2, 3),
     lambda: a.ma_weights(STATIONARY, 3),
-    lambda: a.plugin_cost(STATIONARY, 2, 2),
-    lambda: a.direct_cost(STATIONARY, 2, 2),
+    lambda: a.plugin_cost(CUBIC, 2, 2),
+    lambda: a.direct_cost(CUBIC, 2, 2),
     lambda: a.closed_form_h2(STATIONARY, 2, a.PLUG_IN),
-    lambda: a.loss(STATIONARY, 2, 2, a.PLUG_IN),
-    lambda: a.loss_stationary(a.unit_root_model(CUBIC), 2, 2, a.PLUG_IN),
+    lambda: a.loss(CUBIC, 2, 2, a.PLUG_IN),
 ], ids=["direct_coefficients", "level_ma_weights", "sigma_h_squared",
         "autocovariances", "loss_table", "ma_weights", "plugin_cost",
-        "direct_cost", "closed_form_h2", "loss", "loss_stationary"])
+        "direct_cost", "closed_form_h2", "loss"])
 def test_model_functions_reject_other_types(call):
     with pytest.raises(TypeError):
         call()
@@ -271,14 +269,14 @@ def test_model_functions_reject_other_types(call):
     (lambda: a.direct_coefficients(STATIONARY, 0), "horizon"),
     (lambda: a.autocovariances(STATIONARY, -1), "nonnegative"),
     (lambda: a.autocovariances(STATIONARY, 3).matrix(5), "lags up to 3"),
-    (lambda: a.plugin_cost(a.unit_root_model(CUBIC), 2, 0), "order"),
-    (lambda: a.direct_cost(a.unit_root_model(CUBIC), 2, 0), "order"),
-    (lambda: a.closed_form_h2(a.unit_root_model(CUBIC), 1, a.PLUG_IN),
+    (lambda: a.plugin_cost(a.UnitRootArModel(CUBIC), 2, 0), "order"),
+    (lambda: a.direct_cost(a.UnitRootArModel(CUBIC), 2, 0), "order"),
+    (lambda: a.closed_form_h2(a.UnitRootArModel(CUBIC), 1, a.PLUG_IN),
      "k >= 2"),
-    (lambda: a.closed_form_h2(a.unit_root_model(CUBIC), 2, "other"),
+    (lambda: a.closed_form_h2(a.UnitRootArModel(CUBIC), 2, "other"),
      "method"),
-    (lambda: a.loss(a.unit_root_model(CUBIC), 2, 0, a.PLUG_IN), "order"),
-    (lambda: a.loss(a.unit_root_model(CUBIC), 2, 2, "other"), "method"),
+    (lambda: a.loss(a.UnitRootArModel(CUBIC), 2, 0, a.PLUG_IN), "order"),
+    (lambda: a.loss(a.UnitRootArModel(CUBIC), 2, 2, "other"), "method"),
 ], ids=["deflate_unit_root", "companion_matrix", "direct_coefficients",
         "autocovariances", "autocovariance_matrix", "plugin_cost",
         "direct_cost", "closed_form_h2_order", "closed_form_h2_method",

@@ -470,13 +470,13 @@ def test_frequency_table_rendering():
     table = a.FrequencyTable(
         rows={("I", 100, "B"): {(1, a.DIRECT): 3, (2, a.PLUG_IN): 1}},
         replications=5,
-        failures={("I", 100, "B"): 1})
+        failure_reasons={("I", 100, "B"): {"SingularDesign": 1}})
     records = table.to_records()
     assert [r["count"] for r in records] == [3, 1, 1]
     assert records[-1]["method"] == "failed"
     text = table.format_text()
     assert "5 replications" in text
-    assert "failures=1" in text
+    assert "failures=1  SingularDesign=1" in text
     assert "k=1" in text and a.DIRECT in text
 
 

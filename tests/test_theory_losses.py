@@ -1,6 +1,8 @@
 """Asymptotic losses: oracle equivalences, frozen tables, tie handling."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from oracles import hand_impulse, lyapunov_autocovariances, trace_costs
 from sampling import (NEAR_UNIT_ROOTS, sample_stationary_models,
                       sample_unit_root_models, unit_root_model_with_roots)
 
-X_MODEL = a.unit_root_model((1.5, -0.5), 1.0)
-CUBIC_MODEL = a.unit_root_model((0.9, -0.81, 0.91), 1.0)
+X_MODEL = a.UnitRootArModel((1.5, -0.5), 1.0)
+CUBIC_MODEL = a.UnitRootArModel((0.9, -0.81, 0.91), 1.0)
 
 
 def test_autocovariances_match_lyapunov_oracle():
@@ -31,7 +33,7 @@ def test_near_unit_ar1_autocovariances_match_the_closed_form():
     # (1 - rho)(1 + rho) so that the reference is exact to rounding.
     lags = np.arange(61)
     for rho in (0.5, -0.9, 0.99, 0.9999, 0.99999, 0.999999, -0.999999):
-        got = a.autocovariances(a.stationary_model((rho,), 2.5), 60).gamma
+        got = a.autocovariances(a.StationaryArModel((rho,), 2.5), 60).gamma
         want = 2.5 * rho ** lags / ((1.0 - rho) * (1.0 + rho))
         np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=str(rho))
 
@@ -118,6 +120,44 @@ def test_singular_gamma_names_the_first_dimension_not_positive_definite(
         a.direct_cost(CUBIC_MODEL, 2, 5)
 
 
+def _times_power_of_two(value, m):
+    """value * 2^m, rounded once; inf of its sign where that overflows."""
+    try:
+        return math.ldexp(value, m)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+@pytest.mark.parametrize("m", [-500, 500, 509])
+def test_theory_values_scale_by_powers_of_four(m):
+    # At sigma2 * 4^m every loss, autocovariance and sigma_h^2 is the one
+    # at sigma2 times 4^m, rounded once: they are computed in units of a
+    # power of four, so no RuntimeWarning is raised, no digit is lost to
+    # subnormals at 2^-1000, and inf appears only where the product
+    # exceeds the float range (at 2^1018 and sigma2 = 25, above 64).
+    pairs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for dgp in a.DGPS.values():
+            base = a.model_for(dgp)
+            scaled = a.model_for(dataclasses.replace(
+                dgp, sigma2=math.ldexp(dgp.sigma2, 2 * m)))
+            for h in (1, dgp.horizon):
+                want = a.loss_table(base, h, dgp.max_order)
+                got = a.loss_table(scaled, h, dgp.max_order)
+                pairs += [(got[key].value, want[key].value) for key in want]
+                pairs.append((a.sigma_h_squared(scaled, h),
+                              a.sigma_h_squared(base, h)))
+            pairs += zip(a.autocovariances(scaled, 30).gamma.tolist(),
+                         a.autocovariances(base, 30).gamma.tolist())
+    for got, want in pairs:
+        assert got == _times_power_of_two(want, 2 * m), (got, want)
+    if m == 509:  # both sides of the float range are reached
+        assert any(math.isinf(got) for got, want in pairs
+                   if math.isfinite(want))
+        assert any(math.isfinite(got) for got, _ in pairs)
+
+
 def test_near_unit_model_whose_yule_walker_solve_fails_raises_singular_gamma():
     # A valid stationary AR(8), four conjugate root pairs 10^-7.25 inside
     # the unit circle: the Yule-Walker solve gives no finite positive
@@ -125,13 +165,13 @@ def test_near_unit_model_whose_yule_walker_solve_fails_raises_singular_gamma():
     radius = 1.0 - 10.0 ** -7.25
     roots = [radius * np.exp(sign * 1j * (2.8 + 0.37 * j))
              for j in range(4) for sign in (1, -1)]
-    model = a.stationary_model(-np.real(np.poly(roots))[1:])
+    model = a.StationaryArModel(-np.real(np.poly(roots))[1:])
     assert model.p == 8
     message = "no solution with finite positive gamma"
     with pytest.raises(a.SingularGamma, match=message):
         a.autocovariances(model, 3)
     with pytest.raises(a.SingularGamma, match=message):
-        a.loss_stationary(model, 2, 8, a.DIRECT)
+        a.loss(model, 2, 8, a.DIRECT)
 
 
 def test_cost_fixture_values():
@@ -149,7 +189,7 @@ def test_costs_vanish_at_order_one():
 
 
 def test_closed_form_h2_fixture():
-    rw = a.unit_root_model((1.0,), sigma2=2.0)
+    rw = a.UnitRootArModel((1.0,), sigma2=2.0)
     assert a.closed_form_h2(rw, 2, a.PLUG_IN) == pytest.approx(2.0)
     assert a.closed_form_h2(rw, 2, a.DIRECT) == pytest.approx(4.0)
 
@@ -196,7 +236,7 @@ def test_direct_cost_never_beats_plugin_cost():
 
 
 def test_loss_examples():
-    rw = a.unit_root_model((1.0,), sigma2=3.0)
+    rw = a.UnitRootArModel((1.0,), sigma2=3.0)
     assert a.loss(rw, 1, 1, a.PLUG_IN).value == pytest.approx(6.0, abs=1e-12)
     assert a.loss(X_MODEL, 2, 2, a.PLUG_IN).value == pytest.approx(
         16.5, abs=1e-10)
@@ -263,23 +303,38 @@ def test_best_combinations_frozen_registry_table():
 
 
 def test_loss_table_routes_stationary_models():
-    # Stationary generators go through the stationary loss, which has no
-    # unit-root common term and uses full k-dimensional traces.
+    # A stationary generator's loss has no unit-root common term and
+    # uses full k-dimensional traces.
     model = a.model_for(a.DGPS["V"])
     assert isinstance(model, a.StationaryArModel)
     entry = a.loss_table(model, 3, 4)[(1, a.DIRECT)]
-    direct = a.loss_stationary(model, 3, 1, a.DIRECT)
+    direct = a.loss(model, 3, 1, a.DIRECT)
     assert entry.value == direct.value
 
 
-def test_loss_stationary_minimal_orders():
+def test_stationary_loss_minimal_orders():
     model = a.model_for(a.DGPS["VI"])  # stable AR(2)
-    assert math.isinf(a.loss_stationary(model, 3, 1, a.PLUG_IN).value)
-    assert np.isfinite(a.loss_stationary(model, 3, 2, a.PLUG_IN).value)
+    assert math.isinf(a.loss(model, 3, 1, a.PLUG_IN).value)
+    assert np.isfinite(a.loss(model, 3, 2, a.PLUG_IN).value)
+
+
+def test_stationary_losses_and_costs_equal_their_table_entries():
+    # loss, plugin_cost and direct_cost take either model kind; a stable
+    # model's loss has no common term, so each finite entry is its cost.
+    for label in ("I", "II", "V", "VI"):
+        model = a.model_for(a.DGPS[label])
+        for h in (1, a.DGPS[label].horizon):
+            table = a.loss_table(model, h, 10)
+            for (k, method), entry in table.items():
+                assert entry == a.loss(model, h, k, method), (label, h, k)
+                if math.isfinite(entry.value):
+                    cost = (a.plugin_cost if method == a.PLUG_IN
+                            else a.direct_cost)(model, h, k)
+                    assert entry.value == cost, (label, h, k, method)
 
 
 def test_best_combinations_reports_exact_ties():
-    rw = a.unit_root_model((1.0,))
+    rw = a.UnitRootArModel((1.0,))
     assert a.best_combinations(rw, 1, 3) == {(1, a.PLUG_IN), (1, a.DIRECT)}
 
 
