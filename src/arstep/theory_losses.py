@@ -278,20 +278,20 @@ def _losses(model, h, K, keys):
     w = level_ma_weights(model, h - 1)
     unit, scale = _variance_units(model.sigma2)
     common = 2.0 * unit * float(np.sum(w)) ** 2 if shift else 0.0
-    costs, values = None, {}
+    costs, values = None, []
     for k, method in keys:
         if k < minimal[method]:
-            values[k, method] = math.inf
+            value = math.inf
         elif k == shift:
-            values[k, method] = common  # unit root, k = 1: no cost
+            value = common  # unit root, k = 1: no estimation cost
         else:
             if costs is None:  # every dimension up to K - shift
                 costs = _costs(model, K - shift, w)
-            values[k, method] = common + float(
-                costs[method == DIRECT][k - shift - 1])
-    return {key: TheoreticalLoss(value=value, k=key[0], method=key[1], h=h)
-            for key, value in zip(values, _unscaled(list(values.values()),
-                                                    scale).tolist())}
+            value = common + float(costs[method == DIRECT][k - shift - 1])
+        values.append(value)
+    values = _unscaled(values, scale).tolist()
+    return {(k, method): TheoreticalLoss(value=value, k=k, method=method, h=h)
+            for (k, method), value in zip(keys, values)}
 
 
 def _check_candidate(k, method):
@@ -380,5 +380,4 @@ def minimal_order_cost_gap(a1):
     """
     model = quartic_family(a1)
     plugin, direct = _costs(model, 3, level_ma_weights(model, 2))
-    return float(_unscaled(direct[1] - plugin[2],
-                           _variance_units(model.sigma2)[1]))
+    return math.ldexp(direct[1] - plugin[2], _variance_units(model.sigma2)[1])
