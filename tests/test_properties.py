@@ -3,7 +3,6 @@ plug-in powering and exact row sums against naive constructions, on
 inputs drawn by hypothesis."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +279,7 @@ SIGMA2 = st.one_of(
                      math.inf, -math.inf, "1")))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(coeffs=st.lists(MODEL_FIELD, max_size=5), unit_root=st.booleans(),
        factored=st.booleans(), sigma2=SIGMA2, h=st.integers(1, 6))
@@ -299,20 +299,17 @@ def test_hand_built_models_are_refused_or_give_finite_values(
     except (a.ArstepError, ValueError, TypeError):
         return
     K = model.p + 2 if unit_root else model.p + 1  # above the levels order
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert np.isfinite(a.direct_coefficients(model, h).coeffs).all()
-        assert np.isfinite(a.level_ma_weights(model, h)).all()
-        assert a.sigma_h_squared(model, h) > 0.0
-        if unit_root:
-            weights = a.ma_weights(model, h)
-            assert np.isfinite(weights.c).all()
-            assert np.isfinite(weights.b).all()
-        try:
-            gamma = a.autocovariances(model, K).gamma
-            table = a.loss_table(model, h, K)
-        except a.SingularGamma:
-            return
+    assert np.isfinite(a.direct_coefficients(model, h).coeffs).all()
+    assert np.isfinite(a.level_ma_weights(model, h)).all()
+    assert a.sigma_h_squared(model, h) > 0.0
+    if unit_root:
+        weights = a.ma_weights(model, h)
+        assert np.isfinite(weights.c).all() and np.isfinite(weights.b).all()
+    try:
+        gamma = a.autocovariances(model, K).gamma
+        table = a.loss_table(model, h, K)
+    except a.SingularGamma:
+        return
     assert not np.isnan(gamma).any() and gamma[0] > 0.0
     # +inf below a method's minimal order, which K exceeds; NaN fails.
     assert all(entry.value >= 0.0 for entry in table.values())

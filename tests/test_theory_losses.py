@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +127,7 @@ def _times_power_of_two(value, m):
         return math.copysign(math.inf, value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m", [-500, 500, 509])
 def test_theory_values_scale_by_powers_of_four(m):
     # At sigma2 * 4^m every loss, autocovariance and sigma_h^2 is the one
@@ -136,20 +136,18 @@ def test_theory_values_scale_by_powers_of_four(m):
     # subnormals at 2^-1000, and inf appears only where the product
     # exceeds the float range (at 2^1018 and sigma2 = 25, above 64).
     pairs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for dgp in a.DGPS.values():
-            base = a.model_for(dgp)
-            scaled = a.model_for(dataclasses.replace(
-                dgp, sigma2=math.ldexp(dgp.sigma2, 2 * m)))
-            for h in (1, dgp.horizon):
-                want = a.loss_table(base, h, dgp.max_order)
-                got = a.loss_table(scaled, h, dgp.max_order)
-                pairs += [(got[key].value, want[key].value) for key in want]
-                pairs.append((a.sigma_h_squared(scaled, h),
-                              a.sigma_h_squared(base, h)))
-            pairs += zip(a.autocovariances(scaled, 30).gamma.tolist(),
-                         a.autocovariances(base, 30).gamma.tolist())
+    for dgp in a.DGPS.values():
+        base = a.model_for(dgp)
+        scaled = a.model_for(dataclasses.replace(
+            dgp, sigma2=math.ldexp(dgp.sigma2, 2 * m)))
+        for h in (1, dgp.horizon):
+            want = a.loss_table(base, h, dgp.max_order)
+            got = a.loss_table(scaled, h, dgp.max_order)
+            pairs += [(got[key].value, want[key].value) for key in want]
+            pairs.append((a.sigma_h_squared(scaled, h),
+                          a.sigma_h_squared(base, h)))
+        pairs += zip(a.autocovariances(scaled, 30).gamma.tolist(),
+                     a.autocovariances(base, 30).gamma.tolist())
     for got, want in pairs:
         assert got == _times_power_of_two(want, 2 * m), (got, want)
     if m == 509:  # both sides of the float range are reached
