@@ -97,6 +97,42 @@ def _singular_grams(grams):
     return ~_clears_gate(_finite_eigvalsh(grams))
 
 
+def _certified(low, trace, steps, K):
+    """The certificate that lets a gate skip eigvalsh: True where a Gram
+    of order K or below surely clears the gate, given the eigvalsh
+    minimum low of an anchor Gram and a trace bound trace.
+
+    Both uses share one setting.  In exact arithmetic on the rounded
+    inputs, the Gram B gated and the anchor A are a common start S plus
+    sums of outer products x x', and B is a principal block of A plus
+    such a sum.  Then lambda_min(B) >= lambda_min(A) (Weyl, then Cauchy
+    interlacing for the block) and lambda_max(B) <= tr(B), so B clears
+    the gate when
+        low > c trace,  c = RCOND_MIN + 8 (steps + K) K eps,
+    trace >= tr(A), tr(B) and steps >= the rounded steps between S and
+    either matrix.  The allowance covers, in units of eps trace:
+    - the rounding of the sums: each entry takes at most steps rounded
+      outer-product terms and additions, so its error is at most
+      steps eps (|S_ij| + sum |x_i x_j|); |S_ij| <= sqrt(S_ii S_jj) up to
+      a factor 1 + O(n eps) from S's own rounding, so the error matrix
+      has 2-norm at most about steps eps tr, at A and at B;
+    - eigvalsh's backward error, p(K) eps ||.|| with p(K) <= 4 K^2, at A
+      (for low) and at B (for its computed minimum and maximum), hence a
+      trace bound covering both;
+    - the rounding of the trace and of c trace, and the gate's
+      RCOND_MIN times the errors at B, which scale RCOND_MIN by
+      1 + O(K^2 eps).
+    That is at most (2 steps + 8 K^2 + 1) eps trace, and 8 (steps + K) K
+    exceeds it by a safety factor.  Diagonal entries that only pad a
+    Gram (selection._padded_grams) count in its trace, which only makes
+    the test more cautious.  NaN never certifies: the test is False for
+    a NaN minimum (a non-finite anchor's) and for a NaN or infinite
+    trace.
+    """
+    return low > (RCOND_MIN + 8 * (steps + K) * K * np.finfo(float).eps) \
+        * trace
+
+
 def _singular_prefix(grams):
     """Gate masks of every order of a Gram prefix, from one eigvalsh sweep.
 
@@ -107,26 +143,15 @@ def _singular_prefix(grams):
     go through eigvalsh, and only the (entry, order) pairs they do not
     certify through _singular_grams, one call per order that has any.
     """
-    # The certificate.  In exact arithmetic G_i = G_a + sum_j x_j x_j' for
-    # a < i, so lambda_min(G_i) >= lambda_min(G_a) (Weyl), and order k's
-    # block G_i(k) has no smaller lambda_min (interlacing) and
-    # lambda_max(G_i(k)) <= tr(G_i).  So entry i clears the gate at every
-    # order when an anchor a <= i has eigvalsh minimum
-    #     lo_a > c tr(G_i),  c = RCOND_MIN + 8 (T + K) K eps.
-    # The allowance covers, in units of eps tr(G_i): the cumsum rounding
-    # between a and i, at most (i - a + 1) K / 2 in 2-norm, in G_i as in
-    # its blocks (each rounded partial-sum entry is at most tr(G_i):
-    # Cauchy-Schwarz, and the diagonal only grows); eigvalsh's backward
-    # error p(K) at a and p(k) <= p(K) at i, for any p(K) <= 4 K^2; and the
-    # trace's rounding, which scales RCOND_MIN by 1 + O(K eps): a safety
-    # factor of 16 on the cumsum term.  Order k's own trace would not
-    # cover lo_a's error, which scales with tr(G_a).  NaN or inf never
-    # certifies: a non-finite anchor's minimum is NaN, which fmax drops,
-    # and an entry holding NaN or inf has a NaN or infinite trace (in a
-    # prefix an off-diagonal entry is at most half the sum of two diagonal
-    # ones), so its test against |trace| is False.
+    # The certificate (_certified), with anchor a <= i at order K, start
+    # S = G_a and at most T steps: G_i sums more rows than G_a, and order
+    # k's block of G_i is a principal block of G_i, so tr(G_i) bounds
+    # every trace (the diagonal only grows).  Order k's own trace would
+    # not do, since lo_a's error scales with tr(G_a).  An entry holding
+    # NaN or inf has a NaN or infinite trace (in a prefix an off-diagonal
+    # entry is at most half the sum of two diagonal ones); fmax drops a
+    # non-finite anchor's NaN minimum.
     T, K = grams.shape[0], grams.shape[-1]
-    c = RCOND_MIN + 8 * (T + K) * K * np.finfo(float).eps
     grid = np.floor(2.0 ** (np.arange(4 * T.bit_length() + 1) / 4)).astype(int)
     marked = np.zeros(T, dtype=bool)  # np.union1d would import numpy.ma
     marked[:8] = True
@@ -135,13 +160,39 @@ def _singular_prefix(grams):
     evals = _finite_eigvalsh(grams[anchors])
     low = np.fmax.accumulate(evals[:, 0])
     last = np.searchsorted(anchors, np.arange(T), side="right") - 1
-    unsure = ~(low[last] > c * np.abs(np.einsum("bii->b", grams)))
+    unsure = ~_certified(low[last], np.abs(np.einsum("bii->b", grams)), T, K)
     bad = np.zeros((T, K), dtype=bool)
     bad[anchors, -1] = ~_clears_gate(evals)
     for k in range(1, K + 1):
         unsure[anchors] &= k < K  # order K's anchors are gated already
         if unsure.any():
             bad[unsure, k - 1] = _singular_grams(grams[unsure, K - k:, K - k:])
+    return bad
+
+
+def _singular_orders(grams):
+    """_singular_grams of a (series, order) stack of padded Grams
+    (selection._padded_grams) whose last order is each series' largest,
+    its anchor, from one eigvalsh of each anchor.
+
+    Order k's k x k Gram must be its block of the order-K Gram S of the
+    series plus the rounded outer products of rows j = k..K-1, added one
+    by one (selection._suffix_sums).  An anchor a's leading k x k block
+    is S's plus the rows j = a..K-1 only, so the certificate
+    (_certified, at most K steps) applies with trace bound
+    max(tr P_k, tr P_a) of the padded Grams.  Only the orders left
+    uncertified go through eigvalsh, in one _singular_grams call.
+    """
+    K = grams.shape[-1]
+    evals = _finite_eigvalsh(grams[:, -1])
+    traces = np.einsum("sgii->sg", grams)
+    unsure = ~_certified(evals[:, :1], np.maximum(traces, traces[:, -1:]),
+                         K, K)
+    unsure[:, -1] = False  # the anchors are gated already
+    bad = np.zeros(grams.shape[:2], dtype=bool)
+    bad[:, -1] = ~_clears_gate(evals)
+    if unsure.any():
+        bad[unsure] = _singular_grams(grams[unsure])
     return bad
 
 
@@ -341,19 +392,27 @@ def row_sums(rows):
 def _sum_rows(rows):
     """row_sums by error-free extraction, overwriting rows.
 
-    Each level adds sigma = 2^(e + shift) to every entry and takes it off
-    again (Rump, Ogita and Oishi, "Accurate floating-point summation,
-    Part I", SIAM J. Sci. Comput. 31(1), 2008), with 2^e > max|rows| and
-    2^shift > 2 (columns + 1).  That splits each entry exactly into a
-    part q on the grid eps * sigma, whose row sums are exact in any order
-    because no partial sum reaches sigma, and a remainder below
-    eps * sigma, which the next level splits again until it is zero.  A
-    row's level sums then add up exactly to its sum: when only the first
-    two are nonzero one addition rounds it correctly, otherwise
-    math.fsum does.  One sigma serves all rows, so each level is a few
-    passes with a scalar.  A row with an entry of 2^1023 / 2^shift or
-    more would overflow sigma, and a non-finite row has no grid: both
-    are summed one by one, exactly (Fraction) or by np.sum.
+    Each of two levels adds sigma = 2^(e + shift) to every entry and
+    takes it off again (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008), with entries
+    at most 2^e in size and 2^shift > 2 (columns + 1).  That splits each
+    entry exactly into a part q on the grid eps * sigma (eps = 2^-53),
+    whose row sums are exact in any order because no partial sum reaches
+    sigma, and a remainder at most eps * sigma in size.  Level 1 takes
+    2^e > max|rows|, level 2 the bound on level 1's remainders,
+    e2 = e + shift - 53, so no max pass over the remainders is needed.
+    A row's sum is its level sums s1 + s2 plus remainders of at most
+    columns * 2^(e2 + shift - 53) together.  With s1 + s2 = s + err
+    exactly (TwoSum), s is the correctly rounded sum when |err| plus that
+    bound is below half the gap at s, or a quarter of the gap above |s|
+    when |s| is a power of two, where the gap below is half as wide (the
+    rounding test of Part II).  The rows it leaves undecided (a zero
+    row, a near-tie, a row far below the block's max) are summed
+    exactly by math.fsum of s1, s2 and the remainders.  One sigma serves
+    all rows, so each level is a few passes with a scalar.  A row with
+    an entry of 2^1023 / 2^shift or more would overflow sigma, and a
+    non-finite row has no grid: both are summed one by one, exactly
+    (Fraction) or by np.sum.
     """
     count, width = rows.shape
     out = np.zeros(count)
@@ -368,19 +427,26 @@ def _sum_rows(rows):
         rows[special] = 0.0
         work[special] = 0.0
     top = float(work.max())
+    if top == 0.0:
+        return out
+    e = math.frexp(top)[1]
     levels = []
-    while top > 0.0:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+    for e in (e, e + shift - 53):
+        sigma = math.ldexp(1.0, e + shift)  # 0 only when the rest is 0
         np.add(rows, sigma, out=work)
         np.subtract(work, sigma, out=work)
         np.subtract(rows, work, out=rows)
         levels.append(work.sum(axis=1))
-        top = max(float(rows.max()), -float(rows.min()))
-    levels = np.array(levels).reshape(-1, count)
-    regular = ~special
-    out[regular] = levels[:2].sum(axis=0)[regular]
-    for i in np.flatnonzero(levels[2:].any(axis=0)):
-        out[i] = math.fsum(levels[:, i].tolist())
+    first, second = levels
+    total = first + second
+    late = total - first
+    err = (first - (total - late)) + (second - late)
+    half_gap = np.spacing(np.abs(total)) * np.where(
+        np.abs(np.frexp(total)[0]) == 0.5, 0.25, 0.5)
+    rest = width * math.ldexp(1.0, e + shift - 53)  # e is level 2's
+    out[~special] = total[~special]
+    for i in np.flatnonzero(~(np.abs(err) + rest < half_gap) & ~special):
+        out[i] = math.fsum([first[i], second[i], *rows[i].tolist()])
     return out
 
 

@@ -25,7 +25,7 @@ from .errors import (NonFiniteCriterion, SeriesTooShort, SingularDesign,
                      WindowTooShort)
 from .estimation import (SUM_BUFFER_BYTES, _check_residual_window,
                          _lag_view, _normalized, _require_finite,
-                         _residual_sums, _singular_grams, _singular_prefix,
+                         _residual_sums, _singular_orders, _singular_prefix,
                          _sum_rows, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
                          _power_sum, _unscaled, companion_matrix,
@@ -448,9 +448,10 @@ def _criteria(series, h, K, penalties, orders, methods):
     direct window (rows j = k..n-h), is one padded pass over its orders
     per chunk of series: every array carries an order axis, and order
     k's K x K Gram holds its k x k Gram, padded by _padded_grams, so one
-    eigvalsh gates and one LU solve fits every order of every series of
-    the chunk.  The Grams and
-    cross-products of all orders come from _suffix_sums.  The direct
+    LU solve fits every order of every series of the chunk.  The gate
+    (estimation._singular_orders) runs eigvalsh on each series' largest
+    order only, and on the lower orders its minimum does not certify.
+    The Grams and cross-products of all orders come from _suffix_sums.  The direct
     window's right-hand side is [X'y | I] ([I] for PLUG_IN alone): the
     direct coefficients and W^-1, whose products with Z'Z and with L give
     the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
@@ -543,7 +544,7 @@ def _one_step_fits(series, lags, K, fitted):
     inside = np.arange(K) < ks[:, None]
     grams = _padded_grams(_suffix_sums(lags, lags, n - 1, K)[:, ks - 1],
                           inside)
-    singular = ks[_singular_grams(grams).any(axis=0)]
+    singular = ks[_singular_orders(grams).any(axis=0)]
     if K not in singular:
         _check_residual_window(K, n - 1)
     if singular.size:
@@ -583,7 +584,7 @@ def _h_step_fits(series, lags, h, K, orders, methods, coeffs):
     ks = np.array(orders)
     inside = np.arange(K) < ks[:, None]
     W = _padded_grams(_suffix_sums(lags, lags, n - h, K)[:, ks - 1], inside)
-    bad = ks[_singular_grams(W).any(axis=0)]
+    bad = ks[_singular_orders(W).any(axis=0)]
     if bad.size:
         k = int(bad[0])
         errors.append(((k, 3), SingularDesign(

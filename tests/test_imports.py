@@ -3,7 +3,7 @@ arstep or run the forecast subcommand load no scipy module; the theory
 and select subcommands and simulation, which run AR recursions, load
 only scipy's compiled filter module, never the scipy.signal package,
 and seeded series stay the same.  An APE selection does not import
-numpy.ma either."""
+numpy.ma either, nor does import arstep load multiprocessing."""
 
 import json
 import os
@@ -43,6 +43,15 @@ def _after_cli(argv):
 
 def test_import_loads_no_scipy():
     assert _scipy_modules_after("import arstep") == []
+
+
+def test_import_loads_no_process_pool():
+    # multiprocessing costs 11-15 ms of import; only a parallel frequency
+    # table needs it.
+    _scipy_modules_after(
+        "import arstep\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures.process' not in sys.modules")
 
 
 def test_theory_subcommand_loads_only_the_compiled_filter():

@@ -1,6 +1,6 @@
-"""Property tests: the prefix gate, the APE start index, lag matrices,
-plug-in powering and exact row sums against naive constructions, on
-inputs drawn by hypothesis."""
+"""Property tests: the prefix and order gates, the APE start index, lag
+matrices, plug-in powering and exact row sums against naive
+constructions, on inputs drawn by hypothesis."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arstep as a
-from arstep.estimation import _singular_grams, _singular_prefix, row_sums
+from arstep.estimation import (_lag_view, _normalized, _singular_grams,
+                               _singular_orders, _singular_prefix, row_sums)
 from arstep.model_core import _companion_image
-from arstep.selection import _shared_prefix
+from arstep.selection import _padded_grams, _shared_prefix, _suffix_sums
 from arstep.theory_losses import _costs
 from oracles import gram_is_invertible, levels_from_stationary
 from sampling import stable_factor
@@ -63,6 +64,78 @@ def test_prefix_gate_equals_batched_gate(shape, n, K, seed, scale, base):
     for k in range(1, K + 1):
         assert bad[:, k - 1].tolist() == \
             _singular_grams(grams[:, K - k:, K - k:]).tolist()
+
+
+def _order_grams(stack, K, last, orders):
+    """The padded Grams of the ascending orders over the rows
+    j = k..last, for a stack of series, as selection._criteria builds
+    them."""
+    series = _normalized(stack)[0]
+    lags = _lag_view(series, K)
+    ks = np.array(orders)
+    inside = np.arange(K) < ks[:, None]
+    return _padded_grams(_suffix_sums(lags, lags, last, K)[:, ks - 1], inside)
+
+
+def _gate_series(shape, n, seed, noise):
+    """_shaped_series, or a spike of 1e8 among the first values of
+    noise, or sin(0.3 t) plus noise of the given size."""
+    if shape == "early spike":
+        series = _shaped_series("noise", n, seed)
+        series[seed % min(n, 8)] = 1e8
+        return series
+    if shape == "sine":
+        rng = np.random.default_rng(seed)
+        return np.sin(0.3 * np.arange(n)) + noise * rng.normal(size=n)
+    return _shaped_series(shape, n, seed)
+
+
+@BOUNDED
+@given(shapes=st.lists(st.sampled_from(SHAPES + ("early spike", "sine")),
+                       min_size=1, max_size=3),
+       n=st.integers(2, 150), K=st.integers(1, 8), h=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from((1e-9, 1e-7, 1e-6, 1e-4)), data=st.data())
+def test_order_gate_equals_batched_gate(shapes, n, K, h, seed, noise, data):
+    # Both stages of the criteria: the one-step Grams (rows j = k..n-1,
+    # order K always fitted, so the anchor) and the direct window (rows
+    # j = k..n-h, its anchor the largest order asked for).  The
+    # certified mask equals the batched gate of every order's Gram.
+    K = min(K, n // 2) or 1
+    stack = np.array([_gate_series(shape, n, seed + r, noise)
+                      for r, shape in enumerate(shapes)])
+    orders = data.draw(st.sets(st.integers(1, K), min_size=1))
+    for last, ks in ((n - 1, sorted(orders | {K})), (n - h, sorted(orders))):
+        grams = _order_grams(stack, K, last, ks)
+        assert _singular_orders(grams).tolist() == \
+            _singular_grams(grams).tolist()
+
+
+@pytest.mark.parametrize("noise, failing, matrices", [
+    (1e-7, [3, 4, 5, 6], 1 + 5), (1e-6, [], 1)])
+def test_order_gate_checks_what_it_cannot_certify(monkeypatch, noise,
+                                                  failing, matrices):
+    # sin(0.3 t) is an AR(2) recursion, so at noise 1e-7 the Grams of
+    # orders 3-6 fail the gate, and order 6's minimum certifies no lower
+    # order: orders 1 and 2 pass, yet only through eigvalsh.  At 1e-6
+    # every order passes, certified by order 6's eigvalsh alone.
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def counted(grams):
+        seen.append(int(np.prod(grams.shape[:-2])))
+        return real(grams)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    n, K = 300, 6
+    series = np.sin(0.3 * np.arange(n)) \
+        + noise * np.random.default_rng(0).normal(size=n)
+    grams = _order_grams(series[None], K, n - 1, range(1, K + 1))
+    bad = _singular_orders(grams)[0]
+    assert (np.flatnonzero(bad) + 1).tolist() == failing
+    assert sum(seen) == matrices
+    monkeypatch.undo()
+    assert bad.tolist() == _singular_grams(grams)[0].tolist()
 
 
 def _scanned_start_index(series, K, h):
@@ -216,6 +289,59 @@ def test_row_sums_equal_fsum_row_by_row(rows):
         assert got == want, row
 
 
+# Rows whose exact sum lies near a tie of the sum of their two largest
+# parts: base plus half the gap above it (a quarter, below a power of
+# two), and a tail far below base that decides the rounding, or 0.
+NEAR_TIES = st.builds(
+    lambda base, below, tail, zeros: [base, (-0.25 if below else 0.5)
+                                      * math.ulp(base), tail] + zeros,
+    st.floats(1.0, 2.0, exclude_max=True)
+    | st.sampled_from((1.0, 2.0 ** -900, 2.0 ** 500, 3.0 * 2.0 ** -1000)),
+    st.booleans(),
+    st.just(0.0) | st.builds(lambda sign, j: sign * 2.0 ** -j,
+                             st.sampled_from((-1.0, 1.0)),
+                             st.integers(54, 1074)),
+    st.lists(st.sampled_from((0.0, -0.0)), max_size=3))
+# Values and their negatives (in any order), and one leftover.
+CANCELLING = st.tuples(
+    st.lists(ENTRIES, min_size=1, max_size=8).flatmap(
+        lambda values: st.permutations(values + [-v for v in values])),
+    ENTRIES).map(lambda drawn: [*drawn[0], drawn[1]])
+SUBNORMALS = st.lists(st.floats(-2.3e-308, 2.3e-308), min_size=1,
+                      max_size=12)
+ZEROS = st.lists(st.sampled_from((0.0, -0.0)), max_size=5)
+# Entries that no sigma fits (row_sums sums such rows one by one).
+HUGE = st.lists(st.floats(-1.7e308, 1.7e308) | st.sampled_from(
+    (1e308, -1e308, 2.0 ** 1020, np.finfo(float).max)), min_size=1,
+    max_size=5)
+
+
+@BOUNDED
+@given(rows=st.lists(st.one_of(NEAR_TIES, CANCELLING, SUBNORMALS, ZEROS,
+                               HUGE, st.lists(ENTRIES, max_size=40)),
+                     min_size=1, max_size=6),
+       drops=st.lists(st.sampled_from((0, 0, 30, 200, 1100)), min_size=6,
+                      max_size=6),
+       big=st.booleans())
+def test_row_sums_decide_hard_rows_as_fsum(rows, drops, big):
+    # Each row may be scaled down by 2^-drop, and a row of 1.0s may join
+    # the block, so that rows lie far below the block's max, where two
+    # extraction levels leave their sums in the remainders.
+    rows = [[math.ldexp(v, -drop) for v in row]
+            for row, drop in zip(rows, drops)]
+    if big:
+        rows.append([1.0, 1.0])
+    stack = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        stack[i, :len(row)] = row
+    for row, got in zip(rows, row_sums(stack)):
+        try:
+            want = math.fsum(row)
+        except OverflowError:  # a partial sum overflowed
+            want = _rounded_exact_sum(row)
+        assert got == want, row
+
+
 def test_row_sums_at_the_edges():
     big = np.finfo(float).max
     rows = [[], [0.0, -0.0], [5e-324, -5e-324, 5e-324],
@@ -229,6 +355,13 @@ def test_row_sums_at_the_edges():
     assert row_sums(stack).tolist() == [0.0, 0.0, 5e-324, math.inf,
                                         -math.inf, 1e308, 1e-300, math.inf]
     assert row_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    # Ties of the two leading parts, below a power of two (where the gap
+    # is half the gap above), above it and away from it, broken by a
+    # tail that two extraction levels leave in the remainders.
+    ties = [[1.0, -2.0 ** -54, -2.0 ** -100], [1.0, -2.0 ** -54, 2.0 ** -100],
+            [1.0, 2.0 ** -53, -2.0 ** -100], [1.5, 2.0 ** -53, 2.0 ** -100],
+            [2.0 ** -900, -2.0 ** -954, -2.0 ** -1000]]
+    assert row_sums(ties).tolist() == [math.fsum(row) for row in ties]
     # Long rows of one sign and full mantissas: partial sums reach their
     # largest size against the grid of the split.
     long_rows = np.random.default_rng(0).uniform(1.0, 2.0, (4, 4000))

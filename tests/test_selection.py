@@ -657,12 +657,17 @@ def test_singular_orders_fail_and_pass_as_candidate_by_candidate():
 def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
     # One padded pass per stage: one eigvalsh and one LU solve for the
     # one-step fits and one each for the direct window, whatever K (a
-    # single series is one chunk however large K is).
+    # single series is one chunk however large K is).  eigvalsh sees
+    # only each series' order-K Gram, whose minimum certifies every
+    # lower order here (estimation._singular_orders), not K matrices.
     calls = {"eigvalsh": 0, "solve": 0}
+    matrices = []
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "eigvalsh":
+                matrices.append(int(np.prod(np.shape(args[0])[:-2])))
             return real(*args, **kwargs)
         return wrapper
 
@@ -673,8 +678,18 @@ def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
     for K in (5, 20, 30, 40):
         for name in calls:
             calls[name] = 0
+        matrices.clear()
         a.select_by_criterion(series, 2, K)
         assert calls == {"eigvalsh": 2, "solve": 2}, K
+        assert matrices == [1, 1], K
+    # A stacked cell: 10 IX series in chunks of 3 (K = 20), one anchor
+    # per series and stage.
+    dgp = a.DGPS["IX"]
+    stack = np.array([_series("IX", 1000, r=r) for r in range(10)])
+    matrices.clear()
+    _criteria(stack, dgp.horizon, dgp.max_order, (a.PENALTY_PRESETS["B"],),
+              range(1, dgp.max_order + 1), (a.DIRECT, a.PLUG_IN))
+    assert sum(matrices) == 2 * 10
 
 
 def test_criteria_memory_stays_bounded_on_a_large_stack():

@@ -1,5 +1,6 @@
 """Monte Carlo harness: generators, seeding, tables, MSPE estimation."""
 
+import concurrent.futures
 import math
 import sys
 import threading
@@ -381,7 +382,7 @@ def test_one_worker_runs_serially(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(a.simulation, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     got = a.run_frequency_experiment(["III"], [100], R=2, seed=5, workers=1)
     assert got.rows == want.rows
 
