@@ -451,10 +451,10 @@ def _criteria(series, h, K, penalties, orders, methods):
     LU solve fits every order of every series of the chunk.  The gate
     (estimation._singular_orders) runs eigvalsh on each series' largest
     order only, and on the lower orders its minimum does not certify.
-    The Grams and cross-products of all orders come from _suffix_sums.  The direct
-    window's right-hand side is [X'y | I] ([I] for PLUG_IN alone): the
-    direct coefficients and W^-1, whose products with Z'Z and with L give
-    the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
+    The Grams and cross-products of all orders come from _suffix_sums.
+    The direct window's right-hand side is [X'y | I] ([I] for PLUG_IN
+    alone): the direct coefficients and W^-1, whose products with Z'Z and
+    with L give the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
     powers of the padded companion matrix, cut to its order's block.
     Each residual sum is math.fsum's: each block of residuals is summed
     as it is made (_residual_sums).  Memory stays bounded: a stack is
