@@ -26,8 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
-from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
-                         _unscaled, impulse_response)
+from .model_core import (DIRECT, PLUG_IN, _as_series, _check_predictor,
+                         _companion_image, _unscaled, impulse_response)
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
 RCOND_MIN = 1e-13
@@ -225,7 +225,9 @@ class FittedCoefficients:
 
     coeffs has length k; h is the horizon the coefficients target;
     sample_end is the index i of the last observation the fit was allowed
-    to use.
+    to use.  Building one checks it, as dataclasses.replace does: the
+    predictor rule of PredictorSpec (method, then k and h at least 1),
+    then finite coefficients; ValueError otherwise.
     """
 
     coeffs: tuple
@@ -234,15 +236,10 @@ class FittedCoefficients:
     method: str
     sample_end: int
 
-
-def _coefficients(fitted):
-    """The coefficients of a FittedCoefficients as a float array; a NaN
-    or infinite coefficient, possible only in one built by hand, is a
-    ValueError."""
-    coeffs = np.asarray(fitted.coeffs, dtype=float)
-    if not np.isfinite(coeffs).all():
-        raise ValueError("coefficients hold NaN or infinite values")
-    return coeffs
+    def __post_init__(self):
+        _check_predictor(self.method, self.k, self.h)
+        if not np.isfinite(np.asarray(self.coeffs, dtype=float)).all():
+            raise ValueError("coefficients hold NaN or infinite values")
 
 
 def fit_one_step(series, k, i=None):
@@ -262,13 +259,13 @@ def plug_in_multi(one_step, h):
     Applies the (h-1)-th companion power of the fitted coefficients to
     themselves, which is algebraically the same as iterating one-step
     forecasts h - 1 times; at h = 1 the coefficients are the input's.
-    Coefficients holding NaN or inf are a ValueError.
+    A powering that overflows is a ValueError, from FittedCoefficients.
     """
     if one_step.method != PLUG_IN or one_step.h != 1:
         raise ValueError("plug_in_multi needs a one-step plug-in fit")
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    v = _companion_image(_coefficients(one_step), h)
+    v = _companion_image(one_step.coeffs, h)
     return FittedCoefficients(coeffs=tuple(float(c) for c in v),
                               k=one_step.k, h=int(h), method=PLUG_IN,
                               sample_end=one_step.sample_end)
@@ -311,8 +308,7 @@ def residual_mse(series, coeffs, h, K):
     deliberate and pinned by tests), where n is the fit's sample end.
     Using K rather than k keeps the window identical across candidate
     orders, so residual sums are comparable.  A series holding NaN or
-    inf raises NonFiniteSeries, and coefficients holding them ValueError;
-    a sum past the float range is inf.
+    inf raises NonFiniteSeries; a sum past the float range is inf.
     """
     series = _as_series(series)
     _require_finite(series)
@@ -329,7 +325,7 @@ def residual_mse(series, coeffs, h, K):
     series, e = _normalized(series)
     series = series[None, :n]
     padded = np.zeros((1, 1, K))
-    padded[0, 0, :coeffs.k] = _coefficients(coeffs)
+    padded[0, 0, :coeffs.k] = coeffs.coeffs
     with np.errstate(over="ignore"):  # a square past the float range is inf
         total = _residual_sums(_lag_view(series, K), series, padded, h)[0, 0]
     return float(_unscaled(total / (n - h - K), 2 * e))
@@ -467,9 +463,8 @@ def fitted_ma_weights(one_step, J):
     """Fitted MA weights b_0..b_J implied by a one-step fit.
 
     b_0 = 1 and b_j = sum_{l=1}^{min(j,K)} b_{j-l} * a_l — the impulse
-    response of the fitted levels recursion.  Coefficients holding NaN
-    or inf are a ValueError.
+    response of the fitted levels recursion.
     """
     if one_step.h != 1:
         raise ValueError("fitted_ma_weights needs a one-step fit")
-    return impulse_response(_coefficients(one_step), J)
+    return impulse_response(one_step.coeffs, J)

@@ -19,7 +19,6 @@ impulse response computed by scipy's compiled lfilter recursion
 (``_kernels.lfilter``), whose module the first response loads.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,14 +31,25 @@ from .errors import NotUnitRoot, UnstableStationaryPart
 PLUG_IN = "plug-in"
 DIRECT = "direct"
 
+
+def _check_predictor(method, k, h):
+    """The rule of every predictor: method PLUG_IN or DIRECT, then order
+    k and horizon h at least 1; ValueError otherwise."""
+    if method not in (PLUG_IN, DIRECT):
+        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
+    if k < 1 or h < 1:
+        raise ValueError("order k and horizon h must be at least 1")
+
+
 #: Relative threshold below which a direct coefficient counts as zero.
 ZERO_TOL = 1e-9
 
 #: Stability margin used by the root checks.
 STABILITY_EPS = 1e-8
 
-#: Number of unit-circle sample points for the polynomial stability scan.
-_CIRCLE_POINTS = 720
+#: The 720 sampled points of |z| = 1 of the polynomial stability scan.
+_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
+_CIRCLE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -117,24 +127,17 @@ def _set_fields(model, **values):
         object.__setattr__(model, name, value)
 
 
-@functools.lru_cache(maxsize=16)
-def _circle_powers(p):
-    """z^1..z^p at the sampled points of |z| = 1, one row per point.
-
-    Built once per order and read-only, so every stability check of an
-    order shares one table with the values of a fresh computation.
-    """
-    theta = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_POINTS, endpoint=False)
-    z = np.exp(1j * theta)
-    powers = z[:, None] ** np.arange(1, p + 1)[None, :]
-    powers.flags.writeable = False
-    return powers
-
-
 def _poly_on_circle(coeffs):
-    """Minimum of |1 - sum coeffs_i z^i| over sampled points of |z| = 1."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    values = 1.0 - _circle_powers(len(coeffs)) @ coeffs
+    """Minimum of |1 - sum coeffs_i z^i| over the points of _CIRCLE.
+
+    The sum runs by Horner's rule, in place on one complex vector: no
+    power table and no BLAS product, whose threads may sleep.
+    """
+    values = np.zeros_like(_CIRCLE)
+    for a in np.asarray(coeffs, dtype=float)[::-1].tolist():
+        values += a
+        values *= _CIRCLE
+    np.subtract(1.0, values, out=values)
     return float(np.min(np.abs(values)))
 
 

@@ -5,17 +5,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
-from .estimation import _coefficients, _normalized, _require_finite
-from .model_core import _as_series, _unscaled
+from .estimation import _normalized, _require_finite
+from .model_core import _as_series, _check_predictor, _unscaled
 
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    """A candidate predictor: working order, method, horizon."""
+    """A candidate predictor: working order, method, horizon, checked
+    when built, also by dataclasses.replace (model_core._check_predictor).
+    """
 
     k: int
     method: str
     h: int
+
+    def __post_init__(self):
+        _check_predictor(self.method, self.k, self.h)
 
 
 @dataclass(frozen=True)
@@ -34,13 +39,12 @@ def predict(series, coeffs, origin=None):
     Forecasts x_{origin+h} as coeffs' x_origin(k) with x_origin(k) =
     (x_origin, ..., x_{origin-k+1})'.  The origin defaults to the series
     end; regressors are never padded with pre-sample zeros at prediction
-    time (InsufficientHistory is raised instead), a regressor holding
-    NaN or inf raises NonFiniteSeries, and coefficients holding them
-    ValueError.  The product is taken on the tail divided by 2^e, e the
-    math.frexp exponent of its largest entry, and scaled back once, so a
-    representable forecast does not overflow on the way: under
-    x -> 2^m x the forecast is 2^m times the unscaled one,
-    rounded once (inf past the float range).
+    time (InsufficientHistory is raised instead), and a regressor holding
+    NaN or inf raises NonFiniteSeries.  The product is taken on the tail
+    divided by 2^e, e the math.frexp exponent of its largest entry, and
+    scaled back once, so a representable forecast does not overflow on
+    the way: under x -> 2^m x the forecast is 2^m times the unscaled
+    one, rounded once (inf past the float range).
 
     Parameters
     ----------
@@ -64,6 +68,6 @@ def predict(series, coeffs, origin=None):
     tail = series[n - k:n][::-1]
     _require_finite(tail)
     tail, e = _normalized(tail)
-    value = float(_unscaled(np.dot(_coefficients(coeffs), tail), e))
+    value = float(_unscaled(np.dot(coeffs.coeffs, tail), e))
     return Forecast(value=value, origin=n, horizon=coeffs.h,
                     spec=PredictorSpec(k=k, method=coeffs.method, h=coeffs.h))

@@ -563,34 +563,30 @@ def _h_step_fits(series, lags, h, K, orders, methods, coeffs):
     serves every series and method.  coeffs holds the one-step fits
     (_one_step_fits) of order K and, for PLUG_IN, of the orders."""
     R, n = series.shape
-    # Window errors, keyed as if raised candidate by candidate: per order,
-    # the direct and weighted-average rows, the plug-in residual window,
-    # the gate of W, and the direct residual window.
-    errors = []
-    for k in orders if DIRECT in methods else ():
-        if n - h < 2 * k - 1:
-            errors.append(((k, 0), SingularDesign(
-                "sample end %d leaves fewer than %d direct rows at h=%d"
-                % (n, k, h))))
-        elif n - 2 * h + 1 < k:
-            errors.append(((k, 1), WindowTooShort(
-                "weighted-average rows j=%d..%d are empty"
-                % (k, n - 2 * h + 1))))
-    try:
-        _check_residual_window(K, n - h)
-    except WindowTooShort as exc:
-        errors.append(((orders[0], 2 if PLUG_IN in methods else 4), exc))
     bhat = impulse_response(coeffs[:, K], h - 1)
     ks = np.array(orders)
     inside = np.arange(K) < ks[:, None]
     W = _padded_grams(_suffix_sums(lags, lags, n - h, K)[:, ks - 1], inside)
     bad = ks[_singular_orders(W).any(axis=0)]
-    if bad.size:
-        k = int(bad[0])
-        errors.append(((k, 3), SingularDesign(
-            "singular Gram, direct rows j=%d..%d, h=%d" % (k, n - h, h))))
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
+    first_bad = int(bad[0]) if bad.size else 0
+    # Errors as if raised candidate by candidate: per ascending order,
+    # the direct and weighted-average rows, the plug-in residual window,
+    # the gate of W, and the direct residual window.
+    for k in orders:
+        if DIRECT in methods and n - h < 2 * k - 1:
+            raise SingularDesign(
+                "sample end %d leaves fewer than %d direct rows at h=%d"
+                % (n, k, h))
+        if DIRECT in methods and n - 2 * h + 1 < k:
+            raise WindowTooShort("weighted-average rows j=%d..%d are empty"
+                                 % (k, n - 2 * h + 1))
+        if k == orders[0] and PLUG_IN in methods:
+            _check_residual_window(K, n - h)
+        if k == first_bad:
+            raise SingularDesign("singular Gram, direct rows j=%d..%d, h=%d"
+                                 % (k, n - h, h))
+        if k == orders[0]:
+            _check_residual_window(K, n - h)
     block = inside[:, :, None] & inside[:, None, :]
     rhs = np.broadcast_to(np.eye(K), W.shape)
     if DIRECT in methods:

@@ -17,7 +17,6 @@ import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,6 +57,11 @@ class DgpSpec:
     the characteristic polynomial has the unit root factored in; horizon
     and max_order are the forecast horizon and candidate-order cap the
     benchmark is run with.
+
+    Building one, also by dataclasses.replace but not by unpickling,
+    checks it: its levels must make a model of its kind at sigma2 = 1
+    (model_for's errors), and sigma2 must be finite and nonnegative (0 is
+    legal), else ValueError.
     """
 
     id: str
@@ -66,6 +70,13 @@ class DgpSpec:
     horizon: int
     max_order: int
     sigma2: float = 25.0
+
+    def __post_init__(self):
+        (UnitRootArModel if self.unit_root else StationaryArModel)(
+            self.levels)
+        if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
+            raise ValueError("sigma2 must be finite and nonnegative, not %r"
+                             % self.sigma2)
 
 
 DGPS = {
@@ -87,29 +98,6 @@ def model_for(dgp):
     if dgp.unit_root:
         return UnitRootArModel(dgp.levels, dgp.sigma2)
     return StationaryArModel(dgp.levels, dgp.sigma2)
-
-
-def _check_dgp(dgp):
-    """Validate a spec before it simulates anything.
-
-    Its levels must make a model of its kind: model_for's ValueError,
-    NotUnitRoot or UnstableStationaryPart otherwise.  sigma2 must be
-    finite and nonnegative (0 is legal), else ValueError.  The levels
-    check is cached per distinct levels and flag, so a replication pays
-    a lookup.
-    """
-    _levels_error(tuple(dgp.levels), bool(dgp.unit_root))
-    if not 0.0 <= dgp.sigma2 < math.inf:  # NaN fails too
-        raise ValueError("sigma2 must be finite and nonnegative, not %r"
-                         % dgp.sigma2)
-
-
-@lru_cache(maxsize=None)
-def _levels_error(levels, unit_root):
-    if unit_root:
-        UnitRootArModel(levels)
-    else:
-        StationaryArModel(levels)
 
 
 def _dgp_key(dgp_id):
@@ -139,6 +127,8 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
     Parameters
     ----------
     dgp : DgpSpec
+        Checked when it was built, so generate checks only n and
+        burn_in.
     n : int
         Length of the returned series.
     seed : int, SeedSequence, Generator, optional
@@ -157,7 +147,6 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
     """
     if n < 1 or burn_in < 0:
         raise ValueError("need n >= 1 and burn_in >= 0")
-    _check_dgp(dgp)
     levels = np.asarray(dgp.levels, dtype=float)
     rng = np.random.default_rng(seed)
     total = n + burn_in
@@ -174,6 +163,16 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
     if return_innovations:
         return series[burn_in:], eps[burn_in:]
     return series[burn_in:]
+
+
+def _count(name, value, least):
+    """value as an int, if it is an integer (not a bool) of at least
+    least; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError("%s must be an integer of at least %d, not %r"
+                         % (name, least, value))
+    return int(value)
 
 
 def _normalize_procedures(procedures):
@@ -339,12 +338,16 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     Parameters
     ----------
     dgps : iterable of DgpSpec or registry labels
+        Each checked when it was built.
     ns : iterable of int
+        Sample sizes, each an integer (not a bool) of at least 1.
     procedures : see _normalize_procedures; defaults to preset "B".
     R : int
-        Replications per (dgp, n) cell, at least 1.
+        Replications per (dgp, n) cell, an integer (not a bool) of at
+        least 1.
     K : int, optional
-        Candidate-order cap; defaults to each generator's max_order.
+        Candidate-order cap, such an integer; defaults to each
+        generator's max_order.
     seed : int
         Master seed.
     workers : int, optional
@@ -352,15 +355,10 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
         ValueError.
     """
     dgps = [DGPS[d] if isinstance(d, str) else d for d in dgps]
-    for dgp in dgps:
-        _check_dgp(dgp)
-    ns = [int(n) for n in ns]
+    ns = [_count("n", n, 1) for n in ns]
     procedures = _normalize_procedures(procedures)
-    for name, value in {"R": R, "K": 1 if K is None else K}.items():
-        if value is True or not isinstance(value, (int, np.integer)) \
-                or value < 1:
-            raise ValueError("%s must be an integer of at least 1, not %r"
-                             % (name, value))
+    R = _count("R", R, 1)
+    K = K if K is None else _count("K", K, 1)
     if workers is not None and workers < 1:
         raise ValueError("workers must be at least 1, not %r" % workers)
     tallies = {}
@@ -424,10 +422,12 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     spec : PredictorSpec
         Order k, method, and horizon h of the predictor; it is refitted
         on each simulated series of length n, and x_{n+h} is forecast.
+        Both spec and dgp were checked when they were built.
     n : int
-        Estimation sample length.
+        Estimation sample length, an integer (not a bool) long enough
+        for the fit (SeriesTooShort otherwise).
     R : int
-        Number of replications.
+        Number of replications, an integer (not a bool) of at least 2.
     seed : int
         Master seed.  One innovation stream is drawn row-major, n + h
         values per replication in replication order, so results depend
@@ -442,18 +442,12 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     inf where they overflow and 0 where they underflow.
     """
     k, h, method = int(spec.k), int(spec.h), spec.method
-    if method not in (PLUG_IN, DIRECT):
-        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
-    if k < 1 or h < 1:
-        raise ValueError("order k and horizon h must be at least 1")
     if method == PLUG_IN:
         if n < 2 * k:
             raise SeriesTooShort("plug-in fit needs n >= 2k")
     elif n - h < 2 * k - 1:
         raise SeriesTooShort("direct fit needs n - h >= 2k - 1")
-    if R < 2:
-        raise ValueError("R must be at least 2")
-    _check_dgp(dgp)
+    n, R = _count("n", n, 1), _count("R", R, 2)
     levels = np.asarray(dgp.levels, dtype=float)
     w = impulse_response(levels, h - 1)
     scale, s = math.frexp(math.sqrt(dgp.sigma2))

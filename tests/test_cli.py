@@ -277,6 +277,18 @@ def test_simulate_frequency_csv(capsys):
     assert sum(counts) == 5
 
 
+def test_simulate_sequential_procedure_jsonl(capsys):
+    # --procedure I runs the sequential procedure under label I, next to
+    # the penalized presets of --cn.
+    assert main(["simulate", "--mode", "frequency", "--dgp", "III",
+                 "--n", "120", "--reps", "4", "--procedure", "I", "II",
+                 "--cn", "A", "--format", "jsonl"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(lines[0])["meta"]["procedures"] == ["I", "A"]
+    want = a.run_frequency_experiment(["III"], [120], ("I", "A"), R=4)
+    assert [json.loads(line) for line in lines[1:]] == want.to_records()
+
+
 def test_simulate_repeated_cell_exits_two(capsys):
     assert main(["simulate", "--dgp", "III", "--n", "200", "200",
                  "--reps", "3"]) == 2

@@ -1,5 +1,6 @@
 """Least-squares machinery against longhand elimination and exact algebra."""
 
+import dataclasses
 import math
 import warnings
 
@@ -260,19 +261,23 @@ def test_residual_mse_sums_its_squares_exactly():
 
 
 def test_hand_built_coefficients_must_be_finite():
-    # A NaN or infinite coefficient is a ValueError, like the other
-    # mismatches of a hand-built FittedCoefficients, not a NaN result.
-    series = np.random.default_rng(3).normal(size=50).cumsum()
+    # A NaN or infinite coefficient is a ValueError when the fit is
+    # built, as by dataclasses.replace, so no fit holds one.
+    fit = a.fit_one_step(np.random.default_rng(3).normal(size=50).cumsum(), 1)
     for value in (np.nan, np.inf, -np.inf):
-        fit = a.FittedCoefficients(coeffs=(value,), k=1, h=1,
-                                   method=a.PLUG_IN, sample_end=50)
-        for call in (lambda: a.residual_mse(series, fit, 1, 2),
-                     lambda: a.plug_in_multi(fit, 3),
-                     lambda: a.fitted_ma_weights(fit, 3)):
+        for build in (lambda: a.FittedCoefficients(
+                          coeffs=(value,), k=1, h=1, method=a.PLUG_IN,
+                          sample_end=50),
+                      lambda: dataclasses.replace(fit, coeffs=(value,))):
             with pytest.raises(ValueError, match="^coefficients hold NaN "
                                "or infinite values$") as caught:
-                call()
+                build()
             assert type(caught.value) is ValueError
+    # A powering past the float range is one.
+    huge = dataclasses.replace(fit, coeffs=(1e200,))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^coefficients hold NaN or infinite values$"):
+        a.plug_in_multi(huge, 2)
 
 
 def test_residual_mse_overflows_to_inf_without_a_warning():

@@ -294,17 +294,30 @@ def test_difference_roundtrip_and_presample_zero():
     np.testing.assert_allclose(np.cumsum(dx), x, rtol=1e-12, atol=1e-14)
 
 
-def test_circle_powers_are_cached_read_only_and_equal_the_formula():
-    theta = np.linspace(0.0, 2.0 * np.pi, model_core._CIRCLE_POINTS,
-                        endpoint=False)
-    z = np.exp(1j * theta)
+def test_circle_scan_equals_the_power_table_formula():
+    # The Horner scan agrees with 1 - Z a, Z the table of z^1..z^p at the
+    # sampled points, to a few ulps of 1 + sum |a_i|, and makes the same
+    # stability decision on polynomials with roots just outside the
+    # circle, a third of them at sampled angles.
+    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
+    np.testing.assert_array_equal(model_core._CIRCLE, z)
+    assert not model_core._CIRCLE.flags.writeable
     rng = np.random.default_rng(8)
-    for p in range(13):
-        want = z[:, None] ** np.arange(1, p + 1)[None, :]
-        got = model_core._circle_powers(p)
-        assert got is model_core._circle_powers(p)
-        assert not got.flags.writeable
-        np.testing.assert_array_equal(got, want)
-        coeffs = rng.uniform(-0.5, 0.5, p)
-        assert model_core._poly_on_circle(coeffs) \
-            == float(np.min(np.abs(1.0 - want @ coeffs)))
+    for p in range(1, 21):
+        for i in range(30):
+            pairs = p // 2  # and one real root when p is odd
+            gaps = 10.0 ** rng.uniform(-9, -1, pairs + p % 2)
+            angles = rng.uniform(0.0, np.pi, gaps.size)
+            if i % 3 == 0:
+                angles = np.pi * rng.integers(0, 361, gaps.size) / 360
+            angles[pairs:] = np.pi * rng.integers(0, 2)
+            roots = (1.0 + gaps) * np.exp(1j * angles)
+            coeffs = -np.poly(np.concatenate((
+                1.0 / roots, 1.0 / roots[:pairs].conj())))[1:].real
+            want = float(np.min(np.abs(
+                1.0 - (z[:, None] ** np.arange(1, p + 1)) @ coeffs)))
+            got = model_core._poly_on_circle(coeffs)
+            size = 1.0 + float(np.sum(np.abs(coeffs)))
+            assert abs(got - want) <= 4 * np.finfo(float).eps * size
+            assert (got <= model_core.STABILITY_EPS) \
+                == (want <= model_core.STABILITY_EPS)

@@ -1,5 +1,6 @@
 """Forecast evaluation: tail products, guards, iterated equivalence."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -49,15 +50,31 @@ def test_predict_guards():
 
 
 def test_predict_rejects_non_finite_coefficients():
-    # A hand-built fit with a NaN or infinite coefficient would forecast
-    # NaN or inf; it is a ValueError instead.
-    series = np.random.default_rng(6).normal(size=50).cumsum()
+    # A fit with a NaN or infinite coefficient, which would forecast NaN
+    # or inf, cannot be built: it is a ValueError.
     for value in (np.nan, np.inf, -np.inf):
-        fit = a.FittedCoefficients(coeffs=(value,), k=1, h=1,
-                                   method=a.DIRECT, sample_end=50)
         with pytest.raises(ValueError, match="^coefficients hold NaN or "
                            "infinite values$"):
-            a.predict(series, fit)
+            a.FittedCoefficients(coeffs=(value,), k=1, h=1,
+                                 method=a.DIRECT, sample_end=50)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"method": "other"}, "^method must be 'plug-in' or 'direct'$"),
+    ({"k": 0}, "^order k and horizon h must be at least 1$"),
+    ({"h": 0}, "^order k and horizon h must be at least 1$"),
+    ({"method": "other", "h": -1}, "^method must be")])
+def test_predictors_and_fits_check_themselves(fields, message):
+    # One rule for both types, at construction and by dataclasses.replace.
+    spec = a.PredictorSpec(k=1, method=a.DIRECT, h=1)
+    fit = a.fit_direct(np.random.default_rng(6).normal(size=50).cumsum(), 1, 1)
+    for build in (lambda: a.PredictorSpec(**{"k": 1, "method": a.DIRECT,
+                                             "h": 1, **fields}),
+                  lambda: dataclasses.replace(spec, **fields),
+                  lambda: dataclasses.replace(fit, **fields)):
+        with pytest.raises(ValueError, match=message) as caught:
+            build()
+        assert type(caught.value) is ValueError
 
 
 def test_predict_rejects_a_non_finite_regressor():

@@ -1,7 +1,9 @@
 """Monte Carlo harness: generators, seeding, tables, MSPE estimation."""
 
 import concurrent.futures
+import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -300,42 +302,34 @@ def test_a_failing_replication_does_not_sink_its_block(monkeypatch):
         assert table.rows[key] == want
 
 
-def test_dgp_levels_are_validated_before_simulating(monkeypatch):
-    explosive = a.DgpSpec("Z", (1.2,), False, 2, 5)
+def test_dgp_levels_are_validated_before_simulating():
+    # A spec checks itself when built, as dataclasses.replace does, so no
+    # invalid spec reaches generate, estimate_mspe or a frequency table.
     with pytest.raises(a.UnstableStationaryPart):
-        a.generate(explosive, 5000, 0)
+        a.DgpSpec("Z", (1.2,), False, 2, 5)
     with pytest.raises(a.UnstableStationaryPart):
-        a.estimate_mspe(explosive, a.PredictorSpec(1, a.DIRECT, 2), 100, 10)
+        dataclasses.replace(a.DGPS["I"], levels=(1.2,))
     with pytest.raises(a.NotUnitRoot):
-        a.generate(a.DgpSpec("Z", (0.5,), True, 2, 5), 100, 0)
+        a.DgpSpec("Z", (0.5,), True, 2, 5)
     for levels in ((np.nan,), (1.0, np.nan), (np.inf, 0.5)):
         with pytest.raises(a.UnstableStationaryPart):
-            a.generate(a.DgpSpec("Z", levels, False, 2, 5), 100, 0)
+            a.DgpSpec("Z", levels, False, 2, 5)
         with pytest.raises(ValueError, match="NaN or infinite"):
-            a.generate(a.DgpSpec("Z", levels, True, 2, 5), 100, 0)
-
-    def no_replication(task):
-        raise AssertionError("a replication ran")
-
-    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
-    with pytest.raises(a.UnstableStationaryPart):
-        a.run_frequency_experiment(["I", explosive], [100], R=3)
+            a.DgpSpec("Z", levels, True, 2, 5)
     # Only the levels are checked: sigma2 = 0 stays legal.
     flat = a.DgpSpec("flat", (1.0,), True, 2, 3, sigma2=0.0)
     assert not a.generate(flat, 10, 0).any()
 
 
-def _entry_points(monkeypatch, spec):
-    """Calls of the three simulation entry points on spec; a frequency
-    table may not run a replication."""
-    def no_replication(task):
-        raise AssertionError("a replication ran")
+def test_unpickled_specs_are_not_checked_again(monkeypatch):
+    # A process pool's workers take the specs checked in the parent.
+    specs = pickle.dumps(list(a.DGPS.values()))
 
-    monkeypatch.setattr(a.simulation, "_run_block", no_replication)
-    return (lambda: a.generate(spec, 100, 0),
-            lambda: a.estimate_mspe(spec, a.PredictorSpec(1, a.DIRECT, 2),
-                                    100, 10),
-            lambda: a.run_frequency_experiment(["I", spec], [100], R=3))
+    def check(spec):
+        raise AssertionError("a spec was checked again")
+
+    monkeypatch.setattr(a.DgpSpec, "__post_init__", check)
+    assert pickle.loads(specs) == list(a.DGPS.values())
 
 
 @pytest.mark.parametrize("levels, unit_root", [
@@ -345,24 +339,28 @@ def _entry_points(monkeypatch, spec):
          "trailing-zero-unit-root", "infinite-unit-root",
          "minus-infinite-unit-root"])
 def test_levels_model_for_rejects_are_refused_before_simulating(
-        monkeypatch, levels, unit_root):
-    spec = a.DgpSpec("Z", levels, unit_root, 2, 5)
+        levels, unit_root):
+    # Building the spec, or replacing its levels, raises the error of
+    # the model of its kind at sigma2 = 1.
+    model = a.UnitRootArModel if unit_root else a.StationaryArModel
     with pytest.raises(ValueError) as want:
-        a.model_for(spec)
-    for call in _entry_points(monkeypatch, spec):
+        model(levels)
+    for build in (lambda: a.DgpSpec("Z", levels, unit_root, 2, 5),
+                  lambda: dataclasses.replace(a.DGPS["I"], levels=levels,
+                                              unit_root=unit_root)):
         with pytest.raises(ValueError) as got:
-            call()
+            build()
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
-def test_bad_sigma2_is_refused_before_simulating(monkeypatch, sigma2):
-    spec = a.DgpSpec("Z", (0.5,), False, 2, 5, sigma2=sigma2)
-    for call in _entry_points(monkeypatch, spec):
+def test_bad_sigma2_is_refused_before_simulating(sigma2):
+    for build in (lambda: a.DgpSpec("Z", (0.5,), False, 2, 5, sigma2=sigma2),
+                  lambda: dataclasses.replace(a.DGPS["III"], sigma2=sigma2)):
         with pytest.raises(ValueError, match="^sigma2 must be finite and "
-                                             "nonnegative"):
-            call()
+                                             "nonnegative, not %r$" % sigma2):
+            build()
 
 
 @pytest.mark.parametrize("workers", [0, -1, -8])
@@ -389,16 +387,22 @@ def test_one_worker_runs_serially(monkeypatch):
 
 @pytest.mark.parametrize("argument, value", [
     ("R", 2.5), ("R", True), ("R", 0), ("R", "3"),
-    ("K", 2.5), ("K", True), ("K", 0), ("K", -1), ("K", "3")])
+    ("K", 2.5), ("K", True), ("K", 0), ("K", -1), ("K", "3"),
+    ("n", 300.9), ("n", 2.5), ("n", True), ("n", 0), ("n", "300")])
 def test_bad_R_or_K_is_refused_before_simulating(monkeypatch, argument,
                                                  value):
+    # Every size n, as R and K, must be an integer, not a bool, of at
+    # least 1: no cell runs at a truncated n.
     def no_series(*args, **kwargs):
         raise AssertionError("a series was simulated")
 
     monkeypatch.setattr(a.simulation, "generate", no_series)
-    kwargs = {"R": 3, argument: value}
-    with pytest.raises(ValueError, match="^%s must be " % argument):
-        a.run_frequency_experiment(["I"], [100], ("I", "B"), **kwargs)
+    kwargs = {"ns": [100], "R": 3}
+    kwargs.update({"ns": [100, value]} if argument == "n"
+                  else {argument: value})
+    with pytest.raises(ValueError, match="^%s must be an integer of at "
+                                         "least 1, not " % argument):
+        a.run_frequency_experiment(["I"], procedures=("I", "B"), **kwargs)
 
 
 def test_frequency_experiment_validates_arguments():
@@ -637,7 +641,7 @@ def test_estimate_mspe_failure_names_the_replication_and_ends_the_draws(
     assert threading.active_count() == before
 
 
-def test_estimate_mspe_validates_inputs():
+def test_estimate_mspe_validates_inputs(monkeypatch):
     dgp = a.DGPS["X"]
     with pytest.raises(a.SeriesTooShort):
         a.estimate_mspe(dgp, a.PredictorSpec(5, a.PLUG_IN, 2), 9, 10)
@@ -647,6 +651,21 @@ def test_estimate_mspe_validates_inputs():
         a.estimate_mspe(dgp, a.PredictorSpec(1, a.PLUG_IN, 1), 100, 1)
     with pytest.raises(ValueError, match="^method must be"):
         a.estimate_mspe(dgp, a.PredictorSpec(2, "other", 2), 100, 10)
+
+    # n and R must be integers, not bools, of at least 1 and 2, before
+    # anything is drawn.
+    def draw(*args):
+        raise AssertionError("drew innovations before validating")
+
+    monkeypatch.setattr(simulation, "_draw_innovations", draw)
+    spec = a.PredictorSpec(1, a.PLUG_IN, 1)
+    for name, value in [("n", 100.5), ("n", np.float64(100)), ("R", 3.5),
+                        ("R", True), ("R", "10"), ("R", 1)]:
+        kwargs = {"n": 100, "R": 10, name: value}
+        least = 2 if name == "R" else 1
+        with pytest.raises(ValueError, match="^%s must be an integer of at "
+                                             "least %d, not " % (name, least)):
+            a.estimate_mspe(dgp, spec, **kwargs)
 
 
 @pytest.mark.parametrize("k, h", [(0, 1), (-1, 2), (1, 0), (2, -3)])
