@@ -27,7 +27,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
 from .model_core import (DIRECT, PLUG_IN, _as_series, _check_predictor,
-                         _companion_image, _unscaled, impulse_response)
+                         _companion_image, _count, _unscaled,
+                         impulse_response)
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
 RCOND_MIN = 1e-13
@@ -44,6 +45,7 @@ def lag_matrix(series, k, first, last):
     n = series.size
     if k < 1:
         raise ValueError("order must be at least 1")
+    _count("k", k, 1)
     if first < k:
         raise ValueError("first row %d would reach before the sample "
                          "(order %d)" % (first, k))
@@ -265,9 +267,11 @@ def plug_in_multi(one_step, h):
         raise ValueError("plug_in_multi needs a one-step plug-in fit")
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    v = _companion_image(one_step.coeffs, h)
+    h = _count("h", h, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _companion_image(one_step.coeffs, h)  # inf and NaN are refused
     return FittedCoefficients(coeffs=tuple(float(c) for c in v),
-                              k=one_step.k, h=int(h), method=PLUG_IN,
+                              k=one_step.k, h=h, method=PLUG_IN,
                               sample_end=one_step.sample_end)
 
 
@@ -282,6 +286,7 @@ def fit_direct(series, k, h, i=None):
     n = series.size
     if h < 1:
         raise ValueError("horizon must be at least 1")
+    h = _count("h", h, 1)
     if i is None:
         i = n
     if i > n:
@@ -296,7 +301,7 @@ def fit_direct(series, k, h, i=None):
                           lambda _: "singular Gram, direct rows j=%d..%d, "
                           "h=%d" % (k, i - h, h))[:, 0]
     return FittedCoefficients(coeffs=tuple(float(c) for c in coeffs),
-                              k=int(k), h=int(h), method=DIRECT,
+                              k=int(k), h=h, method=DIRECT,
                               sample_end=int(i))
 
 
@@ -312,6 +317,7 @@ def residual_mse(series, coeffs, h, K):
     """
     series = _as_series(series)
     _require_finite(series)
+    h, K = _count("h", h, 1), _count("K", K, 1)
     if coeffs.h != h:
         raise ValueError("coefficients target h=%d, asked for h=%d"
                          % (coeffs.h, h))
@@ -388,61 +394,56 @@ def row_sums(rows):
 def _sum_rows(rows):
     """row_sums by error-free extraction, overwriting rows.
 
-    Each of two levels adds sigma = 2^(e + shift) to every entry and
-    takes it off again (Rump, Ogita and Oishi, "Accurate floating-point
-    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008), with entries
-    at most 2^e in size and 2^shift > 2 (columns + 1).  That splits each
-    entry exactly into a part q on the grid eps * sigma (eps = 2^-53),
-    whose row sums are exact in any order because no partial sum reaches
-    sigma, and a remainder at most eps * sigma in size.  Level 1 takes
-    2^e > max|rows|, level 2 the bound on level 1's remainders,
-    e2 = e + shift - 53, so no max pass over the remainders is needed.
-    A row's sum is its level sums s1 + s2 plus remainders of at most
-    columns * 2^(e2 + shift - 53) together.  With s1 + s2 = s + err
-    exactly (TwoSum), s is the correctly rounded sum when |err| plus that
-    bound is below half the gap at s, or a quarter of the gap above |s|
-    when |s| is a power of two, where the gap below is half as wide (the
-    rounding test of Part II).  The rows it leaves undecided (a zero
-    row, a near-tie, a row far below the block's max) are summed
-    exactly by math.fsum of s1, s2 and the remainders.  One sigma serves
-    all rows, so each level is a few passes with a scalar.  A row with
-    an entry of 2^1023 / 2^shift or more would overflow sigma, and a
-    non-finite row has no grid: both are summed one by one, exactly
-    (Fraction) or by np.sum.
+    One level adds sigma = 2^(e + shift) to every entry and takes it off
+    again (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    Part I", SIAM J. Sci. Comput. 31(1), 2008), with 2^e > max|rows| and
+    2^shift > 2 (columns + 1).  That splits each entry exactly into a
+    part q on the grid eps * sigma (eps = 2^-53), whose row sums s1 are
+    exact in any order because no partial sum reaches sigma, and a
+    remainder at most eps * sigma in size.  The remainders are summed in
+    plain floats: over w = columns terms, any order errs by at most
+    gamma_(w-1) w eps sigma <= 2 w^2 2^(e + shift - 106).  With s1 plus
+    that float sum t = s + err exactly (TwoSum), s is the correctly
+    rounded sum when |err| plus that bound is below half the gap at s,
+    or a quarter of the gap above |s| when |s| is a power of two, where
+    the gap below is half as wide (the rounding test of Part II).  The
+    rows it leaves undecided (a zero row, a near-tie, a row far below
+    the block's max) are summed exactly by math.fsum of s1 and the
+    remainders.  One sigma serves all rows, so the level is a few passes
+    with a scalar.  A row with an entry of 2^1023 / 2^shift or more
+    would overflow sigma, and a non-finite row has no grid: both are
+    summed one by one, exactly (Fraction) or by np.sum.
     """
     count, width = rows.shape
     out = np.zeros(count)
     if not rows.size:
         return out
     shift = (width + 1).bit_length() + 1
-    work = np.abs(rows)
-    special = ~(work.max(axis=1) < 2.0 ** (1023 - shift))
+    peaks = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    special = ~(peaks < 2.0 ** (1023 - shift))
     if special.any():
         for i in np.flatnonzero(special):
             out[i] = _sum_special_row(rows[i])
         rows[special] = 0.0
-        work[special] = 0.0
-    top = float(work.max())
+        peaks[special] = 0.0
+    top = float(peaks.max())
     if top == 0.0:
         return out
     e = math.frexp(top)[1]
-    levels = []
-    for e in (e, e + shift - 53):
-        sigma = math.ldexp(1.0, e + shift)  # 0 only when the rest is 0
-        np.add(rows, sigma, out=work)
-        np.subtract(work, sigma, out=work)
-        np.subtract(rows, work, out=rows)
-        levels.append(work.sum(axis=1))
-    first, second = levels
+    sigma = math.ldexp(1.0, e + shift)
+    parts = rows + sigma
+    parts -= sigma
+    rows -= parts
+    first, second = parts.sum(axis=1), rows.sum(axis=1)
     total = first + second
     late = total - first
     err = (first - (total - late)) + (second - late)
     half_gap = np.spacing(np.abs(total)) * np.where(
         np.abs(np.frexp(total)[0]) == 0.5, 0.25, 0.5)
-    rest = width * math.ldexp(1.0, e + shift - 53)  # e is level 2's
+    rest = math.ldexp(2 * width * width, e + shift - 106)
     out[~special] = total[~special]
     for i in np.flatnonzero(~(np.abs(err) + rest < half_gap) & ~special):
-        out[i] = math.fsum([first[i], second[i], *rows[i].tolist()])
+        out[i] = math.fsum([first[i], *rows[i].tolist()])
     return out
 
 
@@ -463,8 +464,13 @@ def fitted_ma_weights(one_step, J):
     """Fitted MA weights b_0..b_J implied by a one-step fit.
 
     b_0 = 1 and b_j = sum_{l=1}^{min(j,K)} b_{j-l} * a_l — the impulse
-    response of the fitted levels recursion.
+    response of the fitted levels recursion.  Weights that leave the
+    float range are a ValueError, as a plug_in_multi powering that
+    overflows is.
     """
     if one_step.h != 1:
         raise ValueError("fitted_ma_weights needs a one-step fit")
-    return impulse_response(one_step.coeffs, J)
+    b = impulse_response(one_step.coeffs, J)
+    if not np.isfinite(b).all():
+        raise ValueError("fitted MA weights leave the float range")
+    return b

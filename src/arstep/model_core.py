@@ -32,13 +32,31 @@ PLUG_IN = "plug-in"
 DIRECT = "direct"
 
 
-def _check_predictor(method, k, h):
-    """The rule of every predictor: method PLUG_IN or DIRECT, then order
-    k and horizon h at least 1; ValueError otherwise."""
+def _count(name, value, least):
+    """value as an int, if it is an integer (not a bool) of at least
+    least; ValueError otherwise.  The rule of every size argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError("%s must be an integer of at least %d, not %r"
+                         % (name, least, value))
+    return int(value)
+
+
+def _check_method(method):
+    """The method rule of every predictor: PLUG_IN or DIRECT, else
+    ValueError."""
     if method not in (PLUG_IN, DIRECT):
         raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
+
+
+def _check_predictor(method, k, h):
+    """The rule of every predictor: the method rule, then order k and
+    horizon h integers of at least 1; ValueError otherwise."""
+    _check_method(method)
     if k < 1 or h < 1:
         raise ValueError("order k and horizon h must be at least 1")
+    _count("k", k, 1)
+    _count("h", h, 1)
 
 
 #: Relative threshold below which a direct coefficient counts as zero.
@@ -335,12 +353,13 @@ def direct_coefficients(model, h):
     """
     if h < 1:
         raise ValueError("horizon must be at least 1")
+    h = _count("h", h, 1)
     a = ar_coefficients(model)[0]
     v = _companion_image(a, h)
     tol = ZERO_TOL * max(1.0, float(np.max(np.abs(v))))
     above = np.nonzero(np.abs(v) > tol)[0]
     p_h = int(above[-1]) + 1 if above.size else 1
-    return DirectCoefficients(h=int(h), coeffs=tuple(float(c) for c in v),
+    return DirectCoefficients(h=h, coeffs=tuple(float(c) for c in v),
                               p_h=p_h)
 
 
@@ -356,6 +375,7 @@ def impulse_response(coeffs, length):
     """
     if length < 0:
         raise ValueError("length must be nonnegative, not %d" % length)
+    length = _count("length", length, 0)
     coeffs = np.asarray(coeffs, dtype=float)
     p = coeffs.shape[-1]
     rows = coeffs.reshape(math.prod(coeffs.shape[:-1]), p)
@@ -391,7 +411,7 @@ def ma_weights(model, J):
         raise TypeError("ma_weights needs a UnitRootArModel")
     c = impulse_response(np.asarray(model.stationary, dtype=float), J)
     b = np.cumsum(c)
-    return MaWeights(c=c, b=b, J=int(J))
+    return MaWeights(c=c, b=b, J=J)
 
 
 def level_ma_weights(model, length):
@@ -410,9 +430,7 @@ def sigma_h_squared(model, h):
     levels polynomial, computed in units of 2^scale (_variance_units) and
     scaled back once: inf where it exceeds the float range.
     """
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
-    w = level_ma_weights(model, h - 1)
+    w = level_ma_weights(model, _count("h", h, 1) - 1)
     unit, scale = _variance_units(model.sigma2)
     return float(_unscaled(unit * np.dot(w, w), scale))
 
@@ -439,7 +457,8 @@ def difference(series):
     Returns s_1..s_n with s_t = x_t - x_{t-1} and x_0 = 0, so the length
     is preserved and cumulative summation inverts the operation exactly.
     """
-    return np.diff(_as_series(series), prepend=0.0)
+    with np.errstate(over="ignore"):  # a step past the float range is inf
+        return np.diff(_as_series(series), prepend=0.0)
 
 
 def _as_series(series):

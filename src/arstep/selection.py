@@ -27,9 +27,9 @@ from .estimation import (SUM_BUFFER_BYTES, _check_residual_window,
                          _lag_view, _normalized, _require_finite,
                          _residual_sums, _singular_orders, _singular_prefix,
                          _sum_rows, lag_matrix)
-from .model_core import (DIRECT, PLUG_IN, _as_series, _companion_image,
-                         _power_sum, _unscaled, companion_matrix,
-                         impulse_response)
+from .model_core import (DIRECT, PLUG_IN, _as_series, _check_method,
+                         _companion_image, _count, _power_sum, _unscaled,
+                         companion_matrix, impulse_response)
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class PenaltyWeight:
     def value(self, n):
         if n < 2:
             raise ValueError("penalty needs n >= 2")
+        _count("n", n, 2)
         return self.multiplier * math.log(n) / n
 
 
@@ -155,15 +156,18 @@ def _ape_prefix(series, K, h):
     exponent e (_normalized), order K's shared prefix (_shared_prefix),
     the prefix's gate masks).
 
-    K and h below 1 are a ValueError, then a series holding NaN or inf
-    is NonFiniteSeries.  The masks are _singular_prefix of the entries
-    from K - 1 on, where every start index and sum reads (a start index
-    is at least 2K + h - 1, and a fit at sample end i reads entry
-    i - lag - k, lag <= h); the earlier entries are marked failing.
+    K and h below 1 or not integers are a ValueError, then a series
+    holding NaN or inf is NonFiniteSeries.  The masks are
+    _singular_prefix of the entries from K - 1 on, where every start
+    index and sum reads (a start index is at least 2K + h - 1, and a fit
+    at sample end i reads entry i - lag - k, lag <= h); the earlier
+    entries are marked failing.
     """
     series = _as_series(series)
     if K < 1 or h < 1:
         raise ValueError("K and h must be at least 1")
+    _count("K", K, 1)
+    _count("h", h, 1)
     _require_finite(series)
     series, e = _normalized(series)
     shared = _shared_prefix(series, K)
@@ -272,7 +276,9 @@ def _ape_sums(series, shared, bad, orders, stages):
     of the Gram; neither depends on the other orders or entries asked
     for.  Before anything is solved, a singular entry raises
     SingularDesign naming the first stage's sample end that reads it, at
-    the first order that has one.
+    the first order that has one.  A sum whose fits or errors leave the
+    float range (a powering or a square that overflows, a solve whose
+    pivot has no finite reciprocal) is inf, without a warning.
     """
     n = series.size
     rows, grams = shared
@@ -295,41 +301,44 @@ def _ape_sums(series, shared, bad, orders, stages):
     width = n - stages[0][1] - m + 1  # the first stage's errors are longest
     size = max(1, SUM_BUFFER_BYTES // (8 * width * len(stages)))
     sums = {}
-    for b in range(0, len(orders), size):
-        ks = orders[b:b + size]
-        errors = np.zeros((len(ks), len(stages), width))
-        for k, order_errors in zip(ks, errors):
-            lo, hi = windows[k]
-            c = K - k
-            rows_k = rows[:, c:]
-            cross = np.zeros((hi, k, 2))
-            np.multiply(rows_k[:hi], series[k:k + hi, None],
-                        out=cross[:, :, 0])
-            stop = min(hi, n - H - k + 1)
-            np.multiply(rows_k[:stop],
-                        series[k + H - 1:k + H - 1 + stop, None],
-                        out=cross[:stop, :, 1])
-            np.cumsum(cross, axis=0, out=cross)
-            factor = grams[lo:hi, c:, c:]
-            coeffs = factor.swapaxes(-1, -2) @ (factor @ cross[lo:])
-            lu = exact[lo - first:hi - first, k - 1]
-            if lu.any():
-                coeffs[lu] = np.linalg.solve(
-                    kept[slot[lo - first:hi - first][lu], c:, c:],
-                    cross[lo:][lu])
-            for row, (method, h, m), lag in zip(order_errors, stages, lags):
-                start = m - lag - k - lo
-                fits = coeffs[start:start + n - h - m + 1, :,
-                              0 if lag == 1 else 1]
-                if method == PLUG_IN:
-                    fits = _companion_image(fits, h)
-                tails = rows_k[np.arange(m, n - h + 1) - k]
-                np.subtract(series[m + h - 1:n],
-                            np.einsum("bk,bk->b", fits, tails),
-                            out=row[:n - h - m + 1])
-        np.square(errors, out=errors)
-        totals = _sum_rows(errors.reshape(-1, width))
-        sums.update(zip(ks, totals.reshape(len(ks), -1).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(0, len(orders), size):
+            ks = orders[b:b + size]
+            errors = np.zeros((len(ks), len(stages), width))
+            for k, order_errors in zip(ks, errors):
+                lo, hi = windows[k]
+                c = K - k
+                rows_k = rows[:, c:]
+                cross = np.zeros((hi, k, 2))
+                np.multiply(rows_k[:hi], series[k:k + hi, None],
+                            out=cross[:, :, 0])
+                stop = min(hi, n - H - k + 1)
+                np.multiply(rows_k[:stop],
+                            series[k + H - 1:k + H - 1 + stop, None],
+                            out=cross[:stop, :, 1])
+                np.cumsum(cross, axis=0, out=cross)
+                factor = grams[lo:hi, c:, c:]
+                coeffs = factor.swapaxes(-1, -2) @ (factor @ cross[lo:])
+                lu = exact[lo - first:hi - first, k - 1]
+                if lu.any():
+                    coeffs[lu] = np.linalg.solve(
+                        kept[slot[lo - first:hi - first][lu], c:, c:],
+                        cross[lo:][lu])
+                for row, (method, h, m), lag in zip(order_errors, stages,
+                                                    lags):
+                    start = m - lag - k - lo
+                    fits = coeffs[start:start + n - h - m + 1, :,
+                                  0 if lag == 1 else 1]
+                    if method == PLUG_IN:
+                        fits = _companion_image(fits, h)
+                    tails = rows_k[np.arange(m, n - h + 1) - k]
+                    np.subtract(series[m + h - 1:n],
+                                np.einsum("bk,bk->b", fits, tails),
+                                out=row[:n - h - m + 1])
+            np.square(errors, out=errors)
+            totals = _sum_rows(errors.reshape(-1, width))
+            totals[np.isnan(totals)] = math.inf  # inf met 0 or -inf
+            sums.update(zip(ks, totals.reshape(len(ks), -1).tolist()))
     return sums
 
 
@@ -358,10 +367,10 @@ def accumulated_prediction_error(series, k, h, method, K):
     -------
     float
     """
+    _check_method(method)
     if not 1 <= k <= K:
         raise ValueError("candidate order must satisfy 1 <= k <= K")
-    if method not in (PLUG_IN, DIRECT):
-        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
+    _count("k", k, 1)
     series, e, shared, bad = _ape_prefix(series, K, h)
     m = _start_index(series.size, K, h, bad)
     total = _ape_sums(series, shared, bad, (k,), ((method, h, m),))[k][0]
@@ -475,11 +484,15 @@ def _criteria(series, h, K, penalties, orders, methods):
     K - 1 (the residual window checked after order K's), then per
     ascending order its direct and weighted-average window lengths and
     the gate of W.  A Gram of any series that fails the gate fails the
-    whole stack, with the error of the first chunk that fails.
+    whole stack, with the error of the first chunk that fails.  A
+    criterion whose fits, residuals or penalty leave the float range is
+    inf, without a warning (it never wins, as NaN would not).
     """
     series = np.asarray(series, dtype=float)
     if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
         raise ValueError("need h, K >= 1 and candidate orders 1 <= k <= K")
+    for name, value in (("h", h), ("K", K), *(("k", k) for k in orders)):
+        _count(name, value, 1)
     _require_finite(series)
     R, n = series.shape
     if n < 2 * K:
@@ -490,47 +503,49 @@ def _criteria(series, h, K, penalties, orders, methods):
         chunks = [_criteria(series[r:r + size], h, K, penalties, orders,
                             methods) for r in range(0, R, size)]
         return [sum(per_series, []) for per_series in zip(*chunks)]
-    series, e = _normalized(series)
-    lags = _lag_view(series, K)
-    orders = sorted(set(orders))
-    fitted = set(orders) if h == 1 or PLUG_IN in methods else set()
-    fitted = sorted(fitted | {K})
-    h_step = orders if h > 1 else []
-    coeffs = _one_step_fits(series, lags, K, fitted)
-    if h_step:
-        fits, traces = _h_step_fits(series, lags, h, K, h_step, methods,
-                                    coeffs)
-    one_step = dict(zip(fitted, _residual_sums(lags, series,
-                                               coeffs[:, fitted], 1)))
-    # One entry per criterion: (stage, k, its residual sum per series,
-    # the horizon of those residuals, trace penalty per series).
-    entries = [(0, k, one_step[k], 1, np.full(R, float(k)))
-               for k in orders if k in one_step]
-    if h_step:
-        sums = _residual_sums(lags, series,
-                              np.concatenate(list(fits.values()), axis=1), h)
-        stages = {DIRECT: 1, PLUG_IN: 2}
-        entries += [(stages[method], k, sums[i * len(h_step) + j], h,
-                     traces[method][:, j])
-                    for i, method in enumerate(fits)
-                    for j, k in enumerate(h_step)]
-    stage, ks, sums, lag, trace = zip(*entries)
-    resid_ms = np.array(sums) / (n - K - np.array(lag))[:, None]
-    sigma_tilde = one_step[K] / (n - 1 - K)
-    trace = np.array(trace)
-    scales = (2 * e).tolist()
-    out = []
-    for penalty in penalties:
-        values = (resid_ms + trace * sigma_tilde * penalty.value(n)).T
-        per_series = []
-        for row, scale in zip(values.tolist(), scales):
-            stages = {}, {}, {}
-            for s, k, v in zip(stage, ks, row):
-                stages[s][k] = v
-            if h == 1:  # every h-step fit is the one-step fit
-                stages = stages[0], dict(stages[0]), dict(stages[0])
-            per_series.append((*stages, scale))
-        out.append(per_series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series, e = _normalized(series)
+        lags = _lag_view(series, K)
+        orders = sorted(set(orders))
+        fitted = set(orders) if h == 1 or PLUG_IN in methods else set()
+        fitted = sorted(fitted | {K})
+        h_step = orders if h > 1 else []
+        coeffs = _one_step_fits(series, lags, K, fitted)
+        if h_step:
+            fits, traces = _h_step_fits(series, lags, h, K, h_step, methods,
+                                        coeffs)
+        one_step = dict(zip(fitted, _residual_sums(lags, series,
+                                                   coeffs[:, fitted], 1)))
+        # One entry per criterion: (stage, k, its residual sum per series,
+        # the horizon of those residuals, trace penalty per series).
+        entries = [(0, k, one_step[k], 1, np.full(R, float(k)))
+                   for k in orders if k in one_step]
+        if h_step:
+            sums = _residual_sums(
+                lags, series, np.concatenate(list(fits.values()), axis=1), h)
+            stages = {DIRECT: 1, PLUG_IN: 2}
+            entries += [(stages[method], k, sums[i * len(h_step) + j], h,
+                         traces[method][:, j])
+                        for i, method in enumerate(fits)
+                        for j, k in enumerate(h_step)]
+        stage, ks, sums, lag, trace = zip(*entries)
+        resid_ms = np.array(sums) / (n - K - np.array(lag))[:, None]
+        sigma_tilde = one_step[K] / (n - 1 - K)
+        trace = np.array(trace)
+        scales = (2 * e).tolist()
+        out = []
+        for penalty in penalties:
+            values = (resid_ms + trace * sigma_tilde * penalty.value(n)).T
+            values[~np.isfinite(values)] = math.inf
+            per_series = []
+            for row, scale in zip(values.tolist(), scales):
+                stages = {}, {}, {}
+                for s, k, v in zip(stage, ks, row):
+                    stages[s][k] = v
+                if h == 1:  # every h-step fit is the one-step fit
+                    stages = stages[0], dict(stages[0]), dict(stages[0])
+                per_series.append((*stages, scale))
+            out.append(per_series)
     return out
 
 
@@ -650,7 +665,8 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
     values for every candidate are recorded in the outcome.
     """
     return _outcome(*_criteria(_stack(series), h, K, (penalty,),
-                               range(1, K + 1), (DIRECT, PLUG_IN))[0][0])
+                               range(1, _count("K", K, 1) + 1),
+                               (DIRECT, PLUG_IN))[0][0])
 
 
 def _stack(series):

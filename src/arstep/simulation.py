@@ -25,7 +25,8 @@ from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
 from .estimation import _gated_solve, row_sums
 from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
-                         _companion_image, _unscaled, impulse_response)
+                         _companion_image, _count, _unscaled,
+                         impulse_response)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
                         select_by_ape)
 
@@ -36,11 +37,13 @@ from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
 #: however the replications are grouped.
 _MSPE_BATCH = 4096
 
-#: Working memory of one estimate_mspe innovation buffer, in bytes: the
-#: replications are simulated and fitted in chunks of as many rows as
-#: fit in it, two buffers in use (one filled by the draw thread while
-#: the other is fitted).  Results do not depend on it.
-_MSPE_CHUNK_BYTES = 1 << 22
+#: Working memory of one estimate_mspe chunk, in bytes: the replications
+#: are simulated and fitted in chunks of as many rows as fit in it.
+#: Three chunk-sized arrays are in flight at once: two innovation buffers
+#: (one filled by the draw thread while the other is fitted) and the
+#: filtered chunk.  At 1 MiB the three fit a 4 MiB L2 cache per core.
+#: Results do not depend on it.
+_MSPE_CHUNK_BYTES = 1 << 20
 
 #: Replications per block of run_frequency_experiment (fewer when a
 #: pool needs more blocks).  Tables do not depend on it: each
@@ -60,8 +63,9 @@ class DgpSpec:
 
     Building one, also by dataclasses.replace but not by unpickling,
     checks it: its levels must make a model of its kind at sigma2 = 1
-    (model_for's errors), and sigma2 must be finite and nonnegative (0 is
-    legal), else ValueError.
+    (model_for's errors), sigma2 must be finite and nonnegative (0 is
+    legal), and horizon and max_order integers of at least 1, else
+    ValueError.
     """
 
     id: str
@@ -77,6 +81,8 @@ class DgpSpec:
         if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
             raise ValueError("sigma2 must be finite and nonnegative, not %r"
                              % self.sigma2)
+        _count("horizon", self.horizon, 1)
+        _count("max_order", self.max_order, 1)
 
 
 DGPS = {
@@ -112,12 +118,12 @@ def replication_seed(master, dgp, n, r):
     """SeedSequence for replication r of (dgp, n) under a master seed.
 
     The spawn key (generator, n, r) makes streams unique per replication
-    and independent of how work is scheduled.
+    and independent of how work is scheduled; n and r must be integers
+    (not bools) of at least 0.
     """
     dgp_id = dgp.id if isinstance(dgp, DgpSpec) else str(dgp)
-    return np.random.SeedSequence(int(master),
-                                  spawn_key=(_dgp_key(dgp_id), int(n),
-                                             int(r)))
+    key = (_dgp_key(dgp_id), _count("n", n, 0), _count("r", r, 0))
+    return np.random.SeedSequence(int(master), spawn_key=key)
 
 
 def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
@@ -130,7 +136,8 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
         Checked when it was built, so generate checks only n and
         burn_in.
     n : int
-        Length of the returned series.
+        Length of the returned series, an integer (not a bool) of at
+        least 1.
     seed : int, SeedSequence, Generator, optional
         Anything numpy's default_rng accepts.  Equal seeds give equal
         series.
@@ -138,15 +145,15 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
         Innovation family; "uniform" draws from the centered uniform law
         with the same variance.
     burn_in : int
-        Extra leading observations simulated and discarded.
+        Extra leading observations simulated and discarded, an integer
+        (not a bool) of at least 0.
     impulse : float, optional
         Added to the first innovation of the *returned* window; with
         sigma2 = 0 this exposes the deterministic impulse response.
     return_innovations : bool
         Also return the innovations aligned with the returned series.
     """
-    if n < 1 or burn_in < 0:
-        raise ValueError("need n >= 1 and burn_in >= 0")
+    n, burn_in = _count("n", n, 1), _count("burn_in", burn_in, 0)
     levels = np.asarray(dgp.levels, dtype=float)
     rng = np.random.default_rng(seed)
     total = n + burn_in
@@ -163,16 +170,6 @@ def generate(dgp, n, seed=None, noise="normal", burn_in=0, impulse=None,
     if return_innovations:
         return series[burn_in:], eps[burn_in:]
     return series[burn_in:]
-
-
-def _count(name, value, least):
-    """value as an int, if it is an integer (not a bool) of at least
-    least; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ValueError("%s must be an integer of at least %d, not %r"
-                         % (name, least, value))
-    return int(value)
 
 
 def _normalize_procedures(procedures):
@@ -433,15 +430,17 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         values per replication in replication order, so results depend
         only on seed and R.  The replications are simulated and fitted
         in chunks of _MSPE_CHUNK_BYTES while one helper thread draws the
-        next chunk, in stream order; memory grows neither with R nor
-        with _MSPE_BATCH, whose blocks only group the partial sums.
+        next chunk, in stream order: three chunk-sized arrays are in
+        flight, two innovation buffers and the filtered chunk.  Memory
+        grows neither with R nor with _MSPE_BATCH, whose blocks only
+        group the partial sums.
 
     The series are simulated in units of 2^s, s the math.frexp exponent
     of sqrt(sigma2), so no square or fourth power overflows or
     underflows; the fields are reported at the dgp's scale (_unscaled),
     inf where they overflow and 0 where they underflow.
     """
-    k, h, method = int(spec.k), int(spec.h), spec.method
+    k, h, method = spec.k, spec.h, spec.method
     if method == PLUG_IN:
         if n < 2 * k:
             raise SeriesTooShort("plug-in fit needs n >= 2k")

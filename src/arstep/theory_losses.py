@@ -24,7 +24,8 @@ import numpy as np
 
 from ._kernels import cho_factor, cho_solve  # uncalled; perfbench/tracer.py wraps them
 from .errors import SingularGamma
-from .model_core import (DIRECT, PLUG_IN, UnitRootArModel, _unscaled,
+from .model_core import (DIRECT, PLUG_IN, UnitRootArModel, _check_method,
+                         _check_predictor, _count, _unscaled,
                          _variance_units, ar_coefficients,
                          direct_coefficients, level_ma_weights)
 
@@ -49,6 +50,7 @@ class AutocovarianceTable:
         """Toeplitz autocovariance matrix of the given dimension."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative, not %d" % dim)
+        _count("dim", dim, 0)
         if dim > self.L + 1:
             raise ValueError("table holds lags up to %d, need %d"
                              % (self.L, dim - 1))
@@ -109,9 +111,10 @@ def autocovariances(model, L):
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
+    L = _count("L", L, 0)
     gamma = _gamma(model, L)
     scale = _variance_units(model.sigma2)[1]
-    return AutocovarianceTable(gamma=_unscaled(gamma, scale), L=int(L))
+    return AutocovarianceTable(gamma=_unscaled(gamma, scale), L=L)
 
 
 def _costs(model, D, w):
@@ -187,6 +190,8 @@ def _order_costs(model, h, k):
         raise ValueError("horizon must be at least 1")
     if k < 1:
         raise ValueError("order must be at least 1")
+    _count("h", h, 1)
+    _count("k", k, 1)
     levels, stationary = ar_coefficients(model)
     shift = len(levels) - len(stationary)
     if k == shift:
@@ -230,18 +235,18 @@ def closed_form_h2(model, k, method):
     """
     if not isinstance(model, UnitRootArModel):
         raise TypeError("closed_form_h2 needs a UnitRootArModel")
+    _check_method(method)
     if k < 2:
         raise ValueError("the closed forms need k >= 2")
+    _count("k", k, 2)
     alpha = model.stationary
     a1 = alpha[0] if model.p >= 1 else 0.0
     ak = alpha[k - 2] if k - 1 <= model.p else 0.0
     b1 = 1.0 + a1
     if method == PLUG_IN:
         value = (k - 2) + ak * ak + 2.0 * a1 * b1 + b1 * b1 * (k - 1)
-    elif method == DIRECT:
-        value = (k - 1) * (1.0 + b1 * b1) + 2.0 * a1 * b1
     else:
-        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
+        value = (k - 1) * (1.0 + b1 * b1) + 2.0 * a1 * b1
     return float(value * model.sigma2)
 
 
@@ -294,13 +299,6 @@ def _losses(model, h, K, keys):
             for (k, method), value in zip(keys, values)}
 
 
-def _check_candidate(k, method):
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if method not in (PLUG_IN, DIRECT):
-        raise ValueError("method must be %r or %r" % (PLUG_IN, DIRECT))
-
-
 def loss(model, h, k, method):
     """Asymptotic loss of (k, method) at horizon h, for either model kind.
 
@@ -312,7 +310,7 @@ def loss(model, h, k, method):
     order for plug-in, the minimal direct order for direct) the loss is
     +inf.
     """
-    _check_candidate(k, method)
+    _check_predictor(method, k, h)
     return _losses(model, h, k, [(k, method)])[k, method]
 
 
@@ -324,6 +322,7 @@ def loss_table(model, h, K):
     blocks (the prefix invariant), so each entry is == to loss of its
     key, which makes the pass at its own dimension.
     """
+    h, K = _count("h", h, 1), _count("K", K, 1)
     return _losses(model, h, K, [(k, method) for k in range(1, K + 1)
                                  for method in (PLUG_IN, DIRECT)])
 

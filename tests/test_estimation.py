@@ -129,6 +129,7 @@ def test_fit_raises_on_rank_deficient_design():
         a.fit_one_step(series, 3)
 
 
+@pytest.mark.blas_layout
 def test_batched_gate_agrees_with_scalar_gate_and_rejects_non_finite():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(6, 3))
@@ -144,6 +145,7 @@ def test_batched_gate_agrees_with_scalar_gate_and_rejects_non_finite():
             [False, True]
 
 
+@pytest.mark.blas_layout
 def test_batched_gates_fail_non_finite_grams_without_raising():
     # eigvalsh raises on an all-infinite matrix; both batched gates must
     # mark such Grams bad instead.  The stack is a Gram prefix with some
@@ -180,6 +182,7 @@ def test_batched_gates_fail_non_finite_grams_without_raising():
             assert not bad[2:41 - k, k - 1].any()
 
 
+@pytest.mark.blas_layout
 def test_scalar_gate_rejects_non_finite_grams():
     for value in (np.nan, np.inf, -np.inf):
         for gram in (np.full((3, 3), value), np.eye(3)):
@@ -225,6 +228,7 @@ def test_h1_direct_fit_is_the_one_step_fit():
         a.residual_mse(series, dir1, 1, 5), rel=1e-13)
 
 
+@pytest.mark.blas_layout
 def test_residual_mse_window_and_divisor():
     rng = np.random.default_rng(3)
     series = rng.normal(size=60).cumsum()
@@ -246,6 +250,7 @@ def test_residual_mse_window_and_divisor():
         longhand(5), rel=1e-12)
 
 
+@pytest.mark.blas_layout
 def test_residual_mse_sums_its_squares_exactly():
     # Zero coefficients leave the targets x_2..x_n as residuals: 998 unit
     # squares and one of 2^54.  Their exact sum rounds to 2^54 + 1000;
@@ -280,6 +285,7 @@ def test_hand_built_coefficients_must_be_finite():
         a.plug_in_multi(huge, 2)
 
 
+@pytest.mark.blas_layout
 def test_residual_mse_overflows_to_inf_without_a_warning():
     series = np.random.default_rng(3).normal(size=50).cumsum()
     huge = a.FittedCoefficients(coeffs=(1e308,), k=1, h=1, method=a.DIRECT,
@@ -289,6 +295,7 @@ def test_residual_mse_overflows_to_inf_without_a_warning():
         assert a.residual_mse(series, huge, 1, 2) == math.inf
 
 
+@pytest.mark.blas_layout
 def test_residual_mse_validations():
     series = np.arange(8.0)
     fit = a.fit_one_step(series, 2)

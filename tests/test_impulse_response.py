@@ -101,6 +101,7 @@ def _models():
     yield from (unit_root_model_with_roots(roots) for roots in NEAR_UNIT_ROOTS)
 
 
+@pytest.mark.blas_layout
 def test_loss_table_entries_equal_stand_alone_losses():
     for model in _models():
         for h in (1, 3):
@@ -109,6 +110,7 @@ def test_loss_table_entries_equal_stand_alone_losses():
                 assert entry == a.loss(model, h, k, method)
 
 
+@pytest.mark.blas_layout
 def test_cost_gap_equals_its_stand_alone_costs():
     for a1 in (0.2, 0.5, 0.9):
         model = a.quartic_family(a1)

@@ -47,6 +47,7 @@ def _shaped_series(shape, n, seed):
     return noise
 
 
+@pytest.mark.blas_layout
 @BOUNDED
 @given(shape=st.sampled_from(SHAPES), n=st.integers(2, 150),
        K=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
@@ -90,6 +91,7 @@ def _gate_series(shape, n, seed, noise):
     return _shaped_series(shape, n, seed)
 
 
+@pytest.mark.blas_layout
 @BOUNDED
 @given(shapes=st.lists(st.sampled_from(SHAPES + ("early spike", "sine")),
                        min_size=1, max_size=3),
@@ -111,6 +113,7 @@ def test_order_gate_equals_batched_gate(shapes, n, K, h, seed, noise, data):
             _singular_grams(grams).tolist()
 
 
+@pytest.mark.blas_layout
 @pytest.mark.parametrize("noise, failing, matrices", [
     (1e-7, [3, 4, 5, 6], 1 + 5), (1e-6, [], 1)])
 def test_order_gate_checks_what_it_cannot_certify(monkeypatch, noise,
@@ -149,6 +152,7 @@ def _scanned_start_index(series, K, h):
     raise a.SeriesTooShort("no sample end clears the gate")
 
 
+@pytest.mark.blas_layout
 @BOUNDED
 @given(K=st.integers(1, 5), h=st.integers(1, 4),
        lead=st.integers(0, 12), lead_value=st.sampled_from((0.0, 1.5)),
@@ -372,6 +376,7 @@ def test_row_sums_at_the_edges():
     assert math.isnan(row_sums([[np.inf, -np.inf]])[0])
 
 
+@pytest.mark.blas_layout
 @BOUNDED
 @given(real=st.lists(st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
                      max_size=3),

@@ -18,6 +18,7 @@ def _series(label, n, r=0, seed=0):
     return a.generate(dgp, n, a.replication_seed(seed, dgp, n, r))
 
 
+@pytest.mark.blas_layout
 def test_min_start_index_generic_series():
     rng = np.random.default_rng(17)
     series = rng.normal(size=60).cumsum()
@@ -25,6 +26,7 @@ def test_min_start_index_generic_series():
     assert a.min_start_index(series, 2, 3) == 6
 
 
+@pytest.mark.blas_layout
 def test_min_start_index_skips_degenerate_prefix():
     # A flat start keeps the order-1 Grams singular until the step occurs.
     series = np.concatenate([np.zeros(5), np.ones(20)])
@@ -33,6 +35,7 @@ def test_min_start_index_skips_degenerate_prefix():
     a.accumulated_prediction_error(series, 1, 1, a.DIRECT, 1)
 
 
+@pytest.mark.blas_layout
 def test_min_start_index_degenerate_and_short_series():
     with pytest.raises(a.SeriesTooShort):
         a.min_start_index(np.zeros(40), 2, 1)
@@ -75,6 +78,7 @@ def _naive_ape(series, k, h, method, K):
     return total
 
 
+@pytest.mark.blas_layout
 def test_ape_matches_naive_refit_loop():
     for label, n, K, orders, horizons in (("III", 120, 4, (1, 2, 3), (1, 2)),
                                          ("IX", 200, 20, (1, 2, 19), (10,))):
@@ -89,6 +93,7 @@ def test_ape_matches_naive_refit_loop():
                         (label, k, h, method)
 
 
+@pytest.mark.blas_layout
 def test_ape_vanishes_on_noiseless_series_at_minimal_order():
     dgp = a.DgpSpec("noiseless", (1.5, -0.5), True, 2, 2, sigma2=0.0)
     series = a.generate(dgp, 80, seed=0, impulse=3.0)
@@ -97,6 +102,7 @@ def test_ape_vanishes_on_noiseless_series_at_minimal_order():
         assert value == pytest.approx(0.0, abs=1e-12), (h, method)
 
 
+@pytest.mark.blas_layout
 def test_ape_h1_plug_in_equals_direct_exactly():
     series = _series("VII", 300)
     for k in (1, 2, 3, 5):
@@ -105,6 +111,7 @@ def test_ape_h1_plug_in_equals_direct_exactly():
         assert plug == direct
 
 
+@pytest.mark.blas_layout
 def test_ape_per_term_tracks_h_step_noise_variance():
     dgp = a.DGPS["III"]
     sigma2_2 = a.sigma_h_squared(a.model_for(dgp), 2)
@@ -115,6 +122,7 @@ def test_ape_per_term_tracks_h_step_noise_variance():
     assert value / terms == pytest.approx(sigma2_2, rel=0.10)
 
 
+@pytest.mark.blas_layout
 def test_ape_builds_the_order_K_prefix_once(monkeypatch):
     # One shared prefix serves the start index and every order.
     series = _series("IX", 1000)
@@ -139,6 +147,7 @@ def test_ape_builds_the_order_K_prefix_once(monkeypatch):
         a.accumulated_prediction_error(series, 20, 0, a.PLUG_IN, 20)
 
 
+@pytest.mark.blas_layout
 def test_order_prefixes_are_views_of_the_shared_prefix():
     # Each order's rows, Gram prefix and gate mask equal those of a prefix
     # built for that order alone, from its own lag matrix.  The set-up's
@@ -159,6 +168,7 @@ def test_order_prefixes_are_views_of_the_shared_prefix():
             assert read[K - 1:n - k, k - 1].tolist() == want[K - 1:]
 
 
+@pytest.mark.blas_layout
 def test_ape_factors_each_prefix_chunk_once(monkeypatch):
     # One Cholesky factor per chunk of prefix entries serves every order,
     # so the number of factorizations does not grow with K, and no fit of
@@ -189,6 +199,7 @@ def test_ape_factors_each_prefix_chunk_once(monkeypatch):
     assert calls["solve"] == 0 and 0 < calls["cholesky"] <= counts[0]
 
 
+@pytest.mark.blas_layout
 def test_ape_gates_every_order_in_one_sweep(monkeypatch):
     # One eigvalsh sweep over order K's anchors gates every order, so the
     # number of calls does not grow with K, and a single sum or start
@@ -215,6 +226,7 @@ def test_ape_gates_every_order_in_one_sweep(monkeypatch):
         assert len(calls) == counts[0]
 
 
+@pytest.mark.blas_layout
 def test_ape_lu_fits_equal_the_lu_solve_of_their_prefix_entries(monkeypatch):
     # On VII at n = 1000 (K = 10) the order-10 one-step Gram at sample end
     # 20, rows j = 10..19, is too ill-conditioned for the shared factor
@@ -252,6 +264,7 @@ def test_ape_lu_fits_equal_the_lu_solve_of_their_prefix_entries(monkeypatch):
                                np.eye(k), atol=1e-6)
 
 
+@pytest.mark.blas_layout
 def test_select_by_ape_memory_stays_bounded():
     # The factors overwrite the 3.3 MB Gram prefix in place, and entries
     # are factored a chunk at a time, so the peak (4.7 MB) stays near the
@@ -267,6 +280,7 @@ def test_select_by_ape_memory_stays_bounded():
     assert peak <= 5 * 2 ** 20
 
 
+@pytest.mark.blas_layout
 def test_singular_stretch_names_the_sample_end_of_its_window():
     # A spike of 1e8 in a unit-scale walk leaves the order-3 Grams whose
     # rows hold it in only some columns singular.  With x_76 = 1e8 the
@@ -293,6 +307,7 @@ def test_singular_stretch_names_the_sample_end_of_its_window():
                 call()
 
 
+@pytest.mark.blas_layout
 def test_ape_validates_candidate_order():
     series = _series("I", 100)
     with pytest.raises(ValueError):
@@ -301,6 +316,7 @@ def test_ape_validates_candidate_order():
         a.accumulated_prediction_error(series, 1, 1, "other", 4)
 
 
+@pytest.mark.blas_layout
 def test_criteria_validate_candidate_order():
     series = _series("I", 100)
     for criterion in (a.plugin_criterion, a.direct_criterion):
@@ -308,6 +324,7 @@ def test_criteria_validate_candidate_order():
             criterion(series, 5, 1, 4)
 
 
+@pytest.mark.blas_layout
 def test_select_by_ape_outcome_structure():
     series = _series("III", 400)
     out = a.select_by_ape(series, 2, 5)
@@ -321,6 +338,7 @@ def test_select_by_ape_outcome_structure():
     assert (out.k, out.method) in out.criteria
 
 
+@pytest.mark.blas_layout
 def test_select_by_ape_h1_tie_goes_to_direct():
     # At h = 1 the two methods produce identical sums, so the final
     # comparison is an exact tie and must resolve to the direct label.
@@ -329,6 +347,7 @@ def test_select_by_ape_h1_tie_goes_to_direct():
         assert out.method == a.DIRECT
 
 
+@pytest.mark.blas_layout
 def test_select_by_ape_equals_per_stage_sums_exactly():
     # The one-pass kernel must reproduce the three stages computed one at
     # a time, bit for bit.
@@ -379,6 +398,7 @@ def _residual_mse_of(series):
     return a.residual_mse(series, fit, 2, 4)
 
 
+@pytest.mark.blas_layout
 @pytest.mark.parametrize("entry", [
     lambda x: a.select_by_ape(x, 2, 4),
     lambda x: a.select_by_criterion(x, 2, 4),
@@ -435,6 +455,7 @@ def test_tiny_series_select_as_unscaled():
             assert (out.k, out.method) == (ref.k, ref.method), label
 
 
+@pytest.mark.blas_layout
 def test_criterion_traces_are_exactly_k_at_h1():
     series = _series("I", 400)
     K = 6
@@ -453,6 +474,7 @@ def test_criterion_traces_are_exactly_k_at_h1():
         assert plug == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.blas_layout
 def test_criterion_traces_track_theory_at_h3():
     # The trace penalties (times the scale estimate) approximate the
     # unit-root loss constant sigma^2 * (sum b_j)^2 plus the method's
@@ -514,6 +536,7 @@ def _criteria_one_at_a_time(series, h, K, penalty=a.DEFAULT_PENALTY):
     return first_stage, criteria
 
 
+@pytest.mark.blas_layout
 def test_select_by_criterion_matches_candidate_by_candidate_values():
     for label in ("I", "III", "VII", "IX", "X"):
         dgp = a.DGPS[label]
@@ -570,6 +593,7 @@ def test_short_series_raise_the_recorded_types():
                 assert type(caught.value) is codes[code], (K, h, k, n)
 
 
+@pytest.mark.blas_layout
 def test_underfitting_inflates_the_direct_criterion():
     dgp = a.DGPS["VII"]
     wins = 0
@@ -580,6 +604,7 @@ def test_underfitting_inflates_the_direct_criterion():
     assert wins >= 190
 
 
+@pytest.mark.blas_layout
 def test_stacked_criteria_equal_one_series_at_a_time():
     # The stack goes through batched Grams, gates, LU solves and one
     # residual sum buffer; every value must still be the single-series
@@ -654,6 +679,7 @@ def test_singular_orders_fail_and_pass_as_candidate_by_candidate():
             a.select_by_criterion(x, 1, 2).method) == (2, a.DIRECT)
 
 
+@pytest.mark.blas_layout
 def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
     # One padded pass per stage: one eigvalsh and one LU solve for the
     # one-step fits and one each for the direct window, whatever K (a
@@ -692,6 +718,7 @@ def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
     assert sum(matrices) == 2 * 10
 
 
+@pytest.mark.blas_layout
 def test_criteria_memory_stays_bounded_on_a_large_stack():
     # 32 series of 1000 values at K = 20: every order's padded Grams and
     # residuals at once would take tens of megabytes; chunks of 3 series
@@ -709,6 +736,7 @@ def test_criteria_memory_stays_bounded_on_a_large_stack():
     assert peak <= 4 * 2 ** 20
 
 
+@pytest.mark.blas_layout
 def test_criteria_memory_of_one_series_grows_as_k_cubed():
     # A chunk holds at least one series, and one series' padded arrays
     # hold every order's K x K matrices: at K = 40 the peak is about
@@ -723,6 +751,7 @@ def test_criteria_memory_of_one_series_grows_as_k_cubed():
     assert peak <= 8 * 2 ** 20
 
 
+@pytest.mark.blas_layout
 def test_select_by_criterion_outcome_structure():
     series = _series("X", 600)
     out = a.select_by_criterion(series, 2, 6)
@@ -733,6 +762,7 @@ def test_select_by_criterion_outcome_structure():
     assert out.orders["plug_in"] >= out.orders["first_stage"]
 
 
+@pytest.mark.blas_layout
 def test_select_by_criterion_known_frequencies():
     table = a.run_frequency_experiment(["I"], [1000], ("B",), R=25, seed=1)
     assert table.counts("I", 1000, "B").get((1, a.DIRECT), 0) >= 23

@@ -267,6 +267,7 @@ def test_frequency_tables_do_not_depend_on_a_power_of_two_scale():
     assert runs[0].rows == runs[1].rows
 
 
+@pytest.mark.blas_layout
 def test_frequency_tables_do_not_depend_on_blocks_or_workers(monkeypatch):
     flat = a.DgpSpec("flat", (1.0,), True, 2, 3, sigma2=0.0)
     args = (["I", "IX", flat], [70], ("A", "B", "I"))
@@ -279,6 +280,7 @@ def test_frequency_tables_do_not_depend_on_blocks_or_workers(monkeypatch):
     assert first[2][("flat", 70, "B")] == {"SingularDesign": 5}
 
 
+@pytest.mark.blas_layout
 def test_a_failing_replication_does_not_sink_its_block(monkeypatch):
     real = a.simulation.generate
 
@@ -596,8 +598,8 @@ def test_estimate_mspe_does_not_depend_on_the_chunk_size(monkeypatch,
                                                          method, R):
     # The stream is drawn row-major in replication order, so the rows per
     # chunk change no draw, fit or sum.  At n = 60 the default budget
-    # holds every R here in one chunk; R = 4097 straddles one block of
-    # partial sums (_MSPE_BATCH).  A short switch interval makes the
+    # holds R = 2 and 9 in one chunk and R = 4097 in four; R = 4097
+    # straddles one block of partial sums (_MSPE_BATCH).  A short switch interval makes the
     # draw thread and the fitting thread trade the interpreter lock often.
     dgp, n = a.DGPS["X"], 60
     spec = a.PredictorSpec(2, method, dgp.horizon)
@@ -616,7 +618,10 @@ def test_estimate_mspe_does_not_depend_on_the_chunk_size(monkeypatch,
 @pytest.mark.parametrize("R", [4096, 9000])
 def test_estimate_mspe_memory_does_not_grow_with_the_replications(R):
     # 4096 replications of n + h = 2010 innovations are 66 MB as one
-    # array; the chunks keep the whole call far below that, for any R.
+    # array; the chunks keep the whole call far below that, for any R:
+    # three chunk-sized arrays of 1 MiB (_MSPE_CHUNK_BYTES), two
+    # innovation buffers and the filtered chunk, and arrays of one block
+    # of partial sums.
     tracemalloc.start()
     try:
         a.estimate_mspe(a.DGPS["X"], a.PredictorSpec(2, a.DIRECT, 10),
@@ -624,7 +629,7 @@ def test_estimate_mspe_memory_does_not_grow_with_the_replications(R):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_estimate_mspe_failure_names_the_replication_and_ends_the_draws(
@@ -710,6 +715,7 @@ def test_mspe_errors_match_the_fitted_predictors(monkeypatch):
                 assert err == pytest.approx(want * unit, rel=1e-10, abs=0)
 
 
+@pytest.mark.blas_layout
 def test_block_sums_do_not_depend_on_the_layout_of_future():
     # The future-noise product is a fixed-order multiply-add, so a row's
     # sums are the same for C- and F-ordered blocks, and for a block cut

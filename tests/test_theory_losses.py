@@ -27,6 +27,7 @@ def test_autocovariances_match_lyapunov_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.blas_layout
 def test_near_unit_ar1_autocovariances_match_the_closed_form():
     # gamma(m) = sigma^2 rho^m / (1 - rho^2), with 1 - rho^2 formed as
     # (1 - rho)(1 + rho) so that the reference is exact to rounding.
@@ -81,6 +82,7 @@ def test_costs_match_the_per_dimension_trace_oracle():
                             trace * model.sigma2, rel=1e-12), (dgp.id, h, d)
 
 
+@pytest.mark.blas_layout
 @pytest.mark.parametrize("roots", NEAR_UNIT_ROOTS)
 def test_near_unit_loss_tables_match_the_trace_oracle(roots):
     # A stationary root 1e-5 inside the unit circle: every finite loss
@@ -127,6 +129,7 @@ def _times_power_of_two(value, m):
         return math.copysign(math.inf, value)
 
 
+@pytest.mark.blas_layout
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m", [-500, 500, 509])
 def test_theory_values_scale_by_powers_of_four(m):
@@ -156,6 +159,7 @@ def test_theory_values_scale_by_powers_of_four(m):
         assert any(math.isfinite(got) for got, _ in pairs)
 
 
+@pytest.mark.blas_layout
 def test_near_unit_model_whose_yule_walker_solve_fails_raises_singular_gamma():
     # A valid stationary AR(8), four conjugate root pairs 10^-7.25 inside
     # the unit circle: the Yule-Walker solve gives no finite positive
