@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NonFiniteSeries, SingularDesign, WindowTooShort
 from .model_core import (DIRECT, PLUG_IN, _as_series, _check_predictor,
-                         _companion_image, _count, _unscaled,
+                         _companion_image, _count, _position, _unscaled,
                          impulse_response)
 
 #: Reciprocal-condition threshold below which a Gram matrix is singular.
@@ -46,6 +46,7 @@ def lag_matrix(series, k, first, last):
     if k < 1:
         raise ValueError("order must be at least 1")
     _count("k", k, 1)
+    first, last = _position("first", first), _position("last", last)
     if first < k:
         raise ValueError("first row %d would reach before the sample "
                          "(order %d)" % (first, k))
@@ -287,8 +288,7 @@ def fit_direct(series, k, h, i=None):
     if h < 1:
         raise ValueError("horizon must be at least 1")
     h = _count("h", h, 1)
-    if i is None:
-        i = n
+    i = n if i is None else _position("i", i)
     if i > n:
         raise ValueError("sample end %d exceeds series length %d" % (i, n))
     if i - h < 2 * k - 1:
@@ -302,7 +302,7 @@ def fit_direct(series, k, h, i=None):
                           "h=%d" % (k, i - h, h))[:, 0]
     return FittedCoefficients(coeffs=tuple(float(c) for c in coeffs),
                               k=int(k), h=h, method=DIRECT,
-                              sample_end=int(i))
+                              sample_end=i)
 
 
 def residual_mse(series, coeffs, h, K):

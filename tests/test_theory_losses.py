@@ -130,7 +130,6 @@ def _times_power_of_two(value, m):
 
 
 @pytest.mark.blas_layout
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m", [-500, 500, 509])
 def test_theory_values_scale_by_powers_of_four(m):
     # At sigma2 * 4^m every loss, autocovariance and sigma_h^2 is the one
