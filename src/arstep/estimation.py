@@ -43,8 +43,6 @@ def lag_matrix(series, k, first, last):
     """
     series = _as_series(series)
     n = series.size
-    if k < 1:
-        raise ValueError("order must be at least 1")
     _count("k", k, 1)
     first, last = _position("first", first), _position("last", last)
     if first < k:
@@ -266,8 +264,6 @@ def plug_in_multi(one_step, h):
     """
     if one_step.method != PLUG_IN or one_step.h != 1:
         raise ValueError("plug_in_multi needs a one-step plug-in fit")
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
     h = _count("h", h, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         v = _companion_image(one_step.coeffs, h)  # inf and NaN are refused
@@ -285,8 +281,6 @@ def fit_direct(series, k, h, i=None):
     series = _as_series(series)
     _require_finite(series)
     n = series.size
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
     h = _count("h", h, 1)
     i = n if i is None else _position("i", i)
     if i > n:

@@ -68,8 +68,6 @@ def _check_predictor(method, k, h):
     """The rule of every predictor: the method rule, then order k and
     horizon h integers of at least 1; ValueError otherwise."""
     _check_method(method)
-    if k < 1 or h < 1:
-        raise ValueError("order k and horizon h must be at least 1")
     _count("k", k, 1)
     _count("h", h, 1)
 
@@ -366,8 +364,6 @@ def direct_coefficients(model, h):
     -------
     DirectCoefficients
     """
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
     h = _count("h", h, 1)
     a = ar_coefficients(model)[0]
     v = _companion_image(a, h)
@@ -388,8 +384,6 @@ def impulse_response(coeffs, length):
     stack equals its rows one by one.  A negative length is a
     ValueError.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative, not %d" % length)
     length = _count("length", length, 0)
     coeffs = np.asarray(coeffs, dtype=float)
     p = coeffs.shape[-1]

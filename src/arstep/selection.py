@@ -50,8 +50,6 @@ class PenaltyWeight:
                              "positive, not %r" % (self.multiplier,))
 
     def value(self, n):
-        if n < 2:
-            raise ValueError("penalty needs n >= 2")
         _count("n", n, 2)
         return self.multiplier * math.log(n) / n
 
@@ -152,11 +150,11 @@ def _shared_prefix(series, K):
 
 
 def _ape_prefix(series, K, h):
-    """The set-up of the three APE entry points: (normalized series, its
-    exponent e (_normalized), order K's shared prefix (_shared_prefix),
-    the prefix's gate masks).
+    """The set-up of min_start_index and of select_by_ape's pass
+    (_ape_pass): (normalized series, its exponent e (_normalized), order
+    K's shared prefix (_shared_prefix), the prefix's gate masks).
 
-    K and h below 1 or not integers are a ValueError, then a series
+    K, then h, must be an integer of at least 1 (_count), then a series
     holding NaN or inf is NonFiniteSeries.  The masks are
     _singular_prefix of the entries from K - 1 on, where every start
     index and sum reads (a start index is at least 2K + h - 1, and a fit
@@ -164,8 +162,6 @@ def _ape_prefix(series, K, h):
     entries are marked failing.
     """
     series = _as_series(series)
-    if K < 1 or h < 1:
-        raise ValueError("K and h must be at least 1")
     _count("K", K, 1)
     _count("h", h, 1)
     _require_finite(series)
@@ -251,70 +247,63 @@ def _factor_prefix(grams, bad, first, last):
     return exact, np.concatenate(kept)
 
 
-def _ape_sums(series, shared, bad, orders, stages):
-    """Accumulated prediction errors of several orders for several stages.
+def _ape_sums(series, shared, bad, h, m1, mh):
+    """The three stages of select_by_ape for every order 1..K, as
+    [stage][k - 1] sums: the one-step direct sums over the sample ends
+    i = m1..n-1, then the h-step direct and plug-in sums over
+    i = mh..n-h.
 
     shared is the width-K prefix and bad its gate masks (_ape_prefix);
-    it overwrites the Grams (_factor_prefix).  Each stage (method, h, m)
-    asks for the h-step sum of that method over the sample ends
-    i = m..n-h, and {order: [its sum per stage]} is returned.  The
-    orders are taken in the order given, in blocks whose squared errors,
-    one row per stage, fit SUM_BUFFER_BYTES; each block is summed
-    exactly (_sum_rows) as soon as it is made, and a sum does not depend
-    on the block.  Every Gram those refits need is an entry of the
-    order's prefix: the one-step fit behind plug-in at sample end i reads
-    entry i-1-k, the direct h-step fit entry i-h-k (so direct at h = 1 is
-    the one-step fit).  The first stage's entries, its window, must hold
-    every later stage's (in select_by_ape the one-step window holds the
-    direct one).  The stages use at most two fit lags, 1 and H, so one
-    solve per entry serves them all: column 0 of its right-hand side
-    holds the one-step cross-products, column 1 the lag-H ones (the
-    one-step ones again when H = 1).  A column's solution does not depend
-    on the other column, so a stage gets the same coefficients whatever
-    stages share the solve.  The solve is a product with the entry's
+    the Grams are overwritten with their factors (_factor_prefix).  The
+    one-step fit behind plug-in at sample end i reads prefix entry
+    i-1-k, the direct h-step fit entry i-h-k.  The one-step window,
+    entries m1-1-k..n-2-k, holds both h-step ones (mh >= m1, and
+    mh - h >= m1 - 1 since sample end mh - h + 1 >= 2K clears the
+    one-step gate), and its error rows are the longest.  One solve per
+    entry serves the three stages: column 0 of its right-hand side holds
+    the one-step cross-products, column 1 the lag-h ones (the one-step
+    ones again at h = 1).  The solve is a product with the entry's
     shared factor, or for the fits that factor cannot serve an LU solve
-    of the Gram; neither depends on the other orders or entries asked
-    for.  Before anything is solved, a singular entry raises
-    SingularDesign naming the first stage's sample end that reads it, at
-    the first order that has one.  A sum whose fits or errors leave the
-    float range (a powering or a square that overflows, a solve whose
-    pivot has no finite reciprocal) is inf, without a warning.
+    of the Gram.  Order K runs first, then 1..K-1, in blocks whose
+    squared errors, one row per stage, fit SUM_BUFFER_BYTES; each block
+    is summed exactly (_sum_rows) as soon as it is made, and a sum does
+    not depend on the block.  Before anything is solved, a singular
+    one-step entry raises SingularDesign naming the sample end that
+    reads it, at the first order in that order that has one (so a series
+    singular at several orders fails on order K's sample end).  A sum
+    whose fits or errors leave the float range (a powering or a square
+    that overflows, a solve whose pivot has no finite reciprocal) is
+    inf, without a warning.
     """
     n = series.size
     rows, grams = shared
     K = rows.shape[1]
-    lags = [1 if method == PLUG_IN else h for method, h, _ in stages]
-    m = stages[0][2]
-    H = max(lags)
-    windows = {}
+    orders = (K, *range(1, K))
     for k in orders:
-        lo, hi = m - lags[0] - k, n - stages[0][1] - lags[0] - k + 1
-        failing = bad[lo:hi, k - 1]
+        failing = bad[m1 - 1 - k:n - 1 - k, k - 1]
         if failing.any():
             raise SingularDesign("singular design at sample end i=%d"
-                                 % (m + int(np.argmax(failing))))
-        windows[k] = lo, hi
-    first = min(lo for lo, _ in windows.values())
-    exact, kept = _factor_prefix(
-        grams, bad, first, max(hi for _, hi in windows.values()))
+                                 % (m1 + int(np.argmax(failing))))
+    first = m1 - 1 - K
+    exact, kept = _factor_prefix(grams, bad, first, n - 2)
     slot = np.cumsum(exact.any(axis=1)) - 1
-    width = n - stages[0][1] - m + 1  # the first stage's errors are longest
-    size = max(1, SUM_BUFFER_BYTES // (8 * width * len(stages)))
-    sums = {}
+    width = n - m1
+    size = max(1, SUM_BUFFER_BYTES // (8 * width * 3))
+    sums = np.empty((K, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, len(orders), size):
+        for b in range(0, K, size):
             ks = orders[b:b + size]
-            errors = np.zeros((len(ks), len(stages), width))
-            for k, order_errors in zip(ks, errors):
-                lo, hi = windows[k]
+            errors = np.zeros((len(ks), 3, width))
+            for k, (one_step, direct, plug) in zip(ks, errors):
+                lo, hi = m1 - 1 - k, n - 1 - k
                 c = K - k
                 rows_k = rows[:, c:]
                 cross = np.zeros((hi, k, 2))
                 np.multiply(rows_k[:hi], series[k:k + hi, None],
                             out=cross[:, :, 0])
-                stop = min(hi, n - H - k + 1)
+                stop = min(hi, n - h - k + 1)
                 np.multiply(rows_k[:stop],
-                            series[k + H - 1:k + H - 1 + stop, None],
+                            series[k + h - 1:k + h - 1 + stop, None],
                             out=cross[:stop, :, 1])
                 np.cumsum(cross, axis=0, out=cross)
                 factor = grams[lo:hi, c:, c:]
@@ -324,22 +313,40 @@ def _ape_sums(series, shared, bad, orders, stages):
                     coeffs[lu] = np.linalg.solve(
                         kept[slot[lo - first:hi - first][lu], c:, c:],
                         cross[lo:][lu])
-                for row, (method, h, m), lag in zip(order_errors, stages,
-                                                    lags):
-                    start = m - lag - k - lo
-                    fits = coeffs[start:start + n - h - m + 1, :,
-                                  0 if lag == 1 else 1]
-                    if method == PLUG_IN:
-                        fits = _companion_image(fits, h)
-                    tails = rows_k[np.arange(m, n - h + 1) - k]
-                    np.subtract(series[m + h - 1:n],
+                # Sample end i reads row i - m1 of coeffs at lag 1 and
+                # row i - m1 - h + 1 at lag h.
+                np.subtract(series[m1:], np.einsum(
+                    "bk,bk->b", coeffs[:, :, 0],
+                    rows_k[np.arange(m1, n) - k]), out=one_step)
+                count, s = n - h - mh + 1, mh - m1
+                tails = rows_k[np.arange(mh, n - h + 1) - k]
+                for row, fits in (
+                        (direct, coeffs[s - h + 1:s - h + 1 + count, :, 1]),
+                        (plug, _companion_image(coeffs[s:s + count, :, 0],
+                                                h))):
+                    np.subtract(series[mh + h - 1:n],
                                 np.einsum("bk,bk->b", fits, tails),
-                                out=row[:n - h - m + 1])
+                                out=row[:count])
             np.square(errors, out=errors)
             totals = _sum_rows(errors.reshape(-1, width))
             totals[np.isnan(totals)] = math.inf  # inf met 0 or -inf
-            sums.update(zip(ks, totals.reshape(len(ks), -1).tolist()))
-    return sums
+            sums[np.subtract(ks, 1)] = totals.reshape(len(ks), 3)
+    return sums.T.tolist()
+
+
+def _ape_pass(series, h, K):
+    """select_by_ape's pass: (first_stage, direct, plug_in, scale, m_h),
+    {k: sum} dicts of every order 1..K of the series normalized by
+    _normalized (_ape_sums), the exponent that reports them at the
+    series' own scale, and the h-step start index.  The one-step sums
+    start at min_start_index(series, K, 1), the h-step ones at m_h =
+    min_start_index(series, K, h).  Plug-in sums are taken for every
+    order, since the first-stage pick is not known before the pass."""
+    series, e, shared, bad = _ape_prefix(series, K, h)
+    m1 = _start_index(series.size, K, 1, bad)
+    mh = _start_index(series.size, K, h, bad)
+    sums = _ape_sums(series, shared, bad, h, m1, mh)
+    return (*(dict(enumerate(stage, 1)) for stage in sums), 2 * int(e), mh)
 
 
 def _candidate_order(k, K):
@@ -359,17 +366,28 @@ def accumulated_prediction_error(series, k, h, method, K):
     the squared errors are summed exactly and rounded once
     (estimation.row_sums).  The window only ever expands.
 
+    A read of select_by_ape's pass over every order and both methods
+    (_ape_pass): its value is the pass's sum for (k, method), which
+    select_by_ape records as criteria[k, method] (plug-in from its
+    first-stage pick up).  It has that call's cost and raises wherever
+    that call raises, but for NonFiniteCriterion (it makes no picks, so
+    it returns its value, inf included): a singular one-step Gram of any
+    order is SingularDesign naming the one-step sample end that reads
+    it.  A K or h that is not an integer of at least 1 is a ValueError
+    ("h must be an integer of at least 1, not 0").
+
     Parameters
     ----------
     series : array of float
     k : int
         Candidate order, 1 <= k <= K.
     h : int
-        Horizon.
+        Horizon, an integer of at least 1.
     method : {"plug-in", "direct"}
     K : int
-        Largest candidate order (fixes the start index, and the order-K
-        Gram prefix whose factors serve every order).
+        Largest candidate order, an integer of at least 1 (fixes the
+        start index, and the order-K Gram prefix whose factors serve
+        every order).
 
     Returns
     -------
@@ -377,10 +395,8 @@ def accumulated_prediction_error(series, k, h, method, K):
     """
     _check_method(method)
     k = _candidate_order(k, K)
-    series, e, shared, bad = _ape_prefix(series, K, h)
-    m = _start_index(series.size, K, h, bad)
-    total = _ape_sums(series, shared, bad, (k,), ((method, h, m),))[k][0]
-    return float(_unscaled(total, 2 * e))
+    _, direct, plug, scale, _ = _ape_pass(series, h, K)
+    return float(_unscaled((direct if method == DIRECT else plug)[k], scale))
 
 
 def select_by_ape(series, h, K):
@@ -392,24 +408,11 @@ def select_by_ape(series, h, K):
     candidate only when it beats the direct one strictly (ties go to
     direct).  Argmin ties inside each step take the smallest order.
     """
-    series, e, shared, bad = _ape_prefix(series, K, h)
-    m1 = _start_index(series.size, K, 1, bad)
-    mh = _start_index(series.size, K, h, bad)
-    # One pass per order serves all three stages.  Plug-in sums are
-    # taken for every order because the step-1 pick is not known yet.
-    # The first stage's window holds the other two (mh >= m1, and
-    # mh - h >= m1 - 1 since sample end mh - h + 1 >= 2K clears the
-    # one-step gate), and its error rows are the longest.
-    # Order K's pass runs first, so that a series singular at several
-    # orders fails on order K's sample end.
-    stages = ((DIRECT, 1, m1), (DIRECT, h, mh), (PLUG_IN, h, mh))
-    sums = _ape_sums(series, shared, bad, (K, *range(1, K)), stages)
-    first_stage, direct_vals, plug_all = (
-        {k: sums[k][stage] for k in range(1, K + 1)} for stage in range(3))
+    first_stage, direct, plug, scale, mh = _ape_pass(series, h, K)
     k_first = _argmin_smallest(first_stage, "first-stage")
-    return _outcome(first_stage, direct_vals,
-                    {k: v for k, v in plug_all.items() if k >= k_first},
-                    2 * int(e), mh)
+    return _outcome(first_stage, direct,
+                    {k: v for k, v in plug.items() if k >= k_first}, scale,
+                    mh)
 
 
 def _suffix_sums(U, V, last, K):

@@ -347,16 +347,15 @@ def run_frequency_experiment(dgps, ns, procedures=None, R=200, K=None,
     seed : int
         Master seed.
     workers : int, optional
-        Process count; None or 1 runs serially, and below 1 is a
-        ValueError.
+        Process count, an integer (not a bool) of at least 1; None or 1
+        runs serially.
     """
     dgps = [DGPS[d] if isinstance(d, str) else d for d in dgps]
     ns = [_count("n", n, 1) for n in ns]
     procedures = _normalize_procedures(procedures)
     R = _count("R", R, 1)
     K = K if K is None else _count("K", K, 1)
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be at least 1, not %r" % workers)
+    workers = workers if workers is None else _count("workers", workers, 1)
     tallies = {}
     for key in [(dgp.id, n, label)
                 for dgp in dgps for n in ns for label, _ in procedures]:
@@ -420,8 +419,9 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
         on each simulated series of length n, and x_{n+h} is forecast.
         Both spec and dgp were checked when they were built.
     n : int
-        Estimation sample length, an integer (not a bool) long enough
-        for the fit (SeriesTooShort otherwise).
+        Estimation sample length, an integer (not a bool) of at least 1,
+        checked before it is compared with the predictor's order, and
+        long enough for the fit (SeriesTooShort otherwise).
     R : int
         Number of replications, an integer (not a bool) of at least 2.
     seed : int
@@ -439,13 +439,13 @@ def estimate_mspe(dgp, spec, n, R, seed=0):
     underflows; the fields are reported at the dgp's scale (_unscaled),
     inf where they overflow and 0 where they underflow.
     """
+    n, R = _count("n", n, 1), _count("R", R, 2)
     k, h, method = spec.k, spec.h, spec.method
     if method == PLUG_IN:
         if n < 2 * k:
             raise SeriesTooShort("plug-in fit needs n >= 2k")
     elif n - h < 2 * k - 1:
         raise SeriesTooShort("direct fit needs n - h >= 2k - 1")
-    n, R = _count("n", n, 1), _count("R", R, 2)
     levels = np.asarray(dgp.levels, dtype=float)
     w = impulse_response(levels, h - 1)
     scale, s = math.frexp(math.sqrt(dgp.sigma2))

@@ -48,8 +48,6 @@ class AutocovarianceTable:
 
     def matrix(self, dim):
         """Toeplitz autocovariance matrix of the given dimension."""
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative, not %d" % dim)
         _count("dim", dim, 0)
         if dim > self.L + 1:
             raise ValueError("table holds lags up to %d, need %d"
@@ -109,8 +107,6 @@ def autocovariances(model, L):
     -------
     AutocovarianceTable
     """
-    if L < 0:
-        raise ValueError("L must be nonnegative")
     L = _count("L", L, 0)
     gamma = _gamma(model, L)
     scale = _variance_units(model.sigma2)[1]
@@ -186,10 +182,6 @@ def _order_costs(model, h, k):
     """(plug-in, direct) costs of either model kind at working order k:
     the last entries of one _costs pass at dimension k - shift (see
     _losses), both zero at k = shift."""
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
-    if k < 1:
-        raise ValueError("order must be at least 1")
     _count("h", h, 1)
     _count("k", k, 1)
     levels, stationary = ar_coefficients(model)
@@ -236,8 +228,6 @@ def closed_form_h2(model, k, method):
     if not isinstance(model, UnitRootArModel):
         raise TypeError("closed_form_h2 needs a UnitRootArModel")
     _check_method(method)
-    if k < 2:
-        raise ValueError("the closed forms need k >= 2")
     _count("k", k, 2)
     alpha = model.stationary
     a1 = alpha[0] if model.p >= 1 else 0.0

@@ -306,7 +306,8 @@ def test_simulate_workers_below_one_exits_two(capsys):
     assert captured.out == ""
     record = json.loads(captured.err)
     assert record["error"] == "ValueError"
-    assert "workers must be at least 1" in record["message"]
+    assert record["message"] == ("workers must be an integer of at least 1, "
+                                 "not 0")
 
 
 def test_simulate_mspe_text(capsys):

@@ -29,9 +29,10 @@ def test_lag_matrix_rows_are_reversed_windows():
     np.testing.assert_array_equal(rows[0], [3.0, 2.0, 1.0])
     np.testing.assert_array_equal(rows[-1], [9.0, 8.0, 7.0])
     assert a.lag_matrix(series, 3, 5, 4).shape == (0, 3)
-    for k, first, last, message in ((3, 2, 9, "reach before the sample"),
-                                    (0, 3, 9, "order must be at least 1"),
-                                    (3, 3, 11, "exceeds the series length")):
+    for k, first, last, message in (
+            (3, 2, 9, "reach before the sample"),
+            (0, 3, 9, "^k must be an integer of at least 1, not 0$"),
+            (3, 3, 11, "exceeds the series length")):
         with pytest.raises(ValueError, match=message):
             a.lag_matrix(series, k, first, last)
 
@@ -68,7 +69,8 @@ def test_plug_in_multi_requires_one_step_input():
         a.plug_in_multi(direct, 2)
     one_step = a.FittedCoefficients(coeffs=(1.0,), k=1, h=1,
                                     method=a.PLUG_IN, sample_end=50)
-    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+    with pytest.raises(ValueError,
+                       match="^h must be an integer of at least 1, not 0$"):
         a.plug_in_multi(one_step, 0)
 
 
@@ -97,7 +99,8 @@ def test_fit_sample_size_preconditions():
         a.fit_one_step(series, 3, i=5)
     with pytest.raises(a.SingularDesign):
         a.fit_direct(series, 3, 2, i=6)
-    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+    with pytest.raises(ValueError,
+                       match="^h must be an integer of at least 1, not 0$"):
         a.fit_direct(series, 2, 0)
     with pytest.raises(ValueError, match="^sample end 11 exceeds"):
         a.fit_direct(series, 2, 2, i=11)

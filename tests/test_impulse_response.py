@@ -90,7 +90,8 @@ def test_negative_lengths_are_value_errors():
                  lambda: a.ma_weights(model, -1),
                  lambda: a.level_ma_weights(model, -1),
                  lambda: a.fitted_ma_weights(one_step, -1)):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^length must be an integer "
+                           "of at least 0, not -[12]$"):
             call()
 
 

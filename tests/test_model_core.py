@@ -266,16 +266,21 @@ def test_model_functions_reject_other_types(call):
 @pytest.mark.parametrize("call, message", [
     (lambda: a.deflate_unit_root(np.ones((2, 2))), "nonempty 1-D"),
     (lambda: a.companion_matrix(()), "nonempty"),
-    (lambda: a.direct_coefficients(STATIONARY, 0), "horizon"),
-    (lambda: a.autocovariances(STATIONARY, -1), "nonnegative"),
+    (lambda: a.direct_coefficients(STATIONARY, 0),
+     "^h must be an integer of at least 1, not 0$"),
+    (lambda: a.autocovariances(STATIONARY, -1),
+     "^L must be an integer of at least 0, not -1$"),
     (lambda: a.autocovariances(STATIONARY, 3).matrix(5), "lags up to 3"),
-    (lambda: a.plugin_cost(a.UnitRootArModel(CUBIC), 2, 0), "order"),
-    (lambda: a.direct_cost(a.UnitRootArModel(CUBIC), 2, 0), "order"),
+    (lambda: a.plugin_cost(a.UnitRootArModel(CUBIC), 2, 0),
+     "^k must be an integer of at least 1, not 0$"),
+    (lambda: a.direct_cost(a.UnitRootArModel(CUBIC), 2, 0),
+     "^k must be an integer of at least 1, not 0$"),
     (lambda: a.closed_form_h2(a.UnitRootArModel(CUBIC), 1, a.PLUG_IN),
-     "k >= 2"),
+     "^k must be an integer of at least 2, not 1$"),
     (lambda: a.closed_form_h2(a.UnitRootArModel(CUBIC), 2, "other"),
      "method"),
-    (lambda: a.loss(a.UnitRootArModel(CUBIC), 2, 0, a.PLUG_IN), "order"),
+    (lambda: a.loss(a.UnitRootArModel(CUBIC), 2, 0, a.PLUG_IN),
+     "^k must be an integer of at least 1, not 0$"),
     (lambda: a.loss(a.UnitRootArModel(CUBIC), 2, 2, "other"), "method"),
 ], ids=["deflate_unit_root", "companion_matrix", "direct_coefficients",
         "autocovariances", "autocovariance_matrix", "plugin_cost",

@@ -61,8 +61,8 @@ def test_predict_rejects_non_finite_coefficients():
 
 @pytest.mark.parametrize("fields, message", [
     ({"method": "other"}, "^method must be 'plug-in' or 'direct'$"),
-    ({"k": 0}, "^order k and horizon h must be at least 1$"),
-    ({"h": 0}, "^order k and horizon h must be at least 1$"),
+    ({"k": 0}, "^k must be an integer of at least 1, not 0$"),
+    ({"h": 0}, "^h must be an integer of at least 1, not 0$"),
     ({"method": "other", "h": -1}, "^method must be")])
 def test_predictors_and_fits_check_themselves(fields, message):
     # One rule for both types, at construction and by dataclasses.replace.

@@ -50,7 +50,8 @@ def test_penalty_presets():
     assert a.PENALTY_PRESETS["B"].value(n) == pytest.approx(2 * base)
     assert a.PENALTY_PRESETS["C"].value(n) == pytest.approx(3 * base)
     assert a.DEFAULT_PENALTY is a.PENALTY_PRESETS["B"]
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError,
+                       match="^n must be an integer of at least 2, not 1$"):
         a.PENALTY_PRESETS["A"].value(1)
 
 
@@ -143,7 +144,8 @@ def test_ape_builds_the_order_K_prefix_once(monkeypatch):
     built.clear()
     a.select_by_ape(series, 10, 20)
     assert built == [20]
-    with pytest.raises(ValueError, match="^K and h must be at least 1$"):
+    with pytest.raises(ValueError,
+                       match="^h must be an integer of at least 1, not 0$"):
         a.accumulated_prediction_error(series, 20, 0, a.PLUG_IN, 20)
 
 
@@ -193,10 +195,10 @@ def test_ape_factors_each_prefix_chunk_once(monkeypatch):
         assert calls["solve"] == 0, K
         counts.append(calls["cholesky"])
     assert len(set(counts)) == 1 and counts[0] > 0
-    # A single sum factors only the entries its window reads.
+    # A single sum is a read of the whole selection's pass.
     calls["cholesky"] = 0
     a.accumulated_prediction_error(series, 4, 10, a.PLUG_IN, 20)
-    assert calls["solve"] == 0 and 0 < calls["cholesky"] <= counts[0]
+    assert calls["solve"] == 0 and calls["cholesky"] == counts[0]
 
 
 @pytest.mark.blas_layout
@@ -285,12 +287,11 @@ def test_singular_stretch_names_the_sample_end_of_its_window():
     # A spike of 1e8 in a unit-scale walk leaves the order-3 Grams whose
     # rows hold it in only some columns singular.  With x_76 = 1e8 the
     # stretch reaches only one-step Grams, past the last direct 4-step
-    # one; with x_61 = 1e8 it reaches both windows.  The sample ends were
-    # recorded when each fit lag had a solve of its own.
+    # one; with x_61 = 1e8 it reaches both windows.  A single sum is a
+    # read of the selection's pass, so every call raises where the
+    # selection does, naming the one-step sample end.
     walk = np.random.default_rng(5).normal(size=80).cumsum()
-    for spike, named in ((75, {"select": 77, (1, a.DIRECT): 77}),
-                         (60, {"select": 62, (1, a.DIRECT): 62,
-                               (4, a.DIRECT): 65, (4, a.PLUG_IN): 62})):
+    for spike, named in ((75, 77), (60, 62)):
         series = walk.copy()
         series[spike] = 1e8
         for key in ("select", (1, a.DIRECT), (4, a.DIRECT), (4, a.PLUG_IN)):
@@ -299,11 +300,8 @@ def test_singular_stretch_names_the_sample_end_of_its_window():
             else:
                 call = lambda: a.accumulated_prediction_error(
                     series, 3, key[0], key[1], 3)
-            if key not in named:
-                call()
-                continue
             with pytest.raises(a.SingularDesign,
-                               match="at sample end i=%d$" % named[key]):
+                               match="at sample end i=%d$" % named):
                 call()
 
 
@@ -349,8 +347,8 @@ def test_select_by_ape_h1_tie_goes_to_direct():
 
 @pytest.mark.blas_layout
 def test_select_by_ape_equals_per_stage_sums_exactly():
-    # The one-pass kernel must reproduce the three stages computed one at
-    # a time, bit for bit.
+    # A read is an entry of the selection's pass, bit for bit; the first
+    # stage equals the one-step reads, made by a pass at h = 1.
     firsts = []
     for label, h, K in (("III", 2, 6), ("VII", 3, 6), ("X", 10, 8),
                         ("III", 1, 5)):
@@ -384,12 +382,13 @@ def test_procedures_reject_non_finite_series():
         with pytest.raises(a.NonFiniteSeries):
             a.min_start_index(broken, 4, 2)
         # The APE entry points check K and h before the series.
-        for call in (lambda: a.select_by_ape(broken, 0, 4),
-                     lambda: a.accumulated_prediction_error(broken, 2, 0,
-                                                            a.DIRECT, 4),
-                     lambda: a.min_start_index(broken, 0, 2)):
-            with pytest.raises(ValueError,
-                               match="^K and h must be at least 1$"):
+        for call, name in (
+                (lambda: a.select_by_ape(broken, 0, 4), "h"),
+                (lambda: a.accumulated_prediction_error(broken, 2, 0,
+                                                        a.DIRECT, 4), "h"),
+                (lambda: a.min_start_index(broken, 0, 2), "K")):
+            with pytest.raises(ValueError, match="^%s must be an integer of "
+                               "at least 1, not 0$" % name):
                 call()
 
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -365,14 +366,17 @@ def test_bad_sigma2_is_refused_before_simulating(sigma2):
             build()
 
 
-@pytest.mark.parametrize("workers", [0, -1, -8])
+@pytest.mark.parametrize("workers", [0, -1, -8, 2.5, 1.0, True])
 def test_workers_below_one_are_refused_before_simulating(monkeypatch,
                                                           workers):
+    # workers follows the integer rule of every size: a float (not even
+    # 1.0) or a bool is refused as a count below 1 is.
     def no_replication(task):
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(a.simulation, "_run_block", no_replication)
-    with pytest.raises(ValueError, match="^workers must be at least 1"):
+    with pytest.raises(ValueError, match="^workers must be an integer of at "
+                       "least 1, not %s$" % re.escape(repr(workers))):
         a.run_frequency_experiment(["I"], [100], R=3, workers=workers)
 
 
@@ -658,14 +662,16 @@ def test_estimate_mspe_validates_inputs(monkeypatch):
         a.estimate_mspe(dgp, a.PredictorSpec(2, "other", 2), 100, 10)
 
     # n and R must be integers, not bools, of at least 1 and 2, before
-    # anything is drawn.
+    # anything is drawn, and n is checked before it is compared with the
+    # predictor's order.
     def draw(*args):
         raise AssertionError("drew innovations before validating")
 
     monkeypatch.setattr(simulation, "_draw_innovations", draw)
     spec = a.PredictorSpec(1, a.PLUG_IN, 1)
-    for name, value in [("n", 100.5), ("n", np.float64(100)), ("R", 3.5),
-                        ("R", True), ("R", "10"), ("R", 1)]:
+    for name, value in [("n", 100.5), ("n", np.float64(100)), ("n", True),
+                        ("n", "300"), ("R", 3.5), ("R", True), ("R", "10"),
+                        ("R", 1)]:
         kwargs = {"n": 100, "R": 10, name: value}
         least = 2 if name == "R" else 1
         with pytest.raises(ValueError, match="^%s must be an integer of at "

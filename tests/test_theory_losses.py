@@ -50,7 +50,8 @@ def test_autocovariance_matrix_rejects_negative_dimensions():
     table = a.autocovariances(a.model_for(a.DGPS["III"]), 4)
     assert table.matrix(0).shape == (0, 0)
     for dim in (-1, -4, -6):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^dim must be an integer of "
+                           "at least 0, not %d$" % dim):
             table.matrix(dim)
 
 
@@ -275,7 +276,8 @@ def test_costs_reject_horizons_below_one():
     for cost in (a.plugin_cost, a.direct_cost):
         for h in (0, -1):
             for k in (1, 3):
-                with pytest.raises(ValueError, match="horizon"):
+                with pytest.raises(ValueError, match="^h must be an "
+                                   "integer of at least 1, not %d$" % h):
                     cost(X_MODEL, h, k)
 
 
