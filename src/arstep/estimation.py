@@ -369,8 +369,10 @@ def _residual_sums(lags, series, coeffs, h):
     return sums
 
 
-#: Working memory, in bytes, of one block of squares, or of one solve
-#: array per order for each series of a criteria chunk.
+#: Working memory, in bytes, of one block of squares, of one chunk of
+#: APE prefix factors (selection._factor_prefix: 327 entries at K = 10,
+#: 81 at K = 20), or of one solve array per order for each series of a
+#: criteria chunk.
 SUM_BUFFER_BYTES = 1 << 18
 
 

@@ -28,8 +28,8 @@ from .estimation import (SUM_BUFFER_BYTES, _check_residual_window,
                          _residual_sums, _singular_orders, _singular_prefix,
                          _sum_rows, lag_matrix)
 from .model_core import (DIRECT, PLUG_IN, _as_series, _check_method,
-                         _companion_image, _count, _power_sum, _unscaled,
-                         companion_matrix, impulse_response)
+                         _companion_image, _count, _is_integer, _power_sum,
+                         _unscaled, companion_matrix, impulse_response)
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,6 @@ def _start_index(n, K, h, bad):
 #: factor (_factor_prefix).
 CHOLESKY_COND_MAX = 1e7
 
-#: Prefix entries factored per chunk (_factor_prefix).
-FACTOR_CHUNK = 64
-
 
 def _lower_inverse(L):
     """Inverse of each lower-triangular matrix of a stack, row by row by
@@ -226,24 +223,33 @@ def _factor_prefix(grams, bad, first, last):
     must solve entry r by LU instead: where the entry fails the gate, or
     where tr(G_k) ||U_k||_F^2, a bound on the condition number of G_k,
     exceeds CHOLESKY_COND_MAX.  kept holds copies of the Grams of the
-    entries some order solves by LU, in entry order.  Entries are
-    factored FACTOR_CHUNK at a time, and no entry's values depend on the
-    others.
+    entries some order solves by LU, in entry order.
+
+    Entries are factored in chunks of as many K x K matrices as fit
+    SUM_BUFFER_BYTES (327 at K = 10, 81 at K = 20).  A chunk whose
+    entries all clear the gate is factored from a view of the prefix,
+    one with a failing entry from a copy of its other entries.  Each
+    matrix is its own LAPACK call either way, so no entry's values
+    depend on the chunk or on the others.
     """
-    exact = np.ones((last - first, grams.shape[-1]), dtype=bool)
+    K = grams.shape[-1]
+    step = max(1, SUM_BUFFER_BYTES // (8 * K * K))
+    exact = np.ones((last - first, K), dtype=bool)
     kept = []
-    for a in range(first, last, FACTOR_CHUNK):
-        b = min(a + FACTOR_CHUNK, last)
-        good = a + np.flatnonzero(~bad[a:b, -1])
-        flipped = grams[good, ::-1, ::-1]
+    for a in range(first, last, step):
+        chunk = grams[a:min(a + step, last)]
+        hits = exact[a - first:a - first + len(chunk)]
+        failing = bad[a:a + len(chunk), -1]
+        good = np.flatnonzero(~failing) if failing.any() else slice(None)
+        flipped = chunk[good, ::-1, ::-1]
         inverse = _lower_inverse(np.linalg.cholesky(flipped))
         with np.errstate(over="ignore"):  # inf sends the fit to LU
             bound = (np.cumsum(np.einsum("bii->bi", flipped), axis=1)
                      * np.cumsum(np.einsum("bij,bij->bi", inverse, inverse),
                                  axis=1))
-        exact[good - first] = bound > CHOLESKY_COND_MAX
-        kept.append(grams[a:b][exact[a - first:b - first].any(axis=1)])
-        grams[good] = inverse[:, ::-1, ::-1]
+        hits[good] = bound > CHOLESKY_COND_MAX
+        kept.append(chunk[hits.any(axis=1)])
+        chunk[good] = inverse[:, ::-1, ::-1]
     return exact, np.concatenate(kept)
 
 
@@ -350,9 +356,12 @@ def _ape_pass(series, h, K):
 
 
 def _candidate_order(k, K):
-    """k as an int, if it is a candidate order: 1 <= k <= K, then the
-    integer rule (_count); ValueError otherwise."""
-    if not 1 <= k <= K:
+    """k as an int, if it is a candidate order: K, then k, integers of at
+    least 1 (_count) with k <= K; ValueError otherwise, "1 <= k <= K" for
+    an integer k out of range.  Only integers are compared, so a k or K
+    of another type is the integer rule's error, never a TypeError."""
+    K = _count("K", K, 1)
+    if _is_integer(k) and not 1 <= k <= K:
         raise ValueError("candidate order must satisfy 1 <= k <= K")
     return _count("k", k, 1)
 

@@ -26,10 +26,13 @@ MODEL = a.model_for(a.DGPS["III"])
     lambda: a.FittedCoefficients((0.5,), 1, 2.0, a.DIRECT, 50),
     lambda: a.select_by_ape(SERIES, 2.5, 4),
     lambda: a.accumulated_prediction_error(SERIES, 1.0, 2, a.DIRECT, 4),
+    lambda: a.accumulated_prediction_error(SERIES, "1", 1, a.DIRECT, 4),
+    lambda: a.accumulated_prediction_error(SERIES, 1, 1, a.DIRECT, "4"),
     lambda: a.min_start_index(SERIES, 4, 2.0),
     lambda: a.select_by_criterion(SERIES, 2, 4.0),
     lambda: a.select_by_criterion(SERIES, True, 4),
     lambda: a.plugin_criterion(SERIES, 2.0, 2, 4),
+    lambda: a.plugin_criterion(SERIES, 1, 1, "4"),
     lambda: a.direct_criterion(SERIES, 1, 2, True),
     lambda: a.loss_table(MODEL, 2.0, 4),
     lambda: a.loss_table(MODEL, 2, True),
@@ -52,8 +55,9 @@ MODEL = a.model_for(a.DGPS["III"])
     lambda: a.replication_seed(0, a.DGPS["III"], 50.0, 0),
     lambda: a.DgpSpec("Z", (0.5,), False, 2.0, 5),
     lambda: a.PenaltyWeight(2.0).value(100.0),
-], ids=["spec", "spec_bool", "fit", "select_by_ape", "ape", "start_index",
-        "criterion", "criterion_bool", "plugin_criterion", "direct_criterion",
+], ids=["spec", "spec_bool", "fit", "select_by_ape", "ape", "ape_str_k",
+        "ape_str_K", "start_index", "criterion", "criterion_bool",
+        "plugin_criterion", "plugin_criterion_str_K", "direct_criterion",
         "loss_table", "loss_table_bool", "loss", "plugin_cost",
         "closed_form_h2", "autocovariances", "direct_coefficients",
         "sigma_h_squared", "impulse_response", "ma_weights", "fit_direct",
@@ -62,7 +66,8 @@ MODEL = a.model_for(a.DGPS["III"])
         "dgp_horizon", "penalty_n"])
 def test_sizes_must_be_integers(call):
     # A float or a bool size used to run truncated, as 1, or fail inside
-    # numpy with an IndexError or TypeError.
+    # numpy with an IndexError or TypeError; a string k or K failed in the
+    # comparison 1 <= k <= K with Python's TypeError.
     with pytest.raises(ValueError, match="must be an integer of at least"):
         call()
 

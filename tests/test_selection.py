@@ -172,9 +172,11 @@ def test_order_prefixes_are_views_of_the_shared_prefix():
 
 @pytest.mark.blas_layout
 def test_ape_factors_each_prefix_chunk_once(monkeypatch):
-    # One Cholesky factor per chunk of prefix entries serves every order,
-    # so the number of factorizations does not grow with K, and no fit of
-    # IX at n = 300 needs an LU solve.
+    # One Cholesky factor per chunk of prefix entries serves every order.
+    # A chunk holds as many K x K matrices as fit SUM_BUFFER_BYTES, so a
+    # pass over the entries m1 - 1 - K..n - 3 (m1 the one-step start
+    # index) factors ceil(entries / chunk) chunks: 1, 1 and 4 at K = 5,
+    # 10 and 20 on IX at n = 300.  No fit there needs an LU solve.
     series = _series("IX", 300)
     calls = {"cholesky": 0, "solve": 0}
 
@@ -189,16 +191,57 @@ def test_ape_factors_each_prefix_chunk_once(monkeypatch):
                             counted(name, getattr(np.linalg, name)))
     counts = []
     for K in (5, 10, 20):
+        entries = series.size - 2 - (a.min_start_index(series, K, 1) - 1 - K)
+        chunk = max(1, a.selection.SUM_BUFFER_BYTES // (8 * K * K))
         for name in calls:
             calls[name] = 0
         a.select_by_ape(series, 10, K)
         assert calls["solve"] == 0, K
+        assert calls["cholesky"] == -(-entries // chunk), K
         counts.append(calls["cholesky"])
-    assert len(set(counts)) == 1 and counts[0] > 0
+    assert counts == [1, 1, 4]
     # A single sum is a read of the whole selection's pass.
     calls["cholesky"] = 0
     a.accumulated_prediction_error(series, 4, 10, a.PLUG_IN, 20)
-    assert calls["solve"] == 0 and calls["cholesky"] == counts[0]
+    assert calls["solve"] == 0 and calls["cholesky"] == counts[-1]
+
+
+@pytest.mark.blas_layout
+def test_ape_factors_do_not_depend_on_their_chunk(monkeypatch):
+    # A budget of one K x K matrix factors one prefix entry per chunk.
+    # Its factors, LU flags and kept Grams are == to those of the default
+    # chunks (327 entries at K = 10) on VII at n = 1000, whose one LU
+    # entry is among them.  So are they where order-K entries inside a
+    # chunk fail the gate, and that chunk is factored from a copy of its
+    # other entries: the failing entries keep their Grams, every order
+    # solves them by LU, and the other entries are == to the default's.
+    K = a.DGPS["VII"].max_order
+    x, _, (_, prefix), bad = a.selection._ape_prefix(
+        _series("VII", 1000), K, 1)
+    first = a.selection._start_index(x.size, K, 1, bad) - 1 - K
+    last = x.size - 2
+    fails = np.zeros(last - first, dtype=bool)
+    fails[100:103] = True
+    failing = bad.copy()
+    failing[first:last, -1] |= fails
+
+    def factor(mask):
+        grams = prefix.copy()
+        return (grams, *a.selection._factor_prefix(grams, mask, first, last))
+
+    default = [factor(mask) for mask in (bad, failing)]
+    monkeypatch.setattr(a.selection, "SUM_BUFFER_BYTES", 8 * K * K)
+    for chunked, single in zip(default, map(factor, (bad, failing))):
+        for ours, theirs in zip(chunked, single):
+            assert np.array_equal(ours, theirs)
+    (grams, exact, _), (held, held_exact, held_kept) = default
+    assert exact.any() and not bad[first:last, -1].any()
+    assert np.array_equal(held[first:last][fails], prefix[first:last][fails])
+    assert np.array_equal(held[first:last][~fails],
+                          grams[first:last][~fails])
+    assert np.array_equal(held_exact, exact | fails[:, None])
+    assert np.array_equal(
+        held_kept, prefix[first + np.flatnonzero(held_exact.any(axis=1))])
 
 
 @pytest.mark.blas_layout
@@ -269,8 +312,10 @@ def test_ape_lu_fits_equal_the_lu_solve_of_their_prefix_entries(monkeypatch):
 @pytest.mark.blas_layout
 def test_select_by_ape_memory_stays_bounded():
     # The factors overwrite the 3.3 MB Gram prefix in place, and entries
-    # are factored a chunk at a time, so the peak (4.7 MB) stays near the
-    # 4.5 MB that per-order LU solves took.
+    # are factored a chunk at a time, as many as fit SUM_BUFFER_BYTES (81
+    # at K = 20; a chunk that clears the gate is read as a view), so the
+    # peak (4.7 MB, as with fixed chunks of 64 copied entries) stays near
+    # the 4.5 MB that per-order LU solves took.
     dgp = a.DGPS["IX"]
     series = _series("IX", 1000)
     tracemalloc.start()
@@ -318,8 +363,9 @@ def test_ape_validates_candidate_order():
 def test_criteria_validate_candidate_order():
     series = _series("I", 100)
     for criterion in (a.plugin_criterion, a.direct_criterion):
-        with pytest.raises(ValueError, match="1 <= k <= K"):
-            criterion(series, 5, 1, 4)
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="1 <= k <= K"):
+                criterion(series, k, 1, 4)
 
 
 @pytest.mark.blas_layout
